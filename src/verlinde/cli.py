@@ -75,54 +75,35 @@ def _emit_record(record: dict, fmt: str) -> None:
         print("| " + " | ".join(str(record[f]) for f in RECORD_FIELDS) + " |")
 
 
-def _cmd_compute(args, parser) -> int:
-    try:
-        if args.group == "so":
-            if args.r is None:
-                parser.error("--group so requires --r")
-            res = n_so(args.r, args.genus, args.precision)
-        elif args.group == "sp":
-            if args.r is None or args.level is None:
-                parser.error("--group sp requires --r and --level")
-            res = n_sp(args.r, args.level, args.genus, args.precision)
-        else:  # sc
-            if args.type is None or args.rank is None or args.level is None:
-                parser.error("--group sc requires --type, --rank and --level")
-            rs = build_root_system(GroupType(args.type, args.rank))
-            res = verlinde_sc(rs, args.level, args.genus, args.precision)
-    except ValueError as err:
-        parser.error(str(err))
-    except IntegralityError as err:
-        _emit_record(
-            {
-                "error": "integrality-certification-failed",
-                "raw_value": err.raw_value,
-                "residual": f"{err.residual:.6e}",
-                "precision_bits": err.precision_bits,
-            },
-            "json",
-        )
-        return 1
+def _cmd_compute(args) -> int:
+    if args.group == "so":
+        if args.r is None:
+            raise ValueError("--group so requires --r")
+        res = n_so(args.r, args.genus, args.precision)
+    elif args.group == "sp":
+        if args.r is None or args.level is None:
+            raise ValueError("--group sp requires --r and --level")
+        res = n_sp(args.r, args.level, args.genus, args.precision)
+    else:  # sc
+        if args.type is None or args.rank is None or args.level is None:
+            raise ValueError("--group sc requires --type, --rank and --level")
+        rs = build_root_system(GroupType(args.type, args.rank))
+        res = verlinde_sc(rs, args.level, args.genus, args.precision)
     _emit_record(output_record(res), args.format)
     return 0
 
 
-def _cmd_weights(args, parser) -> int:
-    try:
-        rs = build_root_system(GroupType(args.type, args.rank))
-        P = enumerate_level_weights(rs, args.level)
-        if args.quotient is None:
-            listing = [(lam, None) for lam in P.weights]
-        else:
-            spec = _QUOTIENT_SPEC.get(args.type)
-            if spec is None or (args.type == "A" and args.rank != 1):
-                parser.error(
-                    f"no SO-type center quotient for {args.type}{args.rank}"
-                )
-            orbits = orbit_decompose(restrict_to_quotient(P, spec), spec)
-            listing = [(o.representative, o.size) for o in orbits.orbits]
-    except ValueError as err:
-        parser.error(str(err))
+def _cmd_weights(args) -> int:
+    rs = build_root_system(GroupType(args.type, args.rank))
+    P = enumerate_level_weights(rs, args.level)
+    if args.quotient is None:
+        listing = [(lam, None) for lam in P.weights]
+    else:
+        spec = _QUOTIENT_SPEC.get(args.type)
+        if spec is None or (args.type == "A" and args.rank != 1):
+            raise ValueError(f"no SO-type center quotient for {args.type}{args.rank}")
+        orbits = orbit_decompose(restrict_to_quotient(P, spec), spec)
+        listing = [(o.representative, o.size) for o in orbits.orbits]
 
     rows = []
     for lam, orbit_size in listing:
@@ -222,16 +203,34 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_COMMANDS = {
+    "compute": _cmd_compute,
+    "weights": _cmd_weights,
+    "suite": _cmd_suite,
+    "compare-oracle": _cmd_compare_oracle,
+}
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    """Run one command: a ``ValueError`` is a bad argument (exit 2), an
+    ``IntegralityError`` a failed certification (exit 1, JSON diagnostic)."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "compute":
-        return _cmd_compute(args, parser)
-    if args.command == "weights":
-        return _cmd_weights(args, parser)
-    if args.command == "suite":
-        return _cmd_suite(args)
-    return _cmd_compare_oracle(args)
+    try:
+        return _COMMANDS[args.command](args)
+    except ValueError as err:
+        parser.error(str(err))
+    except IntegralityError as err:
+        _emit_record(
+            {
+                "error": "integrality-certification-failed",
+                "raw_value": err.raw_value,
+                "residual": f"{err.residual:.6e}",
+                "precision_bits": err.precision_bits,
+            },
+            "json",
+        )
+        return 1
 
 
 if __name__ == "__main__":

@@ -12,21 +12,28 @@ where P_l is the set of dominant weights with (lambda | theta) <= l,
                     4 sin^2( pi (alpha | lambda + rho) / (l + h) ),
 
 and |T_l| = (l+h)^s * f * nu is the order of the finite torus subgroup
-behind the sum (f = center order).  For a center quotient G/Gamma the sum
-runs over Gamma-orbits of the weights trivial on Gamma, each orbit
-weighted by |orbit|^(1-2g), and the total is multiplied by |Gamma|; for a
-product of factors the torus-to-Delta ratio factorizes.
+behind the sum (f = center order).  Every sum shape is one formula,
 
-Every entry point evaluates the sum in arbitrary-precision floating point
-(sequential reduction in canonical weight order), rounds to the nearest
-integer and certifies the rounding via :mod:`verlinde.numeric`.
+    N = |Gamma| * sum over orbits of m^(1-2g) * (T / Delta)^(g-1),
+
+over the Gamma-orbits (of size m) of the weights trivial on the center
+subgroup Gamma; the simply connected group is the case Gamma = 1.  For a
+product of factors, Delta runs over the factors' sine arguments together
+and T is the product of their torus orders.  At g = 0, T = 1, Gamma = 1 the
+formula is the sum of Delta over P_l, which equals |T_l| (S-matrix
+unitarity): the torus-order oracle, and the source of |T_l| for type C.
+
+``_terms`` turns the weights into exact (orbit size, sine arguments) terms
+and ``_kernel``, the one floating-point loop, evaluates the formula on them
+entirely at the working precision, in canonical weight order; the result is
+rounded and certified via :mod:`verlinde.numeric`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import mpmath
 
@@ -40,6 +47,7 @@ from .numeric import (
 from .rootsys import RootSystem, Vector, inner, root_system, vec_add
 from .weights import (
     CenterSpec,
+    ProductLevelWeightSet,
     enumerate_level_weights,
     enumerate_product_weights,
     orbit_decompose,
@@ -63,6 +71,8 @@ __all__ = [
     "n_sp",
     "theta_dim",
 ]
+
+Term = Tuple[int, Tuple[Fraction, ...]]
 
 
 @dataclass(frozen=True)
@@ -101,11 +111,7 @@ def delta(
     """
     args = _sin_arguments(rs, level, lam)
     check_precision(precision)
-    with mpmath.workprec(precision):
-        total = mpmath.mpf(1)
-        for x in args:
-            total *= four_sin_sq(x)
-        return total
+    return _kernel([(1, args)], 1, 0, 1, precision)
 
 
 def torus_order(rs: RootSystem, level: int) -> int:
@@ -120,17 +126,56 @@ def torus_order(rs: RootSystem, level: int) -> int:
     return (level + rs.dual_coxeter) ** rs.rank * rs.center_order * rs.nu
 
 
-def _delta_sum(rs: RootSystem, level: int, precision: int) -> mpmath.mpf:
-    P = enumerate_level_weights(rs, level)
-    per_weight = [_sin_arguments(rs, level, lam) for lam in P.weights]
-    with mpmath.workprec(precision):
+def _terms(P, spec: CenterSpec) -> List[Term]:
+    """The exact pass: one term per Gamma-orbit of the Gamma-trivial weights.
+
+    ``P`` is a full level weight set, or a product weight set whose weight
+    tuples contribute their parts' sine arguments one after another.
+    """
+    product = isinstance(P, ProductLevelWeightSet)
+    if spec is CenterSpec.TRIVIAL:
+        reps = [(1, w) for w in P.weights]
+    else:
+        restrict = restrict_product_to_quotient if product else restrict_to_quotient
+        orbits = orbit_decompose(restrict(P, spec), spec).orbits
+        reps = [(o.size, o.representative) for o in orbits]
+    if not product:
+        return [(m, _sin_arguments(P.rs, P.level, w)) for m, w in reps]
+    return [(m, sum((_sin_arguments(rs, lvl, part) for (rs, lvl), part
+                     in zip(P.factors, w)), ())) for m, w in reps]
+
+
+def _kernel(
+    terms: Sequence[Term], T: int, genus: int, gamma_order: int, bits: int
+) -> mpmath.mpf:
+    """|Gamma| * sum of m^(1-2g) * (T/Delta)^(g-1) over the terms, at ``bits``.
+
+    Each distinct sine argument is evaluated once per call.
+    """
+    with mpmath.workprec(bits):
+        sines = {}
         total = mpmath.mpf(0)
-        for args in per_weight:
-            term = mpmath.mpf(1)
+        for m, args in terms:
+            d = mpmath.mpf(1)
             for x in args:
-                term *= four_sin_sq(x)
-            total += term
-        return total
+                s = sines.get(x)
+                if s is None:
+                    s = sines[x] = four_sin_sq(x)
+                d *= s
+            # at g = 0 the power is Delta/T; inverting T/Delta would round twice
+            ratio = (T / d) ** (genus - 1) if genus else d / T
+            total += mpmath.mpf(m) ** (1 - 2 * genus) * ratio
+        return gamma_order * total
+
+
+def _unitarity_sum(rs: RootSystem, level: int, precision: int, terms=None):
+    """Certified sum of Delta over P_l as ``(raw, value, residual, bits)``.
+
+    ``terms`` are the exact terms of P_l when the caller already has them.
+    """
+    if terms is None:
+        terms = _terms(enumerate_level_weights(rs, level), CenterSpec.TRIVIAL)
+    return certify_integer(lambda bits: _kernel(terms, 1, 0, 1, bits), precision)
 
 
 def torus_order_oracle(
@@ -143,35 +188,21 @@ def torus_order_oracle(
     of an integer (escalating precision if needed); compare with
     :func:`torus_order` for the closed-form families.
     """
-    if level < 0:
-        raise ValueError(f"level must be >= 0, got {level}")
-    raw, _, _, _ = certify_integer(lambda p: _delta_sum(rs, level, p), precision)
-    return raw
+    return _unitarity_sum(rs, level, precision)[0]
 
 
 def torus_order_oracle_certified(
     rs: RootSystem, level: int, precision: int = DEFAULT_PRECISION
 ) -> Tuple[int, float]:
     """Certified integer value and rounding residual of the oracle sum."""
-    if level < 0:
-        raise ValueError(f"level must be >= 0, got {level}")
-    _, value, residual, _ = certify_integer(
-        lambda p: _delta_sum(rs, level, p), precision
-    )
-    return value, residual
+    return _unitarity_sum(rs, level, precision)[1:3]
 
 
 def certified_torus_order(
     rs: RootSystem, level: int, precision: int = DEFAULT_PRECISION
 ) -> int:
     """The oracle torus order rounded to its certified integer."""
-    return torus_order_oracle_certified(rs, level, precision)[0]
-
-
-def _exact_torus_order(rs: RootSystem, level: int, precision: int) -> int:
-    if rs.nu is not None:
-        return torus_order(rs, level)
-    return certified_torus_order(rs, level, precision)
+    return _unitarity_sum(rs, level, precision)[1]
 
 
 def _check_genus(genus: int) -> None:
@@ -179,16 +210,27 @@ def _check_genus(genus: int) -> None:
         raise ValueError(f"genus must be >= 1, got {genus}")
 
 
-def _certified_result(
-    compute, precision, term_count, group_label, level, genus
-) -> VerlindeResult:
-    _, value, residual, bits = certify_integer(compute, precision)
+def _verlinde(P, spec, genus, precision, label, level) -> VerlindeResult:
+    """The certified Verlinde number of the weight set ``P`` modulo ``spec``."""
+    terms = _terms(P, spec)
+    factors = P.factors if isinstance(P, ProductLevelWeightSet) else ((P.rs, P.level),)
+    T = 1
+    for rs, lvl in factors:
+        if rs.nu is not None:
+            T *= torus_order(rs, lvl)
+        else:  # the terms of a lone factor with trivial Gamma are all of P_l
+            whole = terms if len(factors) == 1 and spec is CenterSpec.TRIVIAL else None
+            T *= _unitarity_sum(rs, lvl, precision, whole)[1]
+    gamma_order = 1 if spec is CenterSpec.TRIVIAL else 2
+    _, value, residual, bits = certify_integer(
+        lambda b: _kernel(terms, T, genus, gamma_order, b), precision
+    )
     return VerlindeResult(
         value=value,
         residual=residual,
         precision_bits=bits,
-        term_count=term_count,
-        group_label=group_label,
+        term_count=len(terms),
+        group_label=label,
         level=level,
         genus=genus,
     )
@@ -202,29 +244,7 @@ def verlinde_sc(
     label: Optional[str] = None,
 ) -> VerlindeResult:
     """Verlinde number of the simply connected group with root system ``rs``."""
-    _check_genus(genus)
-    P = enumerate_level_weights(rs, level)
-    per_weight = [_sin_arguments(rs, level, lam) for lam in P.weights]
-    T = _exact_torus_order(rs, level, precision)
-
-    def compute(bits: int) -> mpmath.mpf:
-        with mpmath.workprec(bits):
-            total = mpmath.mpf(0)
-            for args in per_weight:
-                d = mpmath.mpf(1)
-                for x in args:
-                    d *= four_sin_sq(x)
-                total += (T / d) ** (genus - 1)
-            return total
-
-    return _certified_result(
-        compute,
-        precision,
-        term_count=len(P),
-        group_label=label or f"{rs.group_type} (simply connected)",
-        level=level,
-        genus=genus,
-    )
+    return verlinde_quotient(rs, level, CenterSpec.TRIVIAL, genus, precision, label)
 
 
 def verlinde_quotient(
@@ -242,32 +262,9 @@ def verlinde_quotient(
     of orbit representative is immaterial: Delta is Gamma-invariant.
     """
     _check_genus(genus)
-    Pprime = restrict_to_quotient(enumerate_level_weights(rs, level), spec)
-    orbits = orbit_decompose(Pprime, spec)
-    gamma_order = 1 if spec is CenterSpec.TRIVIAL else 2
-    per_orbit = [
-        (orbit.size, _sin_arguments(rs, level, orbit.representative))
-        for orbit in orbits.orbits
-    ]
-    T = _exact_torus_order(rs, level, precision)
-
-    def compute(bits: int) -> mpmath.mpf:
-        with mpmath.workprec(bits):
-            total = mpmath.mpf(0)
-            for size, args in per_orbit:
-                d = mpmath.mpf(1)
-                for x in args:
-                    d *= four_sin_sq(x)
-                total += mpmath.mpf(size) ** (1 - 2 * genus) * (T / d) ** (genus - 1)
-            return gamma_order * total
-
-    return _certified_result(
-        compute,
-        precision,
-        term_count=len(orbits),
-        group_label=label or _quotient_label(rs, spec),
-        level=level,
-        genus=genus,
+    return _verlinde(
+        enumerate_level_weights(rs, level), spec, genus, precision,
+        label or _quotient_label(rs, spec), level,
     )
 
 
@@ -296,48 +293,13 @@ def verlinde_product_quotient(
     """
     _check_genus(genus)
     factors = tuple(factors)
-    P = restrict_product_to_quotient(enumerate_product_weights(factors), spec)
-    orbits = orbit_decompose(P, spec)
-    gamma_order = 1 if spec is CenterSpec.TRIVIAL else 2
-    torus_orders = [
-        _exact_torus_order(rs, lvl, precision) for rs, lvl in factors
-    ]
-    per_orbit = [
-        (
-            orbit.size,
-            [
-                _sin_arguments(rs, lvl, part)
-                for (rs, lvl), part in zip(factors, orbit.representative)
-            ],
-        )
-        for orbit in orbits.orbits
-    ]
-
-    def compute(bits: int) -> mpmath.mpf:
-        with mpmath.workprec(bits):
-            total = mpmath.mpf(0)
-            for size, parts in per_orbit:
-                ratio = mpmath.mpf(1)
-                for T, args in zip(torus_orders, parts):
-                    d = mpmath.mpf(1)
-                    for x in args:
-                        d *= four_sin_sq(x)
-                    ratio *= T / d
-                total += mpmath.mpf(size) ** (1 - 2 * genus) * ratio ** (genus - 1)
-            return gamma_order * total
-
     if label is None:
-        if spec is CenterSpec.SO4_DIAGONAL:
-            label = "SO(4)"
-        else:
-            label = " x ".join(str(rs.group_type) for rs, _ in factors)
-    return _certified_result(
-        compute,
-        precision,
-        term_count=len(orbits),
-        group_label=label,
-        level=tuple(lvl for _, lvl in factors),
-        genus=genus,
+        label = "SO(4)" if spec is CenterSpec.SO4_DIAGONAL else " x ".join(
+            str(rs.group_type) for rs, _ in factors
+        )
+    return _verlinde(
+        enumerate_product_weights(factors), spec, genus, precision, label,
+        tuple(lvl for _, lvl in factors),
     )
 
 
@@ -349,11 +311,6 @@ def n_so(r: int, genus: int, precision: int = DEFAULT_PRECISION) -> VerlindeResu
         raise ValueError(f"n_so requires r >= 3, got {r}")
     _check_genus(genus)
     label = f"SO({r})"
-    if r == 3:
-        return verlinde_quotient(
-            root_system("A", 1), DYNKIN_INDEX.so3, CenterSpec.SO3, genus,
-            precision, label=label,
-        )
     if r == 4:
         a1 = root_system("A", 1)
         factors = [(a1, DYNKIN_INDEX.so4[0]), (a1, DYNKIN_INDEX.so4[1])]
@@ -361,15 +318,13 @@ def n_so(r: int, genus: int, precision: int = DEFAULT_PRECISION) -> VerlindeResu
             factors, CenterSpec.SO4_DIAGONAL, genus, precision, label=label
         )
     level = DYNKIN_INDEX.so_standard_r_ge_5
-    if r % 2 == 0:
-        return verlinde_quotient(
-            root_system("D", r // 2), level, CenterSpec.SO_EVEN, genus,
-            precision, label=label,
-        )
-    return verlinde_quotient(
-        root_system("B", (r - 1) // 2), level, CenterSpec.SO_ODD, genus,
-        precision, label=label,
-    )
+    if r == 3:
+        rs, level, spec = root_system("A", 1), DYNKIN_INDEX.so3, CenterSpec.SO3
+    elif r % 2 == 0:
+        rs, spec = root_system("D", r // 2), CenterSpec.SO_EVEN
+    else:
+        rs, spec = root_system("B", (r - 1) // 2), CenterSpec.SO_ODD
+    return verlinde_quotient(rs, level, spec, genus, precision, label=label)
 
 
 def n_sp(
@@ -377,8 +332,8 @@ def n_sp(
 ) -> VerlindeResult:
     """Verlinde number of the (simply connected) symplectic group Sp(2r).
 
-    The type-C torus order is not stored in closed form; it is supplied by
-    the certified sine-sum oracle.
+    The type-C torus order is not stored in closed form; it is the
+    certified sum of Delta over the same terms that the Verlinde sum uses.
     """
     if r < 1:
         raise ValueError(f"n_sp requires r >= 1, got {r}")

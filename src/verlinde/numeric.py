@@ -3,8 +3,11 @@
 All trigonometric sums in this package are known in advance to be integers;
 they are evaluated in binary floating point at a caller-chosen precision
 (default 192 bits) and rounded, and the rounding residual is kept as an
-audit trail.  When a residual exceeds the integrality tolerance the
-precision is doubled, up to three times, before giving up.
+audit trail.  A rounding is accepted only when the residual is within the
+integrality tolerance and the working precision has HEADROOM_BITS to spare
+beyond the value's bit length (below that, the float may not resolve the
+integer at all); otherwise the precision is doubled, up to three times,
+before giving up.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ import mpmath
 DEFAULT_PRECISION = 192
 MIN_PRECISION = 64
 MAX_ESCALATIONS = 3
+HEADROOM_BITS = 32
 
 
 class IntegralityError(ArithmeticError):
@@ -77,8 +81,9 @@ def certify_integer(
 
     Returns ``(raw, value, residual, bits_used)``.  ``compute`` must be a
     pure function of the precision; it is re-invoked at doubled precision
-    until the result is within :func:`integrality_tolerance` of an integer,
-    and :class:`IntegralityError` is raised after three doublings fail.
+    until the result is within :func:`integrality_tolerance` of an integer
+    with ``HEADROOM_BITS`` of precision beyond its bit length, and
+    :class:`IntegralityError` is raised after three doublings fail.
     """
     bits = check_precision(precision)
     for attempt in range(MAX_ESCALATIONS + 1):
@@ -86,7 +91,8 @@ def certify_integer(
         with mpmath.workprec(bits):
             value = int(mpmath.nint(raw))
             residual = float(abs(raw - value))
-        if residual < integrality_tolerance(value):
+        headroom = bits - abs(value).bit_length()
+        if residual < integrality_tolerance(value) and headroom >= HEADROOM_BITS:
             return raw, value, residual, bits
         if attempt < MAX_ESCALATIONS:
             bits *= 2

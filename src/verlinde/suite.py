@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List, Sequence, Tuple
 
 from .formula import (
@@ -108,27 +108,39 @@ def _sorted_report(entries: List[SuiteEntry]) -> SuiteReport:
     return SuiteReport(entries=tuple(entries))
 
 
-def _timed_entry(check_name, parameters, expected_value, compute) -> SuiteEntry:
-    """Run one check; integrality failures become failed entries, not errors."""
-    start = time.perf_counter()
+def _outcome(compute) -> Tuple[str, float, bool]:
+    """(value string, residual, certified) of ``compute() -> (value, residual)``.
+
+    An integrality failure is an outcome like any other, not an error."""
     try:
-        computed, residual = compute()
-        passed = expected_value is None or computed == expected_value
-        computed_str = str(computed)
+        value, residual = compute()
+        return str(value), residual, True
     except IntegralityError as err:
-        computed_str = f"uncertified({err.raw_value})"
-        residual = err.residual
-        passed = False
+        return f"uncertified({err.raw_value})", err.residual, False
+
+
+def _timed_entry(check_name, parameters, expected_value, compute) -> SuiteEntry:
+    """Run one check; integrality failures become failed entries, not errors.
+
+    ``expected_value`` is an integer, the decimal string of another entry's
+    outcome, or ``None`` for an integrality-only check."""
+    start = time.perf_counter()
+    computed, residual, certified = _outcome(compute)
     elapsed_ms = (time.perf_counter() - start) * 1e3
+    expected = INTEGRALITY if expected_value is None else str(expected_value)
     return SuiteEntry(
         check_name=check_name,
         parameters=dict(parameters),
-        expected=INTEGRALITY if expected_value is None else str(expected_value),
-        computed=computed_str,
+        expected=expected,
+        computed=computed,
         residual=residual,
-        passed=passed,
+        passed=certified and (expected_value is None or computed == expected),
         elapsed_ms=elapsed_ms,
     )
+
+
+def _value(res) -> Tuple[int, float]:
+    return res.value, res.residual
 
 
 def run_so_identity(
@@ -141,27 +153,20 @@ def run_so_identity(
     entries = []
     for r in range(3, r_max + 1):
         for g in range(1, g_max + 1):
-            entries.append(
-                _timed_entry(
-                    "so-identity",
-                    {"r": r, "genus": g},
-                    theta_dim(r, g),
-                    lambda r=r, g=g: (
-                        (res := n_so(r, g, precision)).value,
-                        res.residual,
-                    ),
-                )
+            identity = _timed_entry(
+                "so-identity",
+                {"r": r, "genus": g},
+                theta_dim(r, g),
+                lambda r=r, g=g: _value(n_so(r, g, precision)),
             )
-            if r >= 5:
+            entries.append(identity)
+            if r >= 5:  # the oracle must reproduce the engine value just computed
                 entries.append(
                     _timed_entry(
                         "so-oracle-equivalence",
                         {"r": r, "genus": g},
-                        n_so(r, g, precision).value,
-                        lambda r=r, g=g: (
-                            (o := n_so_oracle(r, g, precision)).value,
-                            o.residual,
-                        ),
+                        identity.computed,
+                        lambda r=r, g=g: _value(n_so_oracle(r, g, precision)),
                     )
                 )
     return _sorted_report(entries)
@@ -177,17 +182,19 @@ def run_strange_duality_symmetry(
     for r in range(1, r_max + 1):
         for s in range(r, s_max + 1):
             for g in range(1, g_max + 1):
-                entries.append(
-                    _timed_entry(
-                        "sp-duality-symmetry",
-                        {"r": r, "s": s, "genus": g},
-                        n_sp(s, r, g, precision).value,
-                        lambda r=r, s=s, g=g: (
-                            (res := n_sp(r, s, g, precision)).value,
-                            res.residual,
-                        ),
-                    )
+                # on the diagonal the partner is the computed number itself
+                partner = None if r == s else _outcome(
+                    lambda: _value(n_sp(s, r, g, precision))
+                )[0]
+                entry = _timed_entry(
+                    "sp-duality-symmetry",
+                    {"r": r, "s": s, "genus": g},
+                    partner,
+                    lambda r=r, s=s, g=g: _value(n_sp(r, s, g, precision)),
                 )
+                if r == s:
+                    entry = replace(entry, expected=entry.computed)
+                entries.append(entry)
     return _sorted_report(entries)
 
 

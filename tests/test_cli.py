@@ -87,6 +87,25 @@ def test_invalid_value_exit_2(capsys):
     assert info.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["compare-oracle", "--r", "4", "--genus", "2"],
+    ["compare-oracle", "--r", "7", "--genus", "2", "--precision", "32"],
+    ["suite", "--r-max", "2"],
+])
+def test_bad_arguments_of_any_command_exit_2(capsys, argv):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_compute_value_beyond_default_precision(capsys):
+    code, out = run_cli(capsys, "compute", "--group", "so", "--r", "30",
+                        "--genus", "60")
+    assert code == 0
+    assert json.loads(out)["value"] == str(30**60)
+
+
 def test_unknown_command_exit_2(capsys):
     with pytest.raises(SystemExit) as info:
         main(["frobnicate"])
@@ -178,6 +197,19 @@ def test_certification_failure_exits_1_with_diagnostics(capsys, monkeypatch):
     assert record["error"] == "integrality-certification-failed"
     assert record["raw_value"] == "42.5"
     assert float(record["residual"]) == 0.5
+
+
+def test_compare_oracle_certification_failure_exits_1(capsys, monkeypatch):
+    from verlinde import cli
+    from verlinde.numeric import IntegralityError
+
+    def broken(*args, **kwargs):
+        raise IntegralityError("48.5", 0.5, 1536)
+
+    monkeypatch.setattr(cli, "n_so_oracle", broken)
+    code, out = run_cli(capsys, "compare-oracle", "--r", "7", "--genus", "2")
+    assert code == 1
+    assert json.loads(out)["error"] == "integrality-certification-failed"
 
 
 def test_suite_failure_exits_1(capsys, monkeypatch):

@@ -66,6 +66,13 @@ def test_certify_escalates_precision():
     assert residual < 1e-30
 
 
+def test_certify_escalates_until_the_value_has_headroom():
+    # 2^200 is an exact float, but 192 bits leave no room beyond its 201
+    raw, value, residual, bits = certify_integer(lambda p: mpmath.mpf(2**200), 192)
+    assert value == 2**200
+    assert bits == 384
+
+
 def test_certify_gives_up_after_three_doublings():
     calls = []
 

@@ -105,6 +105,47 @@ def test_failed_entries_are_recorded_not_raised():
     assert "NO" in report.to_markdown()
 
 
+def test_engine_failure_fails_its_entries_without_aborting(monkeypatch):
+    import verlinde.suite as suite
+
+    real = suite.n_so
+
+    def flaky(r, g, *args):
+        if (r, g) == (6, 2):
+            raise IntegralityError("36.5", 0.5, 1536)
+        return real(r, g, *args)
+
+    monkeypatch.setattr(suite, "n_so", flaky)
+    report = run_so_identity(6, 2)
+    failed = {(e.check_name, e.parameters["r"], e.parameters["genus"])
+              for e in report.entries if not e.passed}
+    assert failed == {("so-identity", 6, 2), ("so-oracle-equivalence", 6, 2)}
+
+
+def test_each_engine_value_is_computed_once(monkeypatch):
+    import verlinde.suite as suite
+
+    calls = []
+
+    def counted(real):
+        def engine(*args):
+            calls.append(args[:-1])  # without the precision
+            return real(*args)
+        return engine
+
+    for name in ("n_so", "n_sp"):
+        monkeypatch.setattr(suite, name, counted(getattr(suite, name)))
+    run_so_identity(6, 2)
+    assert len(calls) == len(set(calls)) == 8
+    calls.clear()
+    report = run_strange_duality_symmetry(2, 2, 1)
+    assert report.failed == 0
+    # (1, 1), (1, 2) and its partner (2, 1), (2, 2)
+    assert sorted(calls) == [(1, 1, 1), (1, 2, 1), (2, 1, 1), (2, 2, 1)]
+    diagonal = [e for e in report.entries if e.parameters["r"] == e.parameters["s"]]
+    assert all(e.expected == e.computed for e in diagonal)
+
+
 def test_mismatch_marks_entry_failed():
     entry = _timed_entry("synthetic", {"x": 1}, 3, lambda: (4, 0.0))
     assert not entry.passed

@@ -244,6 +244,11 @@ def test_spin4_trivial_quotient_is_product_of_factors():
     assert res.term_count == 9
 
 
+def test_trivial_product_of_different_levels_at_high_genus():
+    res = verlinde_product_quotient(((A1, 2), (A1, 3)), CenterSpec.TRIVIAL, 30)
+    assert res.value == verlinde_sc(A1, 2, 30).value * verlinde_sc(A1, 3, 30).value
+
+
 def test_product_levels_recorded_as_tuple():
     res = verlinde_product_quotient(((A1, 2), (A1, 2)), CenterSpec.SO4_DIAGONAL, 2)
     assert res.level == (2, 2)
@@ -301,6 +306,18 @@ def test_n_so_genus_six():
 
 def test_n_so_big_genus_exceeds_machine_integers():
     assert n_so(12, 20).value == 12**20  # needs big integers
+    # odd bases are not exact in 53 bits: any step of the sum that leaves
+    # the working precision shows here
+    assert n_so(7, 20).value == 7**20
+    assert n_so(11, 25).value == 11**25
+
+
+def test_n_so_values_beyond_the_working_precision_escalate():
+    assert n_so(12, 52).value == 12**52
+    assert n_so(30, 60).value == 30**60
+    res = n_so(7, 40, precision=64)
+    assert res.value == 7**40
+    assert res.precision_bits == 256
 
 
 def test_n_sp_rank_one_is_sl2():
