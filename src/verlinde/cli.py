@@ -25,7 +25,6 @@ from .suite import run_default_suite
 from .weights import (
     CenterSpec,
     enumerate_level_weights,
-    marks,
     orbit_decompose,
     restrict_to_quotient,
     u_coords,
@@ -97,18 +96,19 @@ def _cmd_weights(args) -> int:
     rs = build_root_system(GroupType(args.type, args.rank))
     P = enumerate_level_weights(rs, args.level)
     if args.quotient is None:
-        listing = [(lam, None) for lam in P.weights]
+        listing = [(n, None) for n in P.marks]
     else:
         spec = _QUOTIENT_SPEC.get(args.type)
         if spec is None or (args.type == "A" and args.rank != 1):
             raise ValueError(f"no SO-type center quotient for {args.type}{args.rank}")
         orbits = orbit_decompose(restrict_to_quotient(P, spec), spec)
-        listing = [(o.representative, o.size) for o in orbits.orbits]
+        listing = [(o.marks, o.size) for o in orbits.orbits]
 
     rows = []
-    for lam, orbit_size in listing:
+    for n, orbit_size in listing:
+        lam = P.weight(n)
         row = {
-            "marks": list(marks(rs, lam)),
+            "marks": list(n),
             "coords": [str(c) for c in lam],
         }
         if rs.family in ("B", "D"):

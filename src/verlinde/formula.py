@@ -23,17 +23,27 @@ and T is the product of their torus orders.  At g = 0, T = 1, Gamma = 1 the
 formula is the sum of Delta over P_l, which equals |T_l| (S-matrix
 unitarity): the torus-order oracle, and the source of |T_l| for type C.
 
-``_terms`` turns the weights into exact (orbit size, sine arguments) terms
-and ``_kernel``, the one floating-point loop, evaluates the formula on them
-entirely at the working precision, in canonical weight order; the result is
-rounded and certified via :mod:`verlinde.numeric`.
+The exact pass, ``_terms``, is integer arithmetic on the weight lattice.  A
+weight with marks n has sine arguments j / D with integer numerators
+``j = sum_i (n_i + 1) M[a][i]`` from the root system's pairing matrix
+``M[a][i] = 2 (alpha | omega_i)``, and D = 2(l+h) (for a product, the lcm of
+its factors' D).  Since 4 sin^2(pi x) is even and 1-periodic, each j is
+reduced to min(j mod D, D - j mod D).  Delta is invariant under the center
+and the diagram automorphisms, so many weights share their multiset of
+numerators: the terms are merged into a spectrum of distinct
+(orbit size, sorted numerators) with a count each.  ``_kernel``, the one
+floating-point loop, evaluates the formula on the spectrum entirely at the
+working precision, evaluating each distinct numerator's sine once; the
+result is rounded and certified via :mod:`verlinde.numeric`.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from operator import mul
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import mpmath
 
@@ -44,7 +54,7 @@ from .numeric import (
     check_precision,
     four_sin_sq,
 )
-from .rootsys import RootSystem, Vector, inner, root_system, vec_add
+from .rootsys import RootSystem, Vector, marks, root_system
 from .weights import (
     CenterSpec,
     ProductLevelWeightSet,
@@ -72,7 +82,14 @@ __all__ = [
     "theta_dim",
 ]
 
-Term = Tuple[int, Tuple[Fraction, ...]]
+
+class Spectrum(NamedTuple):
+    """The exact terms of a Verlinde sum: ``(count, orbit size, numerators)``
+    for each distinct term, the numerators being the sorted sine arguments
+    times ``denominator``."""
+
+    denominator: int
+    terms: Tuple[Tuple[int, int, Tuple[int, ...]], ...]
 
 
 @dataclass(frozen=True)
@@ -93,12 +110,6 @@ class DynkinIndices:
 DYNKIN_INDEX = DynkinIndices()
 
 
-def _sin_arguments(rs: RootSystem, level: int, lam: Vector) -> Tuple[Fraction, ...]:
-    k = level + rs.dual_coxeter
-    shifted = vec_add(lam, rs.rho)
-    return tuple(inner(rs, alpha, shifted) / k for alpha in rs.positive_roots)
-
-
 def delta(
     rs: RootSystem, level: int, lam: Vector, precision: int = DEFAULT_PRECISION
 ) -> mpmath.mpf:
@@ -106,12 +117,13 @@ def delta(
 
     Strictly positive for every weight in P_l; a zero factor means the
     weight is outside the level-l alcove and raises ``ValueError``.
-    The rational sine arguments are computed exactly before any floating
-    point enters.
+    The sine arguments are computed exactly, from the marks of ``lam``,
+    before any floating point enters.
     """
-    args = _sin_arguments(rs, level, lam)
+    D = 2 * (level + rs.dual_coxeter)
+    numerators = tuple(_numerators(rs, marks(rs, lam), D, 1))
     check_precision(precision)
-    return _kernel([(1, args)], 1, 0, 1, precision)
+    return _kernel(Spectrum(D, ((1, 1, numerators),)), 1, 0, 1, precision)
 
 
 def torus_order(rs: RootSystem, level: int) -> int:
@@ -126,56 +138,78 @@ def torus_order(rs: RootSystem, level: int) -> int:
     return (level + rs.dual_coxeter) ** rs.rank * rs.center_order * rs.nu
 
 
-def _terms(P, spec: CenterSpec) -> List[Term]:
-    """The exact pass: one term per Gamma-orbit of the Gamma-trivial weights.
+def _numerators(rs: RootSystem, n, D: int, scale: int) -> List[int]:
+    """The reduced sine numerators over D of the weight with marks ``n``, one
+    per positive root; ``scale`` is D / (2(l+h)) for this root system."""
+    t = [x + 1 for x in n]
+    out = []
+    for row in rs.pairing_matrix:
+        j = scale * sum(map(mul, row, t)) % D
+        out.append(min(j, D - j))
+    return out
 
-    ``P`` is a full level weight set, or a product weight set whose weight
-    tuples contribute their parts' sine arguments one after another.
+
+def _terms(P, spec: CenterSpec) -> Spectrum:
+    """The exact pass: the merged spectrum of the Gamma-orbits of the
+    Gamma-trivial weights of ``P``.
+
+    ``P`` is a full level weight set, or a product weight set whose mark
+    tuples contribute their parts' numerators together.
     """
     product = isinstance(P, ProductLevelWeightSet)
+    factors = P.factors if product else ((P.rs, P.level),)
     if spec is CenterSpec.TRIVIAL:
-        reps = [(1, w) for w in P.weights]
+        reps = [(1, n) for n in P.marks]
     else:
         restrict = restrict_product_to_quotient if product else restrict_to_quotient
         orbits = orbit_decompose(restrict(P, spec), spec).orbits
-        reps = [(o.size, o.representative) for o in orbits]
-    if not product:
-        return [(m, _sin_arguments(P.rs, P.level, w)) for m, w in reps]
-    return [(m, sum((_sin_arguments(rs, lvl, part) for (rs, lvl), part
-                     in zip(P.factors, w)), ())) for m, w in reps]
+        reps = [(o.size, o.marks) for o in orbits]
+    shifted = [2 * (lvl + rs.dual_coxeter) for rs, lvl in factors]
+    D = math.lcm(*shifted)
+    scales = [D // d for d in shifted]
+    counts = {}
+    for m, n in reps:
+        numerators = []
+        for (rs, _), part, scale in zip(factors, n if product else (n,), scales):
+            numerators += _numerators(rs, part, D, scale)
+        key = (m, tuple(sorted(numerators)))
+        counts[key] = counts.get(key, 0) + 1
+    return Spectrum(D, tuple((c, m, js) for (m, js), c in counts.items()))
 
 
 def _kernel(
-    terms: Sequence[Term], T: int, genus: int, gamma_order: int, bits: int
+    spectrum: Spectrum, T: int, genus: int, gamma_order: int, bits: int
 ) -> mpmath.mpf:
-    """|Gamma| * sum of m^(1-2g) * (T/Delta)^(g-1) over the terms, at ``bits``.
+    """|Gamma| * sum of count * m^(1-2g) * (T/Delta)^(g-1) over the spectrum,
+    at ``bits``.
 
-    Each distinct sine argument is evaluated once per call.
+    Each distinct sine numerator is evaluated once per call.
     """
+    D = spectrum.denominator
     with mpmath.workprec(bits):
         sines = {}
         total = mpmath.mpf(0)
-        for m, args in terms:
+        for count, m, numerators in spectrum.terms:
             d = mpmath.mpf(1)
-            for x in args:
-                s = sines.get(x)
+            for j in numerators:
+                s = sines.get(j)
                 if s is None:
-                    s = sines[x] = four_sin_sq(x)
+                    s = sines[j] = four_sin_sq(Fraction(j, D))
                 d *= s
             # at g = 0 the power is Delta/T; inverting T/Delta would round twice
             ratio = (T / d) ** (genus - 1) if genus else d / T
-            total += mpmath.mpf(m) ** (1 - 2 * genus) * ratio
+            total += count * mpmath.mpf(m) ** (1 - 2 * genus) * ratio
         return gamma_order * total
 
 
-def _unitarity_sum(rs: RootSystem, level: int, precision: int, terms=None):
+def _unitarity_sum(rs: RootSystem, level: int, precision: int, spectrum=None):
     """Certified sum of Delta over P_l as ``(raw, value, residual, bits)``.
 
-    ``terms`` are the exact terms of P_l when the caller already has them.
+    ``spectrum`` is the spectrum of P_l when the caller already has it.
     """
-    if terms is None:
-        terms = _terms(enumerate_level_weights(rs, level), CenterSpec.TRIVIAL)
-    return certify_integer(lambda bits: _kernel(terms, 1, 0, 1, bits), precision)
+    if spectrum is None:
+        spectrum = _terms(enumerate_level_weights(rs, level), CenterSpec.TRIVIAL)
+    return certify_integer(lambda bits: _kernel(spectrum, 1, 0, 1, bits), precision)
 
 
 def torus_order_oracle(
@@ -212,24 +246,24 @@ def _check_genus(genus: int) -> None:
 
 def _verlinde(P, spec, genus, precision, label, level) -> VerlindeResult:
     """The certified Verlinde number of the weight set ``P`` modulo ``spec``."""
-    terms = _terms(P, spec)
+    spectrum = _terms(P, spec)
     factors = P.factors if isinstance(P, ProductLevelWeightSet) else ((P.rs, P.level),)
     T = 1
     for rs, lvl in factors:
         if rs.nu is not None:
             T *= torus_order(rs, lvl)
-        else:  # the terms of a lone factor with trivial Gamma are all of P_l
-            whole = terms if len(factors) == 1 and spec is CenterSpec.TRIVIAL else None
+        else:  # the spectrum of a lone factor with trivial Gamma is all of P_l
+            whole = spectrum if len(factors) == 1 and spec is CenterSpec.TRIVIAL else None
             T *= _unitarity_sum(rs, lvl, precision, whole)[1]
     gamma_order = 1 if spec is CenterSpec.TRIVIAL else 2
     _, value, residual, bits = certify_integer(
-        lambda b: _kernel(terms, T, genus, gamma_order, b), precision
+        lambda b: _kernel(spectrum, T, genus, gamma_order, b), precision
     )
     return VerlindeResult(
         value=value,
         residual=residual,
         precision_bits=bits,
-        term_count=len(terms),
+        term_count=sum(count for count, _, _ in spectrum.terms),
         group_label=label,
         level=level,
         genus=genus,

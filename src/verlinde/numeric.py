@@ -57,7 +57,13 @@ def check_precision(precision: int) -> int:
 
 
 def integrality_tolerance(value: int) -> float:
-    """max(1e-9 |value|, 1e-30), capped below the rounding ambiguity at 0.4."""
+    """max(1e-9 |value|, 1e-30), capped below the rounding ambiguity at 0.4.
+
+    Values of 64 bits or more are past the cap; they are not converted to
+    float, which overflows from 2^1024 on.
+    """
+    if abs(value).bit_length() >= 64:
+        return 0.4
     return min(max(1e-9 * abs(value), 1e-30), 0.4)
 
 

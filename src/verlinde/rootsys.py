@@ -5,12 +5,21 @@ the standard basis of R^s for types B, C, D, and of R^(s+1) for type A
 (roots live in the sum-zero hyperplane).  The invariant bilinear form is
 ``gram_scale * <standard dot product>``, with ``gram_scale`` chosen so that
 every long root has squared length 2.  No floating point enters here.
+
+The weight lattice is also integer: a weight is its marks n (coefficients
+in the fundamental-weight basis), and each root system carries the integer
+pairing matrix ``M[a][i] = 2 (alpha | omega_i)`` over its positive roots and
+its integer comarks ``(omega_i | theta)``, so that
+``2 (alpha | lambda + rho) = sum_i (n_i + 1) M[a][i]`` and the level of
+lambda is ``sum_i comark_i n_i``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional, Tuple
 
 Vector = Tuple[Fraction, ...]
@@ -110,6 +119,17 @@ class RootSystem:
 
     def is_root(self, v: Vector) -> bool:
         return v in self.positive_roots or vec_neg(v) in self.positive_roots
+
+    @cached_property
+    def pairing_matrix(self) -> Tuple[Tuple[int, ...], ...]:
+        """``M[a][i] = 2 (alpha | omega_i)`` for the positive roots, in order."""
+        return _twice_pairings(self, self.positive_roots, self.fundamental_weights)
+
+    @cached_property
+    def comarks(self) -> Tuple[int, ...]:
+        """``(omega_i | theta)`` for each node; all strictly positive."""
+        row = _twice_pairings(self, (self.theta,), self.fundamental_weights)[0]
+        return tuple(c // 2 for c in row)
 
     def __str__(self) -> str:
         return str(self.group_type)
@@ -238,6 +258,33 @@ def _build_d(s: int) -> RootSystem:
         nu=1,
         gram_scale=Fraction(1),
     )
+
+
+def _twice_pairings(rs: RootSystem, vectors, weights) -> Tuple[Tuple[int, ...], ...]:
+    """``2 (v | w)`` for each v in ``vectors`` (rows) and w in ``weights``.
+
+    Every coordinate is scaled by the common denominator to an integer once,
+    so each entry is an integer dot product over the nonzero coordinates of v.
+    """
+    scale = math.lcm(*(x.denominator for v in vectors + weights for x in v))
+    num = 2 * rs.gram_scale.numerator
+    den = rs.gram_scale.denominator * scale * scale
+
+    def scaled(x: Fraction) -> int:
+        return x.numerator * (scale // x.denominator)
+
+    columns = [[scaled(x) for x in w] for w in weights]
+    rows = []
+    for v in vectors:
+        support = [(c, scaled(x)) for c, x in enumerate(v) if x]
+        row = []
+        for w in columns:
+            q, r = divmod(num * sum(a * w[c] for c, a in support), den)
+            if r:
+                raise AssertionError(f"2 (v | w) is not an integer in {rs.group_type}")
+            row.append(q)
+        rows.append(tuple(row))
+    return tuple(rows)
 
 
 def _sum_vectors(vectors, dim: int) -> Vector:

@@ -2,9 +2,13 @@
 
 ``enumerate_level_weights`` lists the dominant weights lambda with
 (lambda | theta) <= l, ordered by their fundamental-weight coefficient
-tuples.  For a quotient by an order-2 center subgroup, ``restrict_to_quotient``
-keeps the weights whose character is trivial on the subgroup and
-``orbit_decompose`` groups them into orbits under the induced involution.
+tuples.  Weight sets store those integer mark tuples; their ``weights``
+attribute is the coordinate-vector view, built only when asked for.  For a
+quotient by an order-2 center subgroup, ``restrict_to_quotient`` keeps the
+weights whose character is trivial on the subgroup (a parity test on the
+marks) and ``orbit_decompose`` groups them into orbits under the induced
+involution, which acts on the marks as a diagram automorphism of the affine
+Dynkin diagram (:func:`center_act_marks`).
 
 Types B and D also carry the coordinate view used throughout: writing
 lambda + rho = sum u_i e_i, the u_i form a strictly decreasing sequence of
@@ -14,21 +18,23 @@ integrality condition on the u_i.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 from itertools import product
 from typing import Sequence, Tuple
 
 from .rootsys import (
     RootSystem,
     Vector,
-    level_of,
     marks,
     vec_add,
     vec_sub,
     weight_from_marks,
 )
+
+Marks = Tuple[int, ...]
 
 
 class CenterSpec(Enum):
@@ -43,30 +49,49 @@ class CenterSpec(Enum):
 
 @dataclass(frozen=True)
 class LevelWeightSet:
-    """All dominant weights of ``rs`` at level <= ``level``, in canonical order."""
+    """All dominant weights of ``rs`` at level <= ``level``, in canonical order.
+
+    The weights are stored as their mark tuples; ``weights`` is the
+    coordinate-vector view of the same list, built on first use.
+    """
 
     rs: RootSystem
     level: int
-    weights: Tuple[Vector, ...]
+    marks: Tuple[Marks, ...]
 
     @property
     def k(self) -> int:
         """The shifted level l + h appearing in all denominators."""
         return self.level + self.rs.dual_coxeter
 
+    def weight(self, n: Marks) -> Vector:
+        return weight_from_marks(self.rs, n)
+
+    @cached_property
+    def weights(self) -> Tuple[Vector, ...]:
+        return tuple(map(self.weight, self.marks))
+
     def __len__(self) -> int:
-        return len(self.weights)
+        return len(self.marks)
 
 
 @dataclass(frozen=True)
 class ProductLevelWeightSet:
-    """Weight tuples for a product of simply connected factors."""
+    """Weight tuples for a product of simply connected factors, stored as
+    tuples of per-factor mark tuples; ``weights`` is the vector view."""
 
     factors: Tuple[Tuple[RootSystem, int], ...]
-    weights: Tuple[Tuple[Vector, ...], ...]
+    marks: Tuple[Tuple[Marks, ...], ...]
+
+    def weight(self, ns: Tuple[Marks, ...]) -> Tuple[Vector, ...]:
+        return tuple(weight_from_marks(rs, n) for (rs, _), n in zip(self.factors, ns))
+
+    @cached_property
+    def weights(self) -> Tuple[Tuple[Vector, ...], ...]:
+        return tuple(map(self.weight, self.marks))
 
     def __len__(self) -> int:
-        return len(self.weights)
+        return len(self.marks)
 
 
 @dataclass(frozen=True)
@@ -80,8 +105,17 @@ class UCoordinates:
 
 @dataclass(frozen=True)
 class Orbit:
-    representative: object  # Vector, or tuple of Vector for products
+    """A center orbit: the marks of its lexicographically least member, and
+    its size.  ``representative`` is that member as a vector (a tuple of
+    vectors for products)."""
+
+    marks: object  # Marks, or a tuple of Marks for products
     size: int
+    weight_set: object = field(repr=False, compare=False)
+
+    @property
+    def representative(self):
+        return self.weight_set.weight(self.marks)
 
 
 @dataclass(frozen=True)
@@ -95,17 +129,6 @@ class OrbitSet:
         return len(self.orbits)
 
 
-def comarks(rs: RootSystem) -> Tuple[int, ...]:
-    """(fundamental weight | theta) for each node; all strictly positive."""
-    out = []
-    for w in rs.fundamental_weights:
-        c = level_of(rs, w)
-        if c.denominator != 1 or c <= 0:
-            raise AssertionError(f"bad comark {c} for {rs.group_type}")
-        out.append(int(c))
-    return tuple(out)
-
-
 def enumerate_level_weights(rs: RootSystem, level: int) -> LevelWeightSet:
     """All dominant weights with (lambda | theta) <= level.
 
@@ -115,7 +138,7 @@ def enumerate_level_weights(rs: RootSystem, level: int) -> LevelWeightSet:
     """
     if level < 0:
         raise ValueError(f"level must be >= 0, got {level}")
-    m = comarks(rs)
+    m = rs.comarks
     tuples = []
 
     def extend(i, remaining, cur):
@@ -128,8 +151,7 @@ def enumerate_level_weights(rs: RootSystem, level: int) -> LevelWeightSet:
             cur.pop()
 
     extend(0, level, [])
-    weights = tuple(weight_from_marks(rs, n) for n in tuples)
-    return LevelWeightSet(rs=rs, level=level, weights=weights)
+    return LevelWeightSet(rs=rs, level=level, marks=tuple(tuples))
 
 
 def enumerate_product_weights(
@@ -138,9 +160,9 @@ def enumerate_product_weights(
     """Cartesian product of the per-factor level weight sets."""
     if not factors:
         raise ValueError("need at least one factor")
-    per_factor = [enumerate_level_weights(rs, lvl).weights for rs, lvl in factors]
+    per_factor = [enumerate_level_weights(rs, lvl).marks for rs, lvl in factors]
     return ProductLevelWeightSet(
-        factors=tuple(factors), weights=tuple(product(*per_factor))
+        factors=tuple(factors), marks=tuple(product(*per_factor))
     )
 
 
@@ -179,26 +201,30 @@ def _check_single_spec(spec: CenterSpec, rs: RootSystem) -> None:
         raise ValueError(f"center spec {spec.value} does not apply to {rs.group_type}")
 
 
+def _trivial_on_center(spec: CenterSpec, n: Marks) -> bool:
+    """Whether the weight with marks ``n`` is trivial on the center subgroup."""
+    if spec is CenterSpec.SO_EVEN:
+        # equivalently: all u-coordinates of lambda + rho are integers
+        return (n[-2] - n[-1]) % 2 == 0
+    if spec is CenterSpec.SO_ODD:
+        # equivalently: all u-coordinates lie in Z + 1/2
+        return n[-1] % 2 == 0
+    if spec is CenterSpec.SO3:
+        return n[0] % 2 == 0
+    return True
+
+
 def is_quotient_weight(spec: CenterSpec, rs: RootSystem, lam: Vector) -> bool:
     """Whether the character lambda is trivial on the center subgroup."""
     _check_single_spec(spec, rs)
-    if spec is CenterSpec.TRIVIAL:
-        return True
-    n = marks(rs, lam)
-    s = rs.rank
-    if spec is CenterSpec.SO_EVEN:
-        # equivalently: all u-coordinates of lambda + rho are integers
-        return (n[s - 2] - n[s - 1]) % 2 == 0
-    if spec is CenterSpec.SO_ODD:
-        # equivalently: all u-coordinates lie in Z + 1/2
-        return n[s - 1] % 2 == 0
-    return n[0] % 2 == 0  # SO3
+    return _trivial_on_center(spec, marks(rs, lam))
 
 
 def restrict_to_quotient(P: LevelWeightSet, spec: CenterSpec) -> LevelWeightSet:
     """The sub-level-set of weights trivial on the center subgroup."""
-    kept = tuple(w for w in P.weights if is_quotient_weight(spec, P.rs, w))
-    return LevelWeightSet(rs=P.rs, level=P.level, weights=kept)
+    _check_single_spec(spec, P.rs)
+    kept = tuple(n for n in P.marks if _trivial_on_center(spec, n))
+    return LevelWeightSet(rs=P.rs, level=P.level, marks=kept)
 
 
 def restrict_product_to_quotient(
@@ -210,12 +236,8 @@ def restrict_product_to_quotient(
     if spec is not CenterSpec.SO4_DIAGONAL:
         raise ValueError(f"center spec {spec.value} does not apply to products")
     _check_so4_factors(P.factors)
-    kept = tuple(
-        pair
-        for pair in P.weights
-        if sum(marks(rs, w)[0] for (rs, _), w in zip(P.factors, pair)) % 2 == 0
-    )
-    return ProductLevelWeightSet(factors=P.factors, weights=kept)
+    kept = tuple(ns for ns in P.marks if (ns[0][0] + ns[1][0]) % 2 == 0)
+    return ProductLevelWeightSet(factors=P.factors, marks=kept)
 
 
 def _check_so4_factors(factors) -> None:
@@ -231,11 +253,41 @@ def _check_so4_factors(factors) -> None:
         )
 
 
-def _a1_flip(rs: RootSystem, level: int, lam: Vector) -> Vector:
-    n = marks(rs, lam)[0]
-    if not 0 <= n <= level:
-        raise ValueError(f"{lam} is not a level-{level} weight of A1")
-    return weight_from_marks(rs, (level - n,))
+def _check_action(spec: CenterSpec, factors) -> None:
+    """Validate that ``spec`` acts on the level weights of ``factors``."""
+    if spec is CenterSpec.SO4_DIAGONAL:
+        _check_so4_factors(factors)
+        return
+    rs, level = factors
+    _check_single_spec(spec, rs)
+    if spec is CenterSpec.SO3 and level % 2 != 0:
+        raise ValueError("the SO3 quotient needs an even level")
+
+
+def _affine_mark(rs: RootSystem, level: int, n: Marks) -> int:
+    """n_0 = l - sum comark_i n_i; a weight lies at level l iff n_0 >= 0."""
+    return level - sum(c * x for c, x in zip(rs.comarks, n))
+
+
+def center_act_marks(spec: CenterSpec, n, factors):
+    """The order-2 center generator on marks: a diagram automorphism of the
+    affine Dynkin diagram, with n_0 the affine mark.
+
+    B swaps n_0 and n_1; D swaps n_0 and n_1, and n_(s-1) and n_s; A1 sends
+    n to l - n, factor by factor for the diagonal SO(4) case.  ``n`` and
+    ``factors`` follow :func:`center_act`; the marks are not validated.
+    """
+    if spec is CenterSpec.TRIVIAL:
+        return n
+    if spec is CenterSpec.SO4_DIAGONAL:
+        return tuple((lvl - part[0],) for (_, lvl), part in zip(factors, n))
+    rs, level = factors
+    if spec is CenterSpec.SO3:
+        return (level - n[0],)
+    n0 = _affine_mark(rs, level, n)
+    if spec is CenterSpec.SO_ODD:
+        return (n0,) + n[1:]
+    return (n0,) + n[1:-2] + (n[-1], n[-2])  # SO_EVEN
 
 
 def center_act(spec: CenterSpec, w, factors):
@@ -243,33 +295,33 @@ def center_act(spec: CenterSpec, w, factors):
 
     ``factors`` is ``(rs, level)`` for a single weight, or a sequence of
     ``(rs, level)`` pairs when ``w`` is a tuple of weights (the diagonal
-    product case).  The action is an involution on the quotient sublattice.
+    product case).  The action is an involution on the quotient sublattice;
+    this is the vector view of :func:`center_act_marks`.
     """
     if spec is CenterSpec.TRIVIAL:
         return w
+    factors = tuple(factors)
+    _check_action(spec, factors)
     if spec is CenterSpec.SO4_DIAGONAL:
-        factors = tuple(factors)
-        _check_so4_factors(factors)
-        return tuple(
-            _a1_flip(rs, lvl, part) for (rs, lvl), part in zip(factors, w)
+        ns = tuple(
+            _level_marks(spec, rs, lvl, part) for (rs, lvl), part in zip(factors, w)
         )
+        image = center_act_marks(spec, ns, factors)
+        return tuple(weight_from_marks(rs, n) for (rs, _), n in zip(factors, image))
     rs, level = factors
-    _check_single_spec(spec, rs)
-    if not is_quotient_weight(spec, rs, w):
-        raise ValueError(f"{w} is not trivial on the center subgroup {spec.value}")
-    if spec is CenterSpec.SO3:
-        if level % 2 != 0:
-            raise ValueError("the SO3 quotient needs an even level")
-        return _a1_flip(rs, level, w)
-    u = u_coords(rs, w).u
-    k = level + rs.dual_coxeter
-    if u[0] + u[1] >= k:
-        raise ValueError(f"{w} is not a level-{level} weight")
-    if spec is CenterSpec.SO_EVEN:
-        image = (k - u[0],) + u[1:-1] + (-u[-1],)
-    else:  # SO_ODD
-        image = (k - u[0],) + u[1:]
-    return weight_from_u(rs, tuple(sorted(image, reverse=True)))
+    return weight_from_marks(
+        rs, center_act_marks(spec, _level_marks(spec, rs, level, w), factors)
+    )
+
+
+def _level_marks(spec: CenterSpec, rs: RootSystem, level: int, lam: Vector) -> Marks:
+    """The marks of ``lam``, checked to be a Gamma-trivial level-``level`` weight."""
+    n = marks(rs, lam)
+    if not _trivial_on_center(spec, n):
+        raise ValueError(f"{lam} is not trivial on the center subgroup {spec.value}")
+    if min(n) < 0 or _affine_mark(rs, level, n) < 0:
+        raise ValueError(f"{lam} is not a level-{level} weight")
+    return n
 
 
 def orbit_decompose(Pprime, spec: CenterSpec) -> OrbitSet:
@@ -280,30 +332,23 @@ def orbit_decompose(Pprime, spec: CenterSpec) -> OrbitSet:
     sizes are 1 (fixed point) or 2.
     """
     if isinstance(Pprime, ProductLevelWeightSet):
-        elements = Pprime.weights
-        key = lambda pair: tuple(
-            marks(rs, w) for (rs, _), w in zip(Pprime.factors, pair)
-        )
-        act = lambda pair: center_act(spec, pair, Pprime.factors)
+        factors = Pprime.factors
     else:
-        elements = Pprime.weights
-        key = lambda w: marks(Pprime.rs, w)
-        act = lambda w: center_act(spec, w, (Pprime.rs, Pprime.level))
-    index = {key(w): w for w in elements}
+        factors = (Pprime.rs, Pprime.level)
+    if spec is not CenterSpec.TRIVIAL:
+        _check_action(spec, factors)
+    members = set(Pprime.marks)
     seen = set()
     orbits = []
-    for w in sorted(elements, key=key):
-        kw = key(w)
-        if kw in seen:
+    for n in sorted(Pprime.marks):
+        if n in seen:
             continue
-        image = act(w)
-        ki = key(image)
-        if ki not in index:
-            raise AssertionError(f"center action left the level set: {w} -> {image}")
-        seen.add(kw)
-        if ki == kw:
-            orbits.append(Orbit(representative=w, size=1))
-        else:
-            seen.add(ki)
-            orbits.append(Orbit(representative=w, size=2))
+        if not _trivial_on_center(spec, n):
+            raise ValueError(f"{n} is not trivial on the center subgroup {spec.value}")
+        image = center_act_marks(spec, n, factors)
+        if image not in members:
+            raise AssertionError(f"center action left the level set: {n} -> {image}")
+        seen.add(n)
+        seen.add(image)
+        orbits.append(Orbit(marks=n, size=1 if image == n else 2, weight_set=Pprime))
     return OrbitSet(orbits=tuple(orbits))

@@ -106,6 +106,13 @@ def test_compute_value_beyond_default_precision(capsys):
     assert json.loads(out)["value"] == str(30**60)
 
 
+def test_compute_value_beyond_float_range(capsys):
+    code, out = run_cli(capsys, "compute", "--group", "so", "--r", "12",
+                        "--genus", "300", "--precision", "1200")
+    assert code == 0
+    assert json.loads(out)["value"] == str(12**300)
+
+
 def test_unknown_command_exit_2(capsys):
     with pytest.raises(SystemExit) as info:
         main(["frobnicate"])

@@ -35,6 +35,12 @@ def test_four_sin_sq_rejects_integers():
                 four_sin_sq(x)
 
 
+def test_tolerance_of_values_beyond_float_range():
+    assert integrality_tolerance(2**1100) == 0.4
+    assert integrality_tolerance(-(2**1100)) == 0.4
+    assert integrality_tolerance(2**64) == 0.4
+
+
 def test_tolerance_shape():
     assert integrality_tolerance(0) == 1e-30
     assert integrality_tolerance(10**6) == pytest.approx(1e-3)

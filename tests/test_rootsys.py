@@ -111,6 +111,20 @@ def test_theta_is_the_highest_root(family, rank):
         assert all(c >= 0 for c in coeffs)
 
 
+@pytest.mark.parametrize("family,rank", ALL_TYPES)
+def test_pairing_matrix_is_twice_the_inner_product(family, rank):
+    """The integer lattice data agrees with the Fraction form, which stays
+    the reference: M[a][i] = 2 (alpha | omega_i), comark_i = (omega_i | theta)."""
+    rs = root_system(family, rank)
+    M = rs.pairing_matrix
+    assert len(M) == len(rs.positive_roots)
+    for row, alpha in zip(M, rs.positive_roots):
+        assert all(type(x) is int for x in row)
+        assert row == tuple(2 * inner(rs, alpha, w) for w in rs.fundamental_weights)
+    assert all(type(c) is int and c > 0 for c in rs.comarks)
+    assert rs.comarks == tuple(level_of(rs, w) for w in rs.fundamental_weights)
+
+
 @pytest.mark.parametrize("family,rank", [("B", 2), ("B", 4), ("D", 3), ("D", 5)])
 def test_bd_shifted_weights_are_half_integral(family, rank):
     rs = root_system(family, rank)

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import mpmath
@@ -5,6 +6,7 @@ import pytest
 
 from verlinde.formula import (
     DYNKIN_INDEX,
+    _terms,
     certified_torus_order,
     delta,
     n_so,
@@ -21,7 +23,9 @@ from verlinde.weights import (
     CenterSpec,
     center_act,
     enumerate_level_weights,
+    enumerate_product_weights,
     orbit_decompose,
+    restrict_product_to_quotient,
     restrict_to_quotient,
 )
 
@@ -72,6 +76,62 @@ def test_delta_is_invariant_under_the_center_action():
                 assert abs(delta(rs, level, lam) - delta(rs, level, image)) < mpmath.mpf(
                     "1e-40"
                 )
+
+
+# --- the merged spectrum -------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "family,rank,level,spec",
+    [
+        ("A", 1, 4, CenterSpec.SO3),
+        ("A", 1, 6, CenterSpec.TRIVIAL),
+        ("A", 3, 4, CenterSpec.TRIVIAL),
+        ("B", 3, 3, CenterSpec.SO_ODD),
+        ("B", 4, 2, CenterSpec.TRIVIAL),
+        ("C", 3, 3, CenterSpec.TRIVIAL),
+        ("D", 4, 3, CenterSpec.SO_EVEN),
+        ("D", 5, 2, CenterSpec.SO_EVEN),
+    ],
+)
+def test_spectrum_counts_cover_the_quotient_weights(family, rank, level, spec):
+    rs = root_system(family, rank)
+    P = enumerate_level_weights(rs, level)
+    kept = restrict_to_quotient(P, spec)
+    spectrum = _terms(P, spec)
+    assert sum(count * m for count, m, _ in spectrum.terms) == len(kept)
+    orbits = orbit_decompose(kept, spec)
+    assert sum(count for count, _, _ in spectrum.terms) == len(orbits)
+    assert spectrum.denominator == 2 * (level + rs.dual_coxeter)
+    for _, _, numerators in spectrum.terms:
+        assert len(numerators) == len(rs.positive_roots)
+        assert all(0 < 2 * j <= spectrum.denominator for j in numerators)
+
+
+@pytest.mark.parametrize(
+    "levels,spec",
+    [((2, 2), CenterSpec.SO4_DIAGONAL), ((4, 2), CenterSpec.SO4_DIAGONAL),
+     ((2, 3), CenterSpec.TRIVIAL)],
+)
+def test_product_spectrum_counts_cover_the_quotient_weights(levels, spec):
+    factors = tuple((A1, lvl) for lvl in levels)
+    P = enumerate_product_weights(factors)
+    kept = restrict_product_to_quotient(P, spec)
+    spectrum = _terms(P, spec)
+    assert sum(count * m for count, m, _ in spectrum.terms) == len(kept)
+    assert spectrum.denominator == math.lcm(*(2 * (lvl + 2) for lvl in levels))
+
+
+@pytest.mark.parametrize(
+    "family,rank,level,weights,distinct",
+    [("C", 6, 6, 924, 472), ("A", 4, 10, 1001, 106)],
+)
+def test_spectrum_merges_weights_with_equal_delta(family, rank, level, weights, distinct):
+    rs = root_system(family, rank)
+    spectrum = _terms(enumerate_level_weights(rs, level), CenterSpec.TRIVIAL)
+    assert sum(count for count, _, _ in spectrum.terms) == weights
+    assert len(spectrum.terms) == distinct
+    assert verlinde_sc(rs, level, 2).term_count == weights
 
 
 # --- torus orders ------------------------------------------------------------

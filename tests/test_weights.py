@@ -10,11 +10,14 @@ from verlinde.rootsys import (
     level_of,
     marks,
     root_system,
+    vec_scale,
+    vec_sub,
     weight_from_marks,
 )
 from verlinde.weights import (
     CenterSpec,
     center_act,
+    center_act_marks,
     enumerate_level_weights,
     enumerate_product_weights,
     is_quotient_weight,
@@ -300,6 +303,63 @@ def test_center_act_rejects_non_quotient_weight():
     lam = rs.fundamental_weights[2]  # parity condition fails
     with pytest.raises(ValueError, match="not trivial"):
         center_act(CenterSpec.SO_EVEN, lam, (rs, 2))
+
+
+def _u_coordinate_image(spec, rs, level, lam):
+    """The center action in u-coordinates: u_1 -> k - u_1 (and u_s -> -u_s
+    for type D), then sorted back into a decreasing sequence."""
+    u = u_coords(rs, lam).u
+    k = level + rs.dual_coxeter
+    if spec is CenterSpec.SO_EVEN:
+        image = (k - u[0],) + u[1:-1] + (-u[-1],)
+    else:
+        image = (k - u[0],) + u[1:]
+    return weight_from_u(rs, tuple(sorted(image, reverse=True)))
+
+
+@pytest.mark.parametrize(
+    "family,spec,rank",
+    [("B", CenterSpec.SO_ODD, s) for s in range(2, 7)]
+    + [("D", CenterSpec.SO_EVEN, s) for s in range(3, 7)],
+)
+def test_mark_action_equals_u_coordinate_formula(family, spec, rank):
+    rs = root_system(family, rank)
+    for level in range(5):
+        kept = restrict_to_quotient(enumerate_level_weights(rs, level), spec)
+        for n, lam in zip(kept.marks, kept.weights):
+            image = center_act_marks(spec, n, (rs, level))
+            expected = _u_coordinate_image(spec, rs, level, lam)
+            assert weight_from_marks(rs, image) == expected
+
+
+@pytest.mark.parametrize("level", [0, 2, 4, 6, 8])
+def test_a1_mark_action_is_the_alcove_reflection(level):
+    """On A1 the center sends lambda to l * omega - lambda."""
+    kept = restrict_to_quotient(enumerate_level_weights(A1, level), CenterSpec.SO3)
+    omega = A1.fundamental_weights[0]
+    for n, lam in zip(kept.marks, kept.weights):
+        image = center_act_marks(CenterSpec.SO3, n, (A1, level))
+        assert weight_from_marks(A1, image) == vec_sub(vec_scale(level, omega), lam)
+
+
+@pytest.mark.parametrize("levels", [(2, 2), (1, 3), (4, 2), (3, 3)])
+def test_so4_mark_action_is_the_alcove_reflection_per_factor(levels):
+    factors = tuple((A1, lvl) for lvl in levels)
+    omega = A1.fundamental_weights[0]
+    P = restrict_product_to_quotient(
+        enumerate_product_weights(factors), CenterSpec.SO4_DIAGONAL
+    )
+    for ns, pair in zip(P.marks, P.weights):
+        image = center_act_marks(CenterSpec.SO4_DIAGONAL, ns, factors)
+        assert tuple(weight_from_marks(A1, n) for n in image) == tuple(
+            vec_sub(vec_scale(lvl, omega), lam) for lvl, lam in zip(levels, pair)
+        )
+
+
+def test_orbit_decompose_rejects_weights_outside_the_quotient():
+    rs = root_system("D", 4)
+    with pytest.raises(ValueError, match="not trivial"):
+        orbit_decompose(enumerate_level_weights(rs, 2), CenterSpec.SO_EVEN)
 
 
 def test_trivial_spec_is_identity():
