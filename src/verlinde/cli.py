@@ -15,6 +15,7 @@ import csv
 import io
 import json
 import sys
+from functools import cache
 from typing import Optional, Sequence
 
 from .formula import n_so, n_sp, verlinde_sc
@@ -160,7 +161,10 @@ def _cmd_compare_oracle(args) -> int:
     return 0 if agree else 1
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``verlinde`` argument parser, built once per process: parsing
+    leaves it unchanged, and building it costs more than a small command."""
     parser = argparse.ArgumentParser(
         prog="verlinde",
         description="Certified Verlinde dimension numbers for classical groups.",

@@ -31,15 +31,27 @@ its factors' D).  Since 4 sin^2(pi x) is even and 1-periodic, each j is
 reduced to min(j mod D, D - j mod D).  Delta is invariant under the center
 and the diagram automorphisms, so many weights share their multiset of
 numerators: the terms are merged into a spectrum of distinct
-(orbit size, sorted numerators) with a count each.  ``_kernel``, the one
-floating-point loop, evaluates the formula on the spectrum entirely at the
-working precision, evaluating each distinct numerator's sine once; the
-result is rounded and certified via :mod:`verlinde.numeric`.
+(orbit size, sorted numerators) with a count each.
+
+Only the exponent depends on the genus, so the rest is built once per
+process and reused by every later call, in two bounded caches:
+
+* the spectrum and the torus order T, keyed by the (GroupType, level) of
+  each factor, the center subgroup and whether the weights form a product
+  (``_exact``); a type-C T is certified by the g = 0 sum when first built;
+* the Delta of each spectrum term, keyed by that key and the working
+  precision (``_deltas``), evaluating each distinct numerator's sine once.
+
+``_kernel``, the one floating-point loop, then only raises T / Delta to the
+power g - 1, multiplies and adds, entirely at the working precision; the
+result is rounded and certified via :mod:`verlinde.numeric`.  The type-C
+torus pass and the Verlinde pass at one precision share one Delta tuple.
 """
 
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
@@ -54,7 +66,14 @@ from .numeric import (
     check_precision,
     four_sin_sq,
 )
-from .rootsys import RootSystem, Vector, marks, root_system
+from .rootsys import (
+    GroupType,
+    RootSystem,
+    Vector,
+    build_root_system,
+    marks,
+    root_system,
+)
 from .weights import (
     CenterSpec,
     ProductLevelWeightSet,
@@ -92,6 +111,19 @@ class Spectrum(NamedTuple):
     terms: Tuple[Tuple[int, int, Tuple[int, ...]], ...]
 
 
+# Spectra with their torus orders, kept per process (see ``_exact``).  Calls
+# that repeat a key come close together (a sweep over genera, the suite's
+# genus loops and level-rank pairs), and one entry holds up to |P_l| terms
+# (about 1.8e5 for A10 at level 10), so a few dozen entries serve them while
+# capping memory.
+SPECTRUM_CACHE_SIZE = 32
+# Delta tuples, one per (key, working precision): a sweep with the precision
+# sized to each value uses up to nine precisions per key.
+DELTA_CACHE_SIZE = 4 * SPECTRUM_CACHE_SIZE
+_SPECTRA: OrderedDict = OrderedDict()
+_DELTAS: OrderedDict = OrderedDict()
+
+
 @dataclass(frozen=True)
 class DynkinIndices:
     """Dynkin indices of the standard representations, used to pick levels.
@@ -123,7 +155,7 @@ def delta(
     D = 2 * (level + rs.dual_coxeter)
     numerators = tuple(_numerators(rs, marks(rs, lam), D, 1))
     check_precision(precision)
-    return _kernel(Spectrum(D, ((1, 1, numerators),)), 1, 0, 1, precision)
+    return _products(Spectrum(D, ((1, 1, numerators),)), precision)[0]
 
 
 def torus_order(rs: RootSystem, level: int) -> int:
@@ -177,39 +209,111 @@ def _terms(P, spec: CenterSpec) -> Spectrum:
     return Spectrum(D, tuple((c, m, js) for (m, js), c in counts.items()))
 
 
-def _kernel(
-    spectrum: Spectrum, T: int, genus: int, gamma_order: int, bits: int
-) -> mpmath.mpf:
-    """|Gamma| * sum of count * m^(1-2g) * (T/Delta)^(g-1) over the spectrum,
-    at ``bits``.
+def _cached(cache: OrderedDict, bound: int, key, fill, *args):
+    """``cache[key]``, computed by ``fill(*args)`` on a miss; the least
+    recently used entry is dropped past ``bound``, and what ``fill`` raises
+    is not stored.  Threads racing on one key may both fill it, never
+    corrupt it."""
+    value = cache.pop(key, None)
+    if value is None:
+        value = fill(*args)
+    cache[key] = value
+    if len(cache) > bound:
+        cache.popitem(last=False)
+    return value
 
-    Each distinct sine numerator is evaluated once per call.
+
+def _exact(key, precision: int) -> Tuple[Spectrum, int]:
+    """``(spectrum, T)`` for ``key``: the genus-independent part of a
+    Verlinde sum, built once per key and process.
+
+    ``key`` is ``(factors, spec, product)``: the ``(GroupType, level)`` of
+    each factor, the center subgroup, and whether the weights form a product
+    (whose center subgroups are checked as a product's even with one
+    factor).  A type-C factor's T is the unitarity sum of its P_l, certified
+    at ``precision`` when first built; as an exact integer it then serves
+    every precision.
     """
+    return _cached(_SPECTRA, SPECTRUM_CACHE_SIZE, key, _exact_pass, key, precision)
+
+
+def _whole(group_type: GroupType, level: int):
+    """The key of all of P_l of one simply connected group."""
+    return (((group_type, level),), CenterSpec.TRIVIAL, False)
+
+
+def _exact_pass(key, precision: int) -> Tuple[Spectrum, int]:
+    """The work behind :func:`_exact` on a miss."""
+    factors, spec, product = key
+    systems = tuple((build_root_system(gt), lvl) for gt, lvl in factors)
+    if product:
+        P = enumerate_product_weights(systems)
+    else:
+        P = enumerate_level_weights(*systems[0])
+    spectrum = _terms(P, spec)
+    T = 1
+    for rs, lvl in systems:
+        whole = _whole(rs.group_type, lvl)
+        if rs.nu is not None:
+            T *= torus_order(rs, lvl)
+        elif key == whole:  # this spectrum is all of P_l, not yet in the cache
+            T *= _unitarity_sum(whole, spectrum, precision)[1]
+        else:
+            T *= _exact(whole, precision)[1]
+    return spectrum, T
+
+
+def _deltas(key, spectrum: Spectrum, bits: int) -> Tuple[mpmath.mpf, ...]:
+    """Delta at ``bits`` for each term of ``spectrum``, the spectrum of
+    ``key``; built once per (key, bits) and process."""
+    return _cached(_DELTAS, DELTA_CACHE_SIZE, (key, bits), _products, spectrum, bits)
+
+
+def _products(spectrum: Spectrum, bits: int) -> Tuple[mpmath.mpf, ...]:
+    """The product of 4 sin^2(pi j / D) over each term's numerators j, at
+    ``bits``, evaluating each distinct numerator's sine once."""
     D = spectrum.denominator
     with mpmath.workprec(bits):
         sines = {}
-        total = mpmath.mpf(0)
-        for count, m, numerators in spectrum.terms:
+        out = []
+        for _, _, numerators in spectrum.terms:
             d = mpmath.mpf(1)
             for j in numerators:
                 s = sines.get(j)
                 if s is None:
                     s = sines[j] = four_sin_sq(Fraction(j, D))
                 d *= s
+            out.append(d)
+        return tuple(out)
+
+
+def _kernel(
+    spectrum: Spectrum, deltas, T: int, genus: int, gamma_order: int, bits: int
+) -> mpmath.mpf:
+    """|Gamma| * sum of count * m^(1-2g) * (T/Delta)^(g-1) over the spectrum,
+    at ``bits``, with ``deltas`` the Delta of each term at ``bits``."""
+    with mpmath.workprec(bits):
+        total = mpmath.mpf(0)
+        for (count, m, _), d in zip(spectrum.terms, deltas):
             # at g = 0 the power is Delta/T; inverting T/Delta would round twice
             ratio = (T / d) ** (genus - 1) if genus else d / T
             total += count * mpmath.mpf(m) ** (1 - 2 * genus) * ratio
         return gamma_order * total
 
 
-def _unitarity_sum(rs: RootSystem, level: int, precision: int, spectrum=None):
-    """Certified sum of Delta over P_l as ``(raw, value, residual, bits)``.
+def _unitarity_sum(key, spectrum: Spectrum, precision: int):
+    """Certified sum of Delta over the spectrum of ``key`` (all of P_l) as
+    ``(raw, value, residual, bits)``."""
+    return certify_integer(
+        lambda bits: _kernel(spectrum, _deltas(key, spectrum, bits), 1, 0, 1, bits),
+        precision,
+    )
 
-    ``spectrum`` is the spectrum of P_l when the caller already has it.
-    """
-    if spectrum is None:
-        spectrum = _terms(enumerate_level_weights(rs, level), CenterSpec.TRIVIAL)
-    return certify_integer(lambda bits: _kernel(spectrum, 1, 0, 1, bits), precision)
+
+def _oracle(rs: RootSystem, level: int, precision: int):
+    """The certified sum of Delta over P_l, read through the caches."""
+    whole = _whole(rs.group_type, level)
+    return _unitarity_sum(whole, _exact(whole, precision)[0], precision)
 
 
 def torus_order_oracle(
@@ -222,21 +326,21 @@ def torus_order_oracle(
     of an integer (escalating precision if needed); compare with
     :func:`torus_order` for the closed-form families.
     """
-    return _unitarity_sum(rs, level, precision)[0]
+    return _oracle(rs, level, precision)[0]
 
 
 def torus_order_oracle_certified(
     rs: RootSystem, level: int, precision: int = DEFAULT_PRECISION
 ) -> Tuple[int, float]:
     """Certified integer value and rounding residual of the oracle sum."""
-    return _unitarity_sum(rs, level, precision)[1:3]
+    return _oracle(rs, level, precision)[1:3]
 
 
 def certified_torus_order(
     rs: RootSystem, level: int, precision: int = DEFAULT_PRECISION
 ) -> int:
     """The oracle torus order rounded to its certified integer."""
-    return _unitarity_sum(rs, level, precision)[1]
+    return _oracle(rs, level, precision)[1]
 
 
 def _check_genus(genus: int) -> None:
@@ -244,20 +348,19 @@ def _check_genus(genus: int) -> None:
         raise ValueError(f"genus must be >= 1, got {genus}")
 
 
-def _verlinde(P, spec, genus, precision, label, level) -> VerlindeResult:
-    """The certified Verlinde number of the weight set ``P`` modulo ``spec``."""
-    spectrum = _terms(P, spec)
-    factors = P.factors if isinstance(P, ProductLevelWeightSet) else ((P.rs, P.level),)
-    T = 1
-    for rs, lvl in factors:
-        if rs.nu is not None:
-            T *= torus_order(rs, lvl)
-        else:  # the spectrum of a lone factor with trivial Gamma is all of P_l
-            whole = spectrum if len(factors) == 1 and spec is CenterSpec.TRIVIAL else None
-            T *= _unitarity_sum(rs, lvl, precision, whole)[1]
+def _verlinde(
+    factors, spec, product, genus, precision, label, level
+) -> VerlindeResult:
+    """The certified Verlinde number of the weights of ``factors``, a tuple
+    of ``(RootSystem, level)``, modulo ``spec``."""
+    key = (tuple((rs.group_type, lvl) for rs, lvl in factors), spec, product)
+    spectrum, T = _exact(key, precision)
     gamma_order = 1 if spec is CenterSpec.TRIVIAL else 2
     _, value, residual, bits = certify_integer(
-        lambda b: _kernel(spectrum, T, genus, gamma_order, b), precision
+        lambda b: _kernel(
+            spectrum, _deltas(key, spectrum, b), T, genus, gamma_order, b
+        ),
+        precision,
     )
     return VerlindeResult(
         value=value,
@@ -297,7 +400,7 @@ def verlinde_quotient(
     """
     _check_genus(genus)
     return _verlinde(
-        enumerate_level_weights(rs, level), spec, genus, precision,
+        ((rs, level),), spec, False, genus, precision,
         label or _quotient_label(rs, spec), level,
     )
 
@@ -332,8 +435,7 @@ def verlinde_product_quotient(
             str(rs.group_type) for rs, _ in factors
         )
     return _verlinde(
-        enumerate_product_weights(factors), spec, genus, precision, label,
-        tuple(lvl for _, lvl in factors),
+        factors, spec, True, genus, precision, label, tuple(lvl for _, lvl in factors),
     )
 
 

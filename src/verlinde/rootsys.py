@@ -19,12 +19,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Optional, Tuple
 
 Vector = Tuple[Fraction, ...]
 
 MIN_RANK = {"A": 1, "B": 2, "C": 1, "D": 3}
+
+# Root systems kept per process.  The default suite touches 21 types; one
+# type's data grows with its rank cubed (D30 holds about 2 MB).
+ROOT_SYSTEM_CACHE_SIZE = 32
 
 _ZERO = Fraction(0)
 _HALF = Fraction(1, 2)
@@ -297,8 +301,13 @@ def _sum_vectors(vectors, dim: int) -> Vector:
 _BUILDERS = {"A": _build_a, "B": _build_b, "C": _build_c, "D": _build_d}
 
 
+@lru_cache(maxsize=ROOT_SYSTEM_CACHE_SIZE)
 def build_root_system(group_type: GroupType) -> RootSystem:
-    """Construct the exact root data for one classical type and rank."""
+    """The exact root data for one classical type and rank.
+
+    Built once per type and process: a ``RootSystem`` is immutable, so every
+    caller shares one instance, with its pairing matrix and comarks.
+    """
     return _BUILDERS[group_type.family](group_type.rank)
 
 

@@ -208,6 +208,11 @@ def run_unitarity(
 
     Type C has no stored closed form; its entries record the certified
     oracle integer with expected "integrality"."""
+    if rank_max < 1 or level_max < 0:
+        raise ValueError("need rank_max >= 1 and level_max >= 0")
+    unknown = [f for f in types if f not in MIN_RANK]
+    if unknown:
+        raise ValueError(f"unknown families {unknown}; expected some of A, B, C, D")
     entries = []
     for family in types:
         for rank in range(MIN_RANK[family], rank_max + 1):

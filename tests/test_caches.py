@@ -1,0 +1,138 @@
+"""The per-process caches: root systems, spectra with torus orders, and Delta.
+
+Every test starts from empty caches, so that test order does not matter.
+"""
+
+import pytest
+
+import verlinde.formula as formula
+from verlinde.formula import (
+    _terms,
+    n_so,
+    n_sp,
+    torus_order_oracle_certified,
+    verlinde_quotient,
+    verlinde_sc,
+)
+from verlinde.rootsys import (
+    MIN_RANK,
+    ROOT_SYSTEM_CACHE_SIZE,
+    GroupType,
+    build_root_system,
+    root_system,
+)
+from verlinde.weights import CenterSpec, enumerate_level_weights
+
+
+@pytest.fixture(autouse=True)
+def cold_caches():
+    build_root_system.cache_clear()
+    formula._SPECTRA.clear()
+    formula._DELTAS.clear()
+
+
+def counter(monkeypatch, name):
+    """Record the arguments of every call to ``verlinde.formula.<name>``."""
+    calls = []
+    real = getattr(formula, name)
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(formula, name, counted)
+    return calls
+
+
+def outcome(res):
+    return res.value, res.residual, res.precision_bits, res.term_count
+
+
+def test_root_systems_are_shared():
+    assert root_system("D", 6) is root_system("D", 6)
+    assert build_root_system(GroupType("D", 6)) is root_system("D", 6)
+
+
+def test_a_further_genus_reuses_the_spectrum_and_deltas(monkeypatch):
+    first = n_sp(2, 3, 5)
+    sines = counter(monkeypatch, "four_sin_sq")
+    enumerations = counter(monkeypatch, "enumerate_level_weights")
+    later = n_sp(2, 3, 9)
+    assert later.precision_bits == first.precision_bits == 192
+    assert later.value == 8285150897373184
+    assert sines == [] and enumerations == []
+
+
+def test_torus_pass_and_verlinde_pass_share_one_sine_per_numerator(monkeypatch):
+    P = enumerate_level_weights(root_system("C", 6), 6)
+    spectrum = _terms(P, CenterSpec.TRIVIAL)
+    numerators = {j for _, _, js in spectrum.terms for j in js}
+    formula._SPECTRA.clear()
+    sines = counter(monkeypatch, "four_sin_sq")
+    res = n_sp(6, 6, 2)
+    assert res.precision_bits == 192
+    assert len(sines) == len(set(sines)) == len(numerators)
+
+
+def test_torus_oracle_reads_the_spectrum_of_n_sp(monkeypatch):
+    n_sp(3, 2, 2)
+    sines = counter(monkeypatch, "four_sin_sq")
+    enumerations = counter(monkeypatch, "enumerate_level_weights")
+    assert torus_order_oracle_certified(root_system("C", 3), 2)[0] == 1728
+    assert sines == [] and enumerations == []
+
+
+def _calls():
+    calls = []
+    for family, lo in MIN_RANK.items():
+        for rank in range(lo, lo + 2):
+            for level in range(3):
+                calls.append(lambda g, p, f=family, r=rank, l=level: verlinde_sc(
+                    root_system(f, r), l, g, p))
+    calls += [lambda g, p, r=r: n_so(r, g, p) for r in range(3, 10)]
+    return calls
+
+
+def test_warm_results_equal_cold_results():
+    cases = [(call, g, p) for call in _calls() for g in (1, 2, 7) for p in (64, 192)]
+    cold = []
+    for call, g, p in cases:
+        build_root_system.cache_clear()
+        formula._SPECTRA.clear()
+        formula._DELTAS.clear()
+        cold.append(outcome(call(g, p)))
+    for call, g, p in cases:  # warm up at every genus and precision
+        call(g, p)
+    warm = [outcome(call(g, p)) for call, g, p in reversed(cases)]
+    assert warm[::-1] == cold
+
+
+def test_caches_stay_within_their_bounds():
+    a1 = root_system("A", 1)
+    levels = range(formula.SPECTRUM_CACHE_SIZE + 8)
+    precisions = (64, 128, 192, 256)
+    assert len(levels) * len(precisions) > formula.DELTA_CACHE_SIZE
+    for level in levels:
+        for p in precisions:
+            assert verlinde_sc(a1, level, 1, p).value == level + 1
+    assert len(formula._SPECTRA) == formula.SPECTRUM_CACHE_SIZE
+    assert len(formula._DELTAS) == formula.DELTA_CACHE_SIZE
+    assert verlinde_sc(a1, 0, 2).value == 1  # evicted, and built again
+    types = [GroupType(f, r) for f, lo in MIN_RANK.items() for r in range(lo, 13)]
+    assert len(types) > ROOT_SYSTEM_CACHE_SIZE
+    for t in types:
+        build_root_system(t)
+    assert build_root_system.cache_info().currsize == ROOT_SYSTEM_CACHE_SIZE
+
+
+def test_a_call_that_raised_raises_again():
+    for _ in range(2):
+        with pytest.raises(ValueError, match="level must be >= 0"):
+            n_sp(2, -1, 3)
+        with pytest.raises(ValueError, match="does not apply"):
+            verlinde_quotient(root_system("D", 4), 2, CenterSpec.SO_ODD, 2)
+    assert not formula._SPECTRA and not formula._DELTAS
+    n_sp(2, 3, 2)
+    for _ in range(2):
+        with pytest.raises(ValueError, match=">= 64"):
+            n_sp(2, 3, 2, precision=32)

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from verlinde.cli import main
+from verlinde.cli import build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -91,6 +91,8 @@ def test_invalid_value_exit_2(capsys):
     ["compare-oracle", "--r", "4", "--genus", "2"],
     ["compare-oracle", "--r", "7", "--genus", "2", "--precision", "32"],
     ["suite", "--r-max", "2"],
+    ["suite", "--unitarity-level-max", "-1"],
+    ["suite", "--unitarity-rank-max", "0"],
 ])
 def test_bad_arguments_of_any_command_exit_2(capsys, argv):
     with pytest.raises(SystemExit) as info:
@@ -111,6 +113,34 @@ def test_compute_value_beyond_float_range(capsys):
                         "--genus", "300", "--precision", "1200")
     assert code == 0
     assert json.loads(out)["value"] == str(12**300)
+
+
+def test_parser_keeps_no_state_between_calls(capsys):
+    def outcome(argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    sp = ["compute", "--group", "sp", "--r", "2", "--level", "1", "--genus", "3"]
+    argvs = [
+        sp + ["--precision", "256", "--format", "csv"],
+        sp,
+        ["compute", "--group", "so", "--genus", "2"],  # argparse error
+        ["compute", "--group", "so", "--r", "2", "--genus", "2"],  # ValueError
+        ["weights", "--type", "A", "--rank", "1", "--level", "2"],
+    ]
+    fresh = {}
+    for argv in argvs:
+        build_parser.cache_clear()
+        fresh[tuple(argv)] = outcome(argv)
+    assert [fresh[tuple(a)][0] for a in argvs] == [0, 0, 2, 2, 0]
+    build_parser.cache_clear()
+    for argv in argvs + argvs[::-1] + argvs:
+        assert outcome(argv) == fresh[tuple(argv)]
+    assert build_parser() is build_parser()
 
 
 def test_unknown_command_exit_2(capsys):

@@ -158,3 +158,12 @@ def test_bounds_validation():
         run_so_identity(2, 1)
     with pytest.raises(ValueError):
         run_strange_duality_symmetry(0, 1, 1)
+
+
+def test_unitarity_bounds_validation():
+    with pytest.raises(ValueError, match="level_max >= 0"):
+        run_unitarity(("A",), 2, -1)
+    with pytest.raises(ValueError, match="rank_max >= 1"):
+        run_unitarity(("A",), 0, 1)
+    with pytest.raises(ValueError, match="unknown famil"):
+        run_unitarity(("A", "E"), 6, 1)
