@@ -33,6 +33,18 @@ and the diagram automorphisms, so many weights share their multiset of
 numerators: the terms are merged into a spectrum of distinct
 (orbit size, sorted numerators) with a count each.
 
+Work shared between neighbouring inputs is done once, by one prefix-fold
+helper (``_prefix_folds``) that reuses the fold of the prefix a tuple shares
+with the tuple before it.  The exact pass folds over the mark tuples, which
+come in lexicographic order: from rho (the sum of the pairing columns) each
+step adds n_i times column i, so a weight costs one vector add per mark that
+differs from its predecessor's, not one dot product per root.  The Delta
+pass folds over the terms' numerator tuples in sorted order with plain mpf
+multiplication, writing each product back to its own term, so every Delta is
+still the left fold over its own numerators, bit for bit.  The sine values
+themselves come from the per-process sine table of
+:func:`verlinde.numeric.four_sin_sq`.
+
 Only the exponent depends on the genus, so the rest is built once per
 process and reused by every later call, in two bounded caches:
 
@@ -54,8 +66,7 @@ import math
 from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
-from typing import List, NamedTuple, Optional, Sequence, Tuple
+from typing import NamedTuple, Optional, Sequence, Tuple
 
 import mpmath
 
@@ -152,10 +163,9 @@ def delta(
     The sine arguments are computed exactly, from the marks of ``lam``,
     before any floating point enters.
     """
-    D = 2 * (level + rs.dual_coxeter)
-    numerators = tuple(_numerators(rs, marks(rs, lam), D, 1))
+    spectrum = _spectrum(((rs, level),), [(1, marks(rs, lam))])
     check_precision(precision)
-    return _products(Spectrum(D, ((1, 1, numerators),)), precision)[0]
+    return _products(spectrum, precision)[0]
 
 
 def torus_order(rs: RootSystem, level: int) -> int:
@@ -170,14 +180,27 @@ def torus_order(rs: RootSystem, level: int) -> int:
     return (level + rs.dual_coxeter) ** rs.rank * rs.center_order * rs.nu
 
 
-def _numerators(rs: RootSystem, n, D: int, scale: int) -> List[int]:
-    """The reduced sine numerators over D of the weight with marks ``n``, one
-    per positive root; ``scale`` is D / (2(l+h)) for this root system."""
-    t = [x + 1 for x in n]
+def _prefix_folds(tuples, start, step) -> list:
+    """The left fold ``step(step(start, 0, t[0]), 1, t[1])``, and so on to
+    the end of ``t``, of each tuple ``t`` of ``tuples``, in order; the fold
+    of the prefix that a tuple shares with the tuple before it is reused,
+    not recomputed."""
+    folds = [start]  # folds[i]: the fold of the previous tuple's first i items
+    previous = ()
     out = []
-    for row in rs.pairing_matrix:
-        j = scale * sum(map(mul, row, t)) % D
-        out.append(min(j, D - j))
+    for t in tuples:
+        shared = 0
+        for a, b in zip(previous, t):
+            if a != b:
+                break
+            shared += 1
+        del folds[shared + 1:]
+        acc = folds[-1]
+        for i in range(shared, len(t)):
+            acc = step(acc, i, t[i])
+            folds.append(acc)
+        out.append(acc)
+        previous = t
     return out
 
 
@@ -196,15 +219,41 @@ def _terms(P, spec: CenterSpec) -> Spectrum:
         restrict = restrict_product_to_quotient if product else restrict_to_quotient
         orbits = orbit_decompose(restrict(P, spec), spec).orbits
         reps = [(o.size, o.marks) for o in orbits]
+    if product:
+        reps = [(m, sum(n, ())) for m, n in reps]
+    return _spectrum(factors, reps)
+
+
+def _spectrum(factors, reps) -> Spectrum:
+    """The merged spectrum of ``reps``, pairs of (orbit size, marks) with
+    the marks of all ``factors`` concatenated.
+
+    The numerators over D of marks n are ``sum_i (n_i + 1) c_i``, with c_i
+    column i of its factor's pairing matrix scaled by D / (2(l+h)), placed
+    at that factor's roots.  They are prefix folds from rho = sum_i c_i,
+    each step adding n_i c_i, and are then reduced mod D to min(j, D - j).
+    """
     shifted = [2 * (lvl + rs.dual_coxeter) for rs, lvl in factors]
     D = math.lcm(*shifted)
-    scales = [D // d for d in shifted]
+    roots = sum(len(rs.pairing_matrix) for rs, _ in factors)
+    columns = []
+    offset = 0
+    for (rs, _), d in zip(factors, shifted):
+        M = rs.pairing_matrix
+        for i in range(rs.rank):
+            column = [0] * roots
+            column[offset:offset + len(M)] = [D // d * row[i] for row in M]
+            columns.append(column)
+        offset += len(M)
+    rho = [sum(c) for c in zip(*columns)]
+
+    def step(acc, i, n):
+        return [a + n * c for a, c in zip(acc, columns[i])] if n else acc
+
+    reduced = [min(j, D - j) for j in range(D)]
     counts = {}
-    for m, n in reps:
-        numerators = []
-        for (rs, _), part, scale in zip(factors, n if product else (n,), scales):
-            numerators += _numerators(rs, part, D, scale)
-        key = (m, tuple(sorted(numerators)))
+    for (m, _), js in zip(reps, _prefix_folds([n for _, n in reps], rho, step)):
+        key = (m, tuple(sorted(reduced[j % D] for j in js)))
         counts[key] = counts.get(key, 0) + 1
     return Spectrum(D, tuple((c, m, js) for (m, js), c in counts.items()))
 
@@ -223,7 +272,9 @@ def _cached(cache: OrderedDict, bound: int, key, fill, *args):
     return value
 
 
-def _exact(key, precision: int) -> Tuple[Spectrum, int]:
+def _exact(
+    key, precision: int, certified: Optional[list] = None
+) -> Tuple[Spectrum, int]:
     """``(spectrum, T)`` for ``key``: the genus-independent part of a
     Verlinde sum, built once per key and process.
 
@@ -232,9 +283,13 @@ def _exact(key, precision: int) -> Tuple[Spectrum, int]:
     (whose center subgroups are checked as a product's even with one
     factor).  A type-C factor's T is the unitarity sum of its P_l, certified
     at ``precision`` when first built; as an exact integer it then serves
-    every precision.
+    every precision.  When this call builds the entry of all of P_l of a
+    type-C group, that certification, ``(raw, value, residual, bits)``, is
+    appended to ``certified``.
     """
-    return _cached(_SPECTRA, SPECTRUM_CACHE_SIZE, key, _exact_pass, key, precision)
+    return _cached(
+        _SPECTRA, SPECTRUM_CACHE_SIZE, key, _exact_pass, key, precision, certified
+    )
 
 
 def _whole(group_type: GroupType, level: int):
@@ -242,7 +297,9 @@ def _whole(group_type: GroupType, level: int):
     return (((group_type, level),), CenterSpec.TRIVIAL, False)
 
 
-def _exact_pass(key, precision: int) -> Tuple[Spectrum, int]:
+def _exact_pass(
+    key, precision: int, certified: Optional[list]
+) -> Tuple[Spectrum, int]:
     """The work behind :func:`_exact` on a miss."""
     factors, spec, product = key
     systems = tuple((build_root_system(gt), lvl) for gt, lvl in factors)
@@ -257,7 +314,10 @@ def _exact_pass(key, precision: int) -> Tuple[Spectrum, int]:
         if rs.nu is not None:
             T *= torus_order(rs, lvl)
         elif key == whole:  # this spectrum is all of P_l, not yet in the cache
-            T *= _unitarity_sum(whole, spectrum, precision)[1]
+            certificate = _unitarity_sum(whole, spectrum, precision)
+            if certified is not None:
+                certified.append(certificate)
+            T *= certificate[1]
         else:
             T *= _exact(whole, precision)[1]
     return spectrum, T
@@ -271,19 +331,30 @@ def _deltas(key, spectrum: Spectrum, bits: int) -> Tuple[mpmath.mpf, ...]:
 
 def _products(spectrum: Spectrum, bits: int) -> Tuple[mpmath.mpf, ...]:
     """The product of 4 sin^2(pi j / D) over each term's numerators j, at
-    ``bits``, evaluating each distinct numerator's sine once."""
+    ``bits``, evaluating each distinct numerator's sine once.
+
+    The terms are visited in the sorted order of their numerator tuples, so
+    each product reuses the partial product of the prefix it shares with
+    the one before; each Delta is the plain left fold over its own
+    numerators, written back to its term's slot.
+    """
     D = spectrum.denominator
+    terms = spectrum.terms
+    order = sorted(range(len(terms)), key=lambda k: terms[k][2])
     with mpmath.workprec(bits):
         sines = {}
-        out = []
-        for _, _, numerators in spectrum.terms:
-            d = mpmath.mpf(1)
+        for _, _, numerators in terms:
             for j in numerators:
-                s = sines.get(j)
-                if s is None:
-                    s = sines[j] = four_sin_sq(Fraction(j, D))
-                d *= s
-            out.append(d)
+                if j not in sines:
+                    sines[j] = four_sin_sq(Fraction(j, D))
+        folds = _prefix_folds(
+            [terms[k][2] for k in order],
+            mpmath.mpf(1),
+            lambda d, _, j: d * sines[j],
+        )
+        out = [None] * len(terms)
+        for k, d in zip(order, folds):
+            out[k] = d
         return tuple(out)
 
 
@@ -313,7 +384,9 @@ def _unitarity_sum(key, spectrum: Spectrum, precision: int):
 def _oracle(rs: RootSystem, level: int, precision: int):
     """The certified sum of Delta over P_l, read through the caches."""
     whole = _whole(rs.group_type, level)
-    return _unitarity_sum(whole, _exact(whole, precision)[0], precision)
+    certified = []
+    spectrum, _ = _exact(whole, precision, certified)
+    return certified[0] if certified else _unitarity_sum(whole, spectrum, precision)
 
 
 def torus_order_oracle(

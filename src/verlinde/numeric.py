@@ -8,12 +8,21 @@ integrality tolerance and the working precision has HEADROOM_BITS to spare
 beyond the value's bit length (below that, the float may not resolve the
 integer at all); otherwise the precision is doubled, up to three times,
 before giving up.
+
+Every sum is a product of factors 4 sin^2(pi x) whose arguments x come
+from a small set per root system and level (fewer than 2(l+h) values mod 1),
+so :func:`four_sin_sq` keeps a per-process sine table: a bounded LRU keyed
+by the argument reduced mod 1 and the working precision.  mpmath's
+``sinpi`` is a deterministic function of those two, so a value read from
+the table is bit-identical to a fresh one, and a value computed at one
+precision is never served at another.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable, Tuple, Union
 
 import mpmath
@@ -22,6 +31,12 @@ DEFAULT_PRECISION = 192
 MIN_PRECISION = 64
 MAX_ESCALATIONS = 3
 HEADROOM_BITS = 32
+# Entries of the sine table (see ``four_sin_sq``).  One root system and
+# level needs fewer than 2(l+h) arguments per precision, and the default
+# suite reads fewer than 100 (argument, precision) pairs; the bound leaves
+# room for sweeps over many levels and precisions while capping the table
+# at about 2 MB.
+SINE_TABLE_SIZE = 4096
 
 
 class IntegralityError(ArithmeticError):
@@ -71,12 +86,21 @@ def four_sin_sq(x: Fraction) -> mpmath.mpf:
     """4 sin^2(pi x) for exact rational x, at the ambient working precision.
 
     The argument is reduced mod 1 exactly before any floating point; an
-    integer argument would give a zero factor and is rejected.
+    integer argument would give a zero factor and is rejected.  Values are
+    read from the sine table, keyed by the reduced argument (as its
+    numerator and denominator in lowest terms) and ``mpmath.mp.prec``.
     """
-    frac = x - (x.numerator // x.denominator)
-    if frac == 0:
+    numerator = x.numerator % x.denominator
+    if numerator == 0:
         raise ValueError(f"zero trigonometric factor: sin(pi * {x}) = 0")
-    y = mpmath.sinpi(mpmath.mpf(frac.numerator) / frac.denominator)
+    return _sine_table(numerator, x.denominator, mpmath.mp.prec)
+
+
+@lru_cache(maxsize=SINE_TABLE_SIZE)
+def _sine_table(numerator: int, denominator: int, prec: int) -> mpmath.mpf:
+    """4 sin^2(pi numerator / denominator), computed at ``prec`` bits (the
+    ambient precision of the caller of ``four_sin_sq``)."""
+    y = mpmath.sinpi(mpmath.mpf(numerator) / denominator)
     return 4 * y * y
 
 

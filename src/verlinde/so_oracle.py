@@ -5,8 +5,12 @@ decreasing sequences u_1 > ... > u_s (integers for SO(2s), half-integers
 for SO(2s+1)) bounded by the shifted level k, and the torus-to-Delta
 ratios come from pairwise sine products over the sequence.  Enumeration
 and products are done directly on these sequences, sharing nothing with
-the root-system engine beyond the numeric helpers, so agreement between
-the two paths is a meaningful cross-check.
+the root-system engine beyond the numeric helpers, among them the sine
+table behind ``four_sin_sq``.  The table holds only values of
+4 sin^2(pi x) keyed by the exact argument and precision, which either path
+would compute identically on its own; the arguments, their enumeration and
+the products stay separate, so agreement between the two paths is still a
+meaningful cross-check.
 """
 
 from __future__ import annotations

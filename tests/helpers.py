@@ -1,6 +1,15 @@
 """Exact-arithmetic helpers used as independent oracles in the tests."""
 
+import math
 from fractions import Fraction
+
+from verlinde.weights import (
+    CenterSpec,
+    ProductLevelWeightSet,
+    orbit_decompose,
+    restrict_product_to_quotient,
+    restrict_to_quotient,
+)
 
 
 def solve_exact(basis, target):
@@ -66,3 +75,36 @@ def reflection_closure(simple_roots):
         neg = tuple(-x for x in beta)
         roots.add(neg)
     return roots
+
+
+def reference_terms(P, spec):
+    """The exact pass of ``formula._terms``, weight by weight, as a
+    ``(denominator, terms)`` tuple.
+
+    Each Gamma-orbit representative with marks n (a product's factors in
+    turn) gets one numerator per positive root of each factor,
+    ``j = sum_i (n_i + 1) M[a][i] * scale mod D`` with M the factor's
+    pairing matrix, D the lcm of the factors' 2(l+h) and scale = D / 2(l+h),
+    folded to ``min(j, D - j)``.  Representatives with equal orbit size and
+    sorted numerators merge into one ``(count, size, numerators)`` term, in
+    the order first seen.
+    """
+    product = isinstance(P, ProductLevelWeightSet)
+    factors = P.factors if product else ((P.rs, P.level),)
+    if spec is CenterSpec.TRIVIAL:
+        reps = [(1, n) for n in P.marks]
+    else:
+        restrict = restrict_product_to_quotient if product else restrict_to_quotient
+        reps = [(o.size, o.marks) for o in orbit_decompose(restrict(P, spec), spec).orbits]
+    shifted = [2 * (level + rs.dual_coxeter) for rs, level in factors]
+    D = math.lcm(*shifted)
+    counts = {}
+    for size, n in reps:
+        numerators = []
+        for (rs, _), part, d in zip(factors, n if product else (n,), shifted):
+            for row in rs.pairing_matrix:
+                j = sum((x + 1) * m for x, m in zip(part, row)) * (D // d) % D
+                numerators.append(min(j, D - j))
+        key = (size, tuple(sorted(numerators)))
+        counts[key] = counts.get(key, 0) + 1
+    return D, tuple((c, size, js) for (size, js), c in counts.items())

@@ -1,11 +1,16 @@
-"""The per-process caches: root systems, spectra with torus orders, and Delta.
+"""The per-process caches: root systems, spectra with torus orders, Delta,
+and the sine table.
 
 Every test starts from empty caches, so that test order does not matter.
 """
 
+from fractions import Fraction
+
+import mpmath
 import pytest
 
 import verlinde.formula as formula
+import verlinde.numeric as numeric
 from verlinde.formula import (
     _terms,
     n_so,
@@ -24,11 +29,16 @@ from verlinde.rootsys import (
 from verlinde.weights import CenterSpec, enumerate_level_weights
 
 
-@pytest.fixture(autouse=True)
-def cold_caches():
+def clear_caches():
     build_root_system.cache_clear()
     formula._SPECTRA.clear()
     formula._DELTAS.clear()
+    numeric._sine_table.cache_clear()
+
+
+@pytest.fixture(autouse=True)
+def cold_caches():
+    clear_caches()
 
 
 def counter(monkeypatch, name):
@@ -97,9 +107,7 @@ def test_warm_results_equal_cold_results():
     cases = [(call, g, p) for call in _calls() for g in (1, 2, 7) for p in (64, 192)]
     cold = []
     for call, g, p in cases:
-        build_root_system.cache_clear()
-        formula._SPECTRA.clear()
-        formula._DELTAS.clear()
+        clear_caches()
         cold.append(outcome(call(g, p)))
     for call, g, p in cases:  # warm up at every genus and precision
         call(g, p)
@@ -136,3 +144,58 @@ def test_a_call_that_raised_raises_again():
     for _ in range(2):
         with pytest.raises(ValueError, match=">= 64"):
             n_sp(2, 3, 2, precision=32)
+
+
+def test_type_c_torus_oracle_certifies_once(monkeypatch):
+    certifications = counter(monkeypatch, "certify_integer")
+    cold = torus_order_oracle_certified(root_system("C", 4), 3)
+    assert len(certifications) == 1
+    certifications.clear()
+    warm = torus_order_oracle_certified(root_system("C", 4), 3)
+    assert len(certifications) <= 1
+    assert cold == warm and cold[0] == 65536
+
+
+def direct_four_sin_sq(x):
+    frac = x - (x.numerator // x.denominator)
+    y = mpmath.sinpi(mpmath.mpf(frac.numerator) / frac.denominator)
+    return 4 * y * y
+
+
+SINE_ARGUMENTS = [Fraction(1, 7), Fraction(-3, 10), Fraction(23, 12), Fraction(5, 2)]
+
+
+@pytest.mark.parametrize("bits", [64, 192, 640])
+def test_sine_table_equals_direct_evaluation(bits):
+    with mpmath.workprec(bits):
+        fresh = [numeric.four_sin_sq(x) for x in SINE_ARGUMENTS]
+        table = [numeric.four_sin_sq(x) for x in SINE_ARGUMENTS]
+        direct = [direct_four_sin_sq(x) for x in SINE_ARGUMENTS]
+    assert numeric._sine_table.cache_info().hits == len(SINE_ARGUMENTS)
+    assert fresh == table == direct
+
+
+def test_a_table_value_is_never_served_at_another_precision():
+    x = Fraction(2, 9)
+    with mpmath.workprec(64):
+        low = numeric.four_sin_sq(x)
+    with mpmath.workprec(192):
+        high = numeric.four_sin_sq(x)
+        assert high == direct_four_sin_sq(x)
+    assert high != low
+    assert numeric._sine_table.cache_info().misses == 2
+
+
+def test_sine_table_stays_within_its_bound():
+    D = numeric.SINE_TABLE_SIZE + 8
+    with mpmath.workprec(64):
+        for j in range(1, D):
+            numeric.four_sin_sq(Fraction(j, D))
+    assert numeric._sine_table.cache_info().currsize == numeric.SINE_TABLE_SIZE
+
+
+def test_an_integer_argument_raises_and_is_not_stored():
+    for x in (Fraction(0), Fraction(3), Fraction(-8, 4), 5):
+        with pytest.raises(ValueError, match="zero trigonometric factor"):
+            numeric.four_sin_sq(x)
+    assert numeric._sine_table.cache_info().currsize == 0

@@ -6,6 +6,7 @@ import pytest
 
 from verlinde.formula import (
     DYNKIN_INDEX,
+    _products,
     _terms,
     certified_torus_order,
     delta,
@@ -18,7 +19,8 @@ from verlinde.formula import (
     verlinde_quotient,
     verlinde_sc,
 )
-from verlinde.rootsys import root_system, weight_from_marks
+from verlinde.numeric import four_sin_sq
+from verlinde.rootsys import MIN_RANK, root_system, weight_from_marks
 from verlinde.weights import (
     CenterSpec,
     center_act,
@@ -28,6 +30,8 @@ from verlinde.weights import (
     restrict_product_to_quotient,
     restrict_to_quotient,
 )
+
+from helpers import reference_terms
 
 A1 = root_system("A", 1)
 
@@ -132,6 +136,65 @@ def test_spectrum_merges_weights_with_equal_delta(family, rank, level, weights, 
     assert sum(count for count, _, _ in spectrum.terms) == weights
     assert len(spectrum.terms) == distinct
     assert verlinde_sc(rs, level, 2).term_count == weights
+
+
+def _exact_pass_cases():
+    """(id, weight set, center subgroup) for every family from its minimum
+    rank to rank 6 at levels 0-4, the B and D SO quotients, A1 with SO3 at
+    even levels, and SO(4) products at equal-parity levels up to 4."""
+    cases = []
+    for family, lo in MIN_RANK.items():
+        for rank in range(lo, 7):
+            for level in range(5):
+                cases.append((family, rank, level, CenterSpec.TRIVIAL))
+    for family, spec, lo in (("B", CenterSpec.SO_ODD, 2), ("D", CenterSpec.SO_EVEN, 3)):
+        for rank in range(lo, 7):
+            for level in range(5):
+                cases.append((family, rank, level, spec))
+    cases += [("A", 1, level, CenterSpec.SO3) for level in range(0, 9, 2)]
+    cases += [
+        ("A1xA1", "", (a, b), spec)
+        for a in range(5)
+        for b in range(a % 2, 5, 2)
+        for spec in (CenterSpec.TRIVIAL, CenterSpec.SO4_DIAGONAL)
+    ]
+    return [
+        pytest.param(f, r, lvl, spec, id=f"{f}{r}-{_levels(lvl)}-{spec.value}")
+        for f, r, lvl, spec in cases
+    ]
+
+
+def _levels(level):
+    return ",".join(map(str, level)) if isinstance(level, tuple) else str(level)
+
+
+def _weight_set(family, rank, level):
+    if family == "A1xA1":
+        return enumerate_product_weights(tuple((A1, lvl) for lvl in level))
+    return enumerate_level_weights(root_system(family, rank), level)
+
+
+@pytest.mark.parametrize("family,rank,level,spec", _exact_pass_cases())
+def test_exact_pass_equals_the_per_weight_reference(family, rank, level, spec):
+    P = _weight_set(family, rank, level)
+    assert _terms(P, spec) == reference_terms(P, spec)
+
+
+@pytest.mark.parametrize("family,rank,level,spec", _exact_pass_cases())
+def test_deltas_equal_the_left_fold_in_numerator_order(family, rank, level, spec):
+    spectrum = _terms(_weight_set(family, rank, level), spec)
+    D = spectrum.denominator
+    for bits in (64, 192, 640):
+        naive = []
+        with mpmath.workprec(bits):
+            for _, _, numerators in spectrum.terms:
+                d = mpmath.mpf(1)
+                for j in numerators:
+                    d *= four_sin_sq(Fraction(j, D))
+                naive.append(d)
+        deltas = _products(spectrum, bits)
+        assert len(deltas) == len(naive)
+        assert all(a == b for a, b in zip(deltas, naive))
 
 
 # --- torus orders ------------------------------------------------------------
