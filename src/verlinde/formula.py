@@ -37,13 +37,21 @@ Work shared between neighbouring inputs is done once, by one prefix-fold
 helper (``_prefix_folds``) that reuses the fold of the prefix a tuple shares
 with the tuple before it.  The exact pass folds over the mark tuples, which
 come in lexicographic order: from rho (the sum of the pairing columns) each
-step adds n_i times column i, so a weight costs one vector add per mark that
-differs from its predecessor's, not one dot product per root.  The Delta
-pass folds over the terms' numerator tuples in sorted order with plain mpf
-multiplication, writing each product back to its own term, so every Delta is
-still the left fold over its own numerators, bit for bit.  The sine values
-themselves come from the per-process sine table of
-:func:`verlinde.numeric.four_sin_sq`.
+step adds n_i times column i (each multiple built once per call), so a
+weight costs one vector add per mark that differs from its predecessor's,
+not one dot product per root.  The Delta pass folds over the terms'
+numerator tuples in sorted order, writing each product back to its own
+term, so every Delta is still the left fold over its own numerators, bit
+for bit.  The sine values themselves come from the per-process sine table
+of :func:`verlinde.numeric.four_sin_sq`.
+
+The Delta fold and ``_kernel`` work on mpmath's raw ``_mpf_`` tuples
+through :mod:`mpmath.libmp`, at the working precision and rounding to
+nearest.  They call the functions that mpf's arithmetic operators call
+(``mpf_mul``, ``mpf_rdiv_int``, ``mpf_pow_int``, ``mpf_mul_int``,
+``mpf_div``, ``mpf_add`` and ``from_int``), with the same operands in the
+same order, so every result is bit-identical to the operator form; what
+they skip is an mpf object and a read of the context per operation.
 
 Only the exponent depends on the genus, so the rest is built once per
 process and reused by every later call, in two bounded caches:
@@ -55,9 +63,10 @@ process and reused by every later call, in two bounded caches:
   precision (``_deltas``), evaluating each distinct numerator's sine once.
 
 ``_kernel``, the one floating-point loop, then only raises T / Delta to the
-power g - 1, multiplies and adds, entirely at the working precision; the
-result is rounded and certified via :mod:`verlinde.numeric`.  The type-C
-torus pass and the Verlinde pass at one precision share one Delta tuple.
+power g - 1, multiplies and adds, entirely at the working precision, with
+m^(1-2g) computed once per distinct orbit size; the result is rounded and
+certified via :mod:`verlinde.numeric`.  The type-C torus pass and the
+Verlinde pass at one precision share one Delta tuple.
 """
 
 from __future__ import annotations
@@ -66,9 +75,22 @@ import math
 from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 from typing import NamedTuple, Optional, Sequence, Tuple
 
 import mpmath
+from mpmath.libmp import (
+    fone,
+    from_int,
+    fzero,
+    mpf_add,
+    mpf_div,
+    mpf_mul,
+    mpf_mul_int,
+    mpf_pow_int,
+    mpf_rdiv_int,
+    round_nearest,
+)
 
 from .numeric import (
     DEFAULT_PRECISION,
@@ -246,16 +268,38 @@ def _spectrum(factors, reps) -> Spectrum:
             columns.append(column)
         offset += len(M)
     rho = [sum(c) for c in zip(*columns)]
+    multiples = {}  # (i, n) -> n * columns[i]: a mark value recurs across weights
 
     def step(acc, i, n):
-        return [a + n * c for a, c in zip(acc, columns[i])] if n else acc
+        if not n:
+            return acc
+        c = multiples.get((i, n))
+        if c is None:
+            c = multiples[i, n] = [n * x for x in columns[i]]
+        return list(map(add, acc, c))
 
-    reduced = [min(j, D - j) for j in range(D)]
+    reduced = _Reduced(D).__getitem__
     counts = {}
     for (m, _), js in zip(reps, _prefix_folds([n for _, n in reps], rho, step)):
-        key = (m, tuple(sorted(reduced[j % D] for j in js)))
+        key = (m, tuple(sorted(map(reduced, js))))
         counts[key] = counts.get(key, 0) + 1
     return Spectrum(D, tuple((c, m, js) for (m, js), c in counts.items()))
+
+
+class _Reduced(dict):
+    """``min(j mod D, -j mod D)`` for each integer j, memoized.
+
+    The numerators of a weight in P_l lie in 1..D-1; a weight outside the
+    alcove (only :func:`delta` takes one) may give any integer.
+    """
+
+    def __init__(self, D: int):
+        super().__init__((j, min(j, D - j)) for j in range(D))
+        self.D = D
+
+    def __missing__(self, j: int) -> int:
+        value = self[j] = min(j % self.D, -j % self.D)
+        return value
 
 
 def _cached(cache: OrderedDict, bound: int, key, fill, *args):
@@ -287,6 +331,7 @@ def _exact(
     type-C group, that certification, ``(raw, value, residual, bits)``, is
     appended to ``certified``.
     """
+    check_precision(precision)  # a refused request enumerates nothing
     return _cached(
         _SPECTRA, SPECTRUM_CACHE_SIZE, key, _exact_pass, key, precision, certified
     )
@@ -346,16 +391,16 @@ def _products(spectrum: Spectrum, bits: int) -> Tuple[mpmath.mpf, ...]:
         for _, _, numerators in terms:
             for j in numerators:
                 if j not in sines:
-                    sines[j] = four_sin_sq(Fraction(j, D))
-        folds = _prefix_folds(
-            [terms[k][2] for k in order],
-            mpmath.mpf(1),
-            lambda d, _, j: d * sines[j],
-        )
-        out = [None] * len(terms)
-        for k, d in zip(order, folds):
-            out[k] = d
-        return tuple(out)
+                    sines[j] = four_sin_sq(Fraction(j, D))._mpf_
+    folds = _prefix_folds(
+        [terms[k][2] for k in order],
+        fone,
+        lambda d, _, j: mpf_mul(d, sines[j], bits, round_nearest),
+    )
+    out = [None] * len(terms)
+    for k, d in zip(order, folds):
+        out[k] = mpmath.mp.make_mpf(d)
+    return tuple(out)
 
 
 def _kernel(
@@ -363,13 +408,20 @@ def _kernel(
 ) -> mpmath.mpf:
     """|Gamma| * sum of count * m^(1-2g) * (T/Delta)^(g-1) over the spectrum,
     at ``bits``, with ``deltas`` the Delta of each term at ``bits``."""
-    with mpmath.workprec(bits):
-        total = mpmath.mpf(0)
-        for (count, m, _), d in zip(spectrum.terms, deltas):
-            # at g = 0 the power is Delta/T; inverting T/Delta would round twice
-            ratio = (T / d) ** (genus - 1) if genus else d / T
-            total += count * mpmath.mpf(m) ** (1 - 2 * genus) * ratio
-        return gamma_order * total
+    rnd = round_nearest
+    powers = {}  # m -> m^(1-2g); orbit sizes take few values
+    total = fzero
+    for (count, m, _), d in zip(spectrum.terms, deltas):
+        power = powers.get(m)
+        if power is None:
+            power = powers[m] = mpf_pow_int(from_int(m, bits, rnd), 1 - 2 * genus, bits, rnd)
+        if genus:
+            ratio = mpf_pow_int(mpf_rdiv_int(T, d._mpf_, bits, rnd), genus - 1, bits, rnd)
+        else:  # the power is Delta/T; inverting T/Delta would round twice
+            ratio = mpf_div(d._mpf_, from_int(T), bits, rnd)
+        term = mpf_mul(mpf_mul_int(power, count, bits, rnd), ratio, bits, rnd)
+        total = mpf_add(total, term, bits, rnd)
+    return mpmath.mp.make_mpf(mpf_mul_int(total, gamma_order, bits, rnd))
 
 
 def _unitarity_sum(key, spectrum: Spectrum, precision: int):

@@ -29,6 +29,13 @@ import mpmath
 
 DEFAULT_PRECISION = 192
 MIN_PRECISION = 64
+# The largest precision a caller may request.  With mpmath's pure-Python
+# backend the time of a sum grows about fourfold per doubling of the
+# precision: n_so(5, 2) takes 0.23 s at 2^14 bits, 3.5 s at 2^16, 50 s at
+# 2^18 and 13 min at 2^20, and a larger group evaluates more distinct sines.
+# The cap bounds only the request: certification may still double it three
+# times, to 2^19 bits.  2^16 bits resolve values up to 2^65504.
+MAX_PRECISION = 2**16
 MAX_ESCALATIONS = 3
 HEADROOM_BITS = 32
 # Entries of the sine table (see ``four_sin_sq``).  One root system and
@@ -66,8 +73,12 @@ class VerlindeResult:
 
 
 def check_precision(precision: int) -> int:
+    """``precision``, if a caller may request it: MIN_PRECISION to
+    MAX_PRECISION bits, or ``ValueError``."""
     if precision < MIN_PRECISION:
         raise ValueError(f"precision must be >= {MIN_PRECISION} bits, got {precision}")
+    if precision > MAX_PRECISION:
+        raise ValueError(f"precision must be <= {MAX_PRECISION} bits, got {precision}")
     return precision
 
 

@@ -11,12 +11,18 @@ table behind ``four_sin_sq``.  The table holds only values of
 would compute identically on its own; the arguments, their enumeration and
 the products stay separate, so agreement between the two paths is still a
 meaningful cross-check.
+
+Only the exponent depends on the genus, so the oracle keeps the rest, the
+orbit size and Delta of each sequence representative, in its own bounded
+per-process cache keyed by (r, working precision).  It shares none of the
+engine's caches of spectra and Delta.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import List, Tuple
 
 import mpmath
@@ -31,6 +37,10 @@ from .numeric import (
 
 _DUAL_COXETER = {"B": lambda s: 2 * s - 1, "D": lambda s: 2 * s - 2}
 _MIN_RANK = {"B": 2, "D": 3}
+# Entries of the oracle's own cache (``_level_two_terms``), one per (r, bits).
+# The default suite reads eight (r = 5..12 at 192 bits), and an entry of SO(r)
+# holds r // 2 + 1 values.
+ORACLE_CACHE_SIZE = 32
 
 
 @dataclass(frozen=True)
@@ -138,18 +148,24 @@ def _pair_product(u: USet) -> List[Fraction]:
     return args
 
 
+def _delta(u: USet, bits: int) -> mpmath.mpf:
+    """The product of 4 sin^2 over the sine arguments of ``u``, at ``bits``."""
+    args = _pair_product(u)
+    if u.family == "B":
+        args += [Fraction(x, u.k) for x in u.values]
+    with mpmath.workprec(bits):
+        total = mpmath.mpf(1)
+        for x in args:
+            total *= four_sin_sq(x)
+        return total
+
+
 def uset_delta_d(u: USet, precision: int = DEFAULT_PRECISION) -> mpmath.mpf:
     """Delta of a family-D sequence: the product over pairs i < j of
     4 sin^2(pi (u_i - u_j)/k) * 4 sin^2(pi (u_i + u_j)/k)."""
     if u.family != "D":
         raise ValueError(f"expected a family-D sequence, got {u.family}")
-    args = _pair_product(u)
-    check_precision(precision)
-    with mpmath.workprec(precision):
-        total = mpmath.mpf(1)
-        for x in args:
-            total *= four_sin_sq(x)
-        return total
+    return _delta(u, check_precision(precision))
 
 
 def uset_delta_b(u: USet, precision: int = DEFAULT_PRECISION) -> mpmath.mpf:
@@ -157,17 +173,19 @@ def uset_delta_b(u: USet, precision: int = DEFAULT_PRECISION) -> mpmath.mpf:
     factor prod_i 4 sin^2(pi u_i / k)."""
     if u.family != "B":
         raise ValueError(f"expected a family-B sequence, got {u.family}")
-    args = _pair_product(u) + [Fraction(x, u.k) for x in u.values]
-    check_precision(precision)
-    with mpmath.workprec(precision):
-        total = mpmath.mpf(1)
-        for x in args:
-            total *= four_sin_sq(x)
-        return total
+    return _delta(u, check_precision(precision))
 
 
 def uset_delta(u: USet, precision: int = DEFAULT_PRECISION) -> mpmath.mpf:
     return uset_delta_d(u, precision) if u.family == "D" else uset_delta_b(u, precision)
+
+
+@lru_cache(maxsize=ORACLE_CACHE_SIZE)
+def _level_two_terms(r: int, bits: int) -> Tuple[Tuple[int, mpmath.mpf], ...]:
+    """``(orbit size, Delta at bits)`` of each sequence representative of
+    SO(r) at level 2: everything in the oracle's sum but the genus."""
+    family = "D" if r % 2 == 0 else "B"
+    return tuple((size, _delta(u, bits)) for u, size in enumerate_usets(family, r // 2, 2))
 
 
 def n_so_oracle(r: int, genus: int, precision: int = DEFAULT_PRECISION) -> VerlindeResult:
@@ -180,16 +198,12 @@ def n_so_oracle(r: int, genus: int, precision: int = DEFAULT_PRECISION) -> Verli
         raise ValueError(f"the oracle covers r >= 5, got {r}")
     if genus < 1:
         raise ValueError(f"genus must be >= 1, got {genus}")
-    family = "D" if r % 2 == 0 else "B"
-    s = r // 2
-    reps = enumerate_usets(family, s, 2)
-    torus = 4 * r**s
+    torus = 4 * r ** (r // 2)
 
     def compute(bits: int) -> mpmath.mpf:
         with mpmath.workprec(bits):
             total = mpmath.mpf(0)
-            for u, size in reps:
-                d = uset_delta(u, bits)
+            for size, d in _level_two_terms(r, bits):
                 total += mpmath.mpf(size) ** (1 - 2 * genus) * (torus / d) ** (genus - 1)
             return 2 * total
 
@@ -198,7 +212,7 @@ def n_so_oracle(r: int, genus: int, precision: int = DEFAULT_PRECISION) -> Verli
         value=value,
         residual=residual,
         precision_bits=bits,
-        term_count=len(reps),
+        term_count=len(_level_two_terms(r, bits)),
         group_label=f"SO({r})",
         level=2,
         genus=genus,

@@ -3,6 +3,8 @@
 import math
 from fractions import Fraction
 
+import mpmath
+
 from verlinde.weights import (
     CenterSpec,
     ProductLevelWeightSet,
@@ -108,3 +110,14 @@ def reference_terms(P, spec):
         key = (size, tuple(sorted(numerators)))
         counts[key] = counts.get(key, 0) + 1
     return D, tuple((c, size, js) for (size, js), c in counts.items())
+
+
+def reference_kernel(spectrum, deltas, T, genus, gamma_order, bits):
+    """``formula._kernel`` in mpf operator form: |Gamma| * sum of
+    count * m^(1-2g) * (T/Delta)^(g-1) over the spectrum, at ``bits``."""
+    with mpmath.workprec(bits):
+        total = mpmath.mpf(0)
+        for (count, m, _), d in zip(spectrum.terms, deltas):
+            ratio = (T / d) ** (genus - 1) if genus else d / T
+            total += count * mpmath.mpf(m) ** (1 - 2 * genus) * ratio
+        return gamma_order * total

@@ -1,5 +1,5 @@
 """The per-process caches: root systems, spectra with torus orders, Delta,
-and the sine table.
+the sine table, and the SO oracle's own cache.
 
 Every test starts from empty caches, so that test order does not matter.
 """
@@ -11,6 +11,7 @@ import pytest
 
 import verlinde.formula as formula
 import verlinde.numeric as numeric
+import verlinde.so_oracle as so_oracle
 from verlinde.formula import (
     _terms,
     n_so,
@@ -34,6 +35,7 @@ def clear_caches():
     formula._SPECTRA.clear()
     formula._DELTAS.clear()
     numeric._sine_table.cache_clear()
+    so_oracle._level_two_terms.cache_clear()
 
 
 @pytest.fixture(autouse=True)
@@ -41,16 +43,16 @@ def cold_caches():
     clear_caches()
 
 
-def counter(monkeypatch, name):
-    """Record the arguments of every call to ``verlinde.formula.<name>``."""
+def counter(monkeypatch, name, module=formula):
+    """Record the arguments of every call to ``<module>.<name>``."""
     calls = []
-    real = getattr(formula, name)
+    real = getattr(module, name)
 
     def counted(*args):
         calls.append(args)
         return real(*args)
 
-    monkeypatch.setattr(formula, name, counted)
+    monkeypatch.setattr(module, name, counted)
     return calls
 
 
@@ -199,3 +201,43 @@ def test_an_integer_argument_raises_and_is_not_stored():
         with pytest.raises(ValueError, match="zero trigonometric factor"):
             numeric.four_sin_sq(x)
     assert numeric._sine_table.cache_info().currsize == 0
+
+
+def test_a_further_genus_of_the_oracle_reuses_its_deltas(monkeypatch):
+    first = so_oracle.n_so_oracle(9, 2)
+    sines = counter(monkeypatch, "four_sin_sq", so_oracle)
+    enumerations = counter(monkeypatch, "enumerate_usets", so_oracle)
+    later = so_oracle.n_so_oracle(9, 5)
+    assert (first.value, later.value) == (81, 9**5)
+    assert later.term_count == first.term_count
+    assert sines == [] and enumerations == []
+
+
+def test_warm_oracle_results_equal_cold_results():
+    cases = [(r, g, p) for r in range(5, 13) for g in range(1, 7) for p in (64, 192)]
+    cold = []
+    for r, g, p in cases:
+        clear_caches()
+        cold.append(outcome(so_oracle.n_so_oracle(r, g, p)))
+    for r, g, p in cases:  # warm up at every genus and precision
+        so_oracle.n_so_oracle(r, g, p)
+    warm = [outcome(so_oracle.n_so_oracle(r, g, p)) for r, g, p in reversed(cases)]
+    assert warm[::-1] == cold
+
+
+@pytest.mark.parametrize("bits", [64, 192, 640])
+def test_oracle_cache_holds_each_delta_at_its_precision(bits):
+    for r in range(5, 13):
+        family = "D" if r % 2 == 0 else "B"
+        usets = so_oracle.enumerate_usets(family, r // 2, 2)
+        want = tuple((size, so_oracle.uset_delta(u, bits)) for u, size in usets)
+        assert so_oracle._level_two_terms(r, bits) == want
+
+
+def test_oracle_cache_stays_within_its_bound():
+    precisions = range(64, 64 + so_oracle.ORACLE_CACHE_SIZE + 8)
+    for p in precisions:
+        assert so_oracle.n_so_oracle(5, 1, p).value == 5
+    info = so_oracle._level_two_terms.cache_info()
+    assert info.currsize == so_oracle.ORACLE_CACHE_SIZE
+    assert info.misses == len(precisions)

@@ -1,10 +1,12 @@
 import csv
 import io
 import json
+import time
 
 import pytest
 
 from verlinde.cli import build_parser, main
+from verlinde.numeric import MAX_PRECISION
 
 
 def run_cli(capsys, *argv):
@@ -99,6 +101,22 @@ def test_bad_arguments_of_any_command_exit_2(capsys, argv):
         main(argv)
     assert info.value.code == 2
     assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [
+    ["compute", "--group", "so", "--r", "5", "--genus", "2"],
+    ["compute", "--group", "sc", "--type", "A", "--rank", "10", "--level", "10",
+     "--genus", "2"],
+    ["compare-oracle", "--r", "12", "--genus", "2"],
+    ["suite", "--r-max", "5"],
+])
+def test_precision_above_the_cap_is_refused_at_once(capsys, command):
+    start = time.perf_counter()
+    with pytest.raises(SystemExit) as info:
+        main(command + ["--precision", str(MAX_PRECISION + 1)])
+    assert time.perf_counter() - start < 1
+    assert info.value.code == 2
+    assert f"<= {MAX_PRECISION} bits" in capsys.readouterr().err
 
 
 def test_compute_value_beyond_default_precision(capsys):

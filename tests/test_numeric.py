@@ -4,6 +4,7 @@ import mpmath
 import pytest
 
 from verlinde.numeric import (
+    MAX_PRECISION,
     IntegralityError,
     certify_integer,
     check_precision,
@@ -52,6 +53,22 @@ def test_check_precision_lower_bound():
     assert check_precision(64) == 64
     with pytest.raises(ValueError, match=">= 64"):
         check_precision(53)
+
+
+def test_check_precision_upper_bound():
+    assert check_precision(MAX_PRECISION) == MAX_PRECISION
+    with pytest.raises(ValueError, match=f"<= {MAX_PRECISION}"):
+        check_precision(MAX_PRECISION + 1)
+
+
+def test_escalations_may_pass_the_precision_cap():
+    def compute(bits):
+        return mpmath.mpf(7) + (mpmath.mpf("0.25") if bits == MAX_PRECISION else 0)
+
+    raw, value, residual, bits = certify_integer(compute, MAX_PRECISION)
+    assert (value, bits, residual) == (7, 2 * MAX_PRECISION, 0.0)
+    with pytest.raises(ValueError, match=f"<= {MAX_PRECISION}"):
+        certify_integer(compute, MAX_PRECISION + 1)
 
 
 def test_certify_accepts_clean_integer():

@@ -6,6 +6,8 @@ import pytest
 
 from verlinde.formula import (
     DYNKIN_INDEX,
+    _exact,
+    _kernel,
     _products,
     _terms,
     certified_torus_order,
@@ -20,7 +22,7 @@ from verlinde.formula import (
     verlinde_sc,
 )
 from verlinde.numeric import four_sin_sq
-from verlinde.rootsys import MIN_RANK, root_system, weight_from_marks
+from verlinde.rootsys import MIN_RANK, GroupType, root_system, weight_from_marks
 from verlinde.weights import (
     CenterSpec,
     center_act,
@@ -31,7 +33,7 @@ from verlinde.weights import (
     restrict_to_quotient,
 )
 
-from helpers import reference_terms
+from helpers import reference_kernel, reference_terms
 
 A1 = root_system("A", 1)
 
@@ -195,6 +197,23 @@ def test_deltas_equal_the_left_fold_in_numerator_order(family, rank, level, spec
         deltas = _products(spectrum, bits)
         assert len(deltas) == len(naive)
         assert all(a == b for a, b in zip(deltas, naive))
+
+
+@pytest.mark.parametrize("family,rank,level,spec", _exact_pass_cases())
+def test_kernel_equals_the_operator_form_reference(family, rank, level, spec):
+    if family == "A1xA1":
+        key = (tuple((GroupType("A", 1), lvl) for lvl in level), spec, True)
+    else:
+        key = (((GroupType(family, rank), level),), spec, False)
+    spectrum, T = _exact(key, 192)  # the spectrum and T that the engine sums
+    assert spectrum == _terms(_weight_set(family, rank, level), spec)
+    gamma_order = 1 if spec is CenterSpec.TRIVIAL else 2
+    for bits in (64, 192, 640):
+        deltas = _products(spectrum, bits)
+        for genus in (0, 1, 2, 7):
+            got = _kernel(spectrum, deltas, T, genus, gamma_order, bits)
+            want = reference_kernel(spectrum, deltas, T, genus, gamma_order, bits)
+            assert got == want, (bits, genus)
 
 
 # --- torus orders ------------------------------------------------------------
