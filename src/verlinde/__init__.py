@@ -1,9 +1,9 @@
 """Certified Verlinde dimension numbers for the classical groups.
 
-Exact root-system arithmetic (rational coordinates) and integer
-weight-lattice arithmetic (marks and root pairings), arbitrary-precision
-sine-product evaluation with integer certification, and two independent
-computation paths for the orthogonal groups.
+Exact root-system arithmetic and integer weight-lattice arithmetic (marks
+and root pairings), arbitrary-precision sine-product evaluation with
+integer certification, and two independent computation paths for the
+orthogonal groups.
 """
 
 from .formula import (

@@ -1,8 +1,11 @@
 """Exact root-system data for the classical families A, B, C and D.
 
-Vectors are tuples of :class:`fractions.Fraction` in orthogonal coordinates:
-the standard basis of R^s for types B, C, D, and of R^(s+1) for type A
-(roots live in the sum-zero hyperplane).  The invariant bilinear form is
+Vectors are in orthogonal coordinates: the standard basis of R^s for types
+B, C, D, and of R^(s+1) for type A (roots live in the sum-zero hyperplane).
+Roots, simple roots and theta have integer coordinates and are tuples of
+``int``; only the fundamental weights and rho, whose coordinates can be
+halves (B, D) or multiples of 1/(s+1) (A), are tuples of
+:class:`fractions.Fraction`.  The invariant bilinear form is
 ``gram_scale * <standard dot product>``, with ``gram_scale`` chosen so that
 every long root has squared length 2.  No floating point enters here.
 
@@ -11,32 +14,27 @@ in the fundamental-weight basis), and each root system carries the integer
 pairing matrix ``M[a][i] = 2 (alpha | omega_i)`` over its positive roots and
 its integer comarks ``(omega_i | theta)``, so that
 ``2 (alpha | lambda + rho) = sum_i (n_i + 1) M[a][i]`` and the level of
-lambda is ``sum_i comark_i n_i``.
+lambda is ``sum_i comark_i n_i``.  Both are computed from the fundamental
+weights scaled by a common denominator to integer vectors.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
+from numbers import Rational
 from typing import Optional, Tuple
 
-Vector = Tuple[Fraction, ...]
+Vector = Tuple[Rational, ...]
 
 MIN_RANK = {"A": 1, "B": 2, "C": 1, "D": 3}
 
 # Root systems kept per process.  The default suite touches 21 types; one
-# type's data grows with its rank cubed (D30 holds about 2 MB).
+# type's data grows with its rank cubed (D30 holds about 0.6 MB).
 ROOT_SYSTEM_CACHE_SIZE = 32
 
 _ZERO = Fraction(0)
-_HALF = Fraction(1, 2)
-
-
-def vec(values) -> Vector:
-    """Coerce an iterable of numbers to an exact coordinate vector."""
-    return tuple(Fraction(v) for v in values)
 
 
 def vec_add(v: Vector, w: Vector) -> Vector:
@@ -58,10 +56,6 @@ def vec_scale(c, v: Vector) -> Vector:
 
 def zero_vector(dim: int) -> Vector:
     return (_ZERO,) * dim
-
-
-def _unit(dim: int, i: int, scale=1) -> Vector:
-    return tuple(Fraction(scale) if j == i else _ZERO for j in range(dim))
 
 
 @dataclass(frozen=True)
@@ -107,6 +101,10 @@ class RootSystem:
     center_order: int
     nu: Optional[int]
     gram_scale: Fraction
+    # M[a][i] = 2 (alpha | omega_i) for the positive roots, in order, and the
+    # comarks (omega_i | theta), all strictly positive.
+    pairing_matrix: Tuple[Tuple[int, ...], ...]
+    comarks: Tuple[int, ...]
 
     @property
     def family(self) -> str:
@@ -124,181 +122,108 @@ class RootSystem:
     def is_root(self, v: Vector) -> bool:
         return v in self.positive_roots or vec_neg(v) in self.positive_roots
 
-    @cached_property
-    def pairing_matrix(self) -> Tuple[Tuple[int, ...], ...]:
-        """``M[a][i] = 2 (alpha | omega_i)`` for the positive roots, in order."""
-        return _twice_pairings(self, self.positive_roots, self.fundamental_weights)
-
-    @cached_property
-    def comarks(self) -> Tuple[int, ...]:
-        """``(omega_i | theta)`` for each node; all strictly positive."""
-        row = _twice_pairings(self, (self.theta,), self.fundamental_weights)[0]
-        return tuple(c // 2 for c in row)
-
     def __str__(self) -> str:
         return str(self.group_type)
 
 
-def _build_a(s: int) -> RootSystem:
-    dim = s + 1
-    simple = tuple(
-        vec_sub(_unit(dim, i), _unit(dim, i + 1)) for i in range(s)
-    )
-    positive = tuple(
-        vec_sub(_unit(dim, i), _unit(dim, j))
-        for i in range(dim)
-        for j in range(i + 1, dim)
-    )
-    ones = tuple(Fraction(1) for _ in range(dim))
-    fundamental = tuple(
-        vec_sub(
-            tuple(Fraction(1) if i <= j else _ZERO for i in range(dim)),
-            vec_scale(Fraction(j + 1, dim), ones),
-        )
-        for j in range(s)
-    )
-    return RootSystem(
-        group_type=GroupType("A", s),
-        simple_roots=simple,
-        positive_roots=positive,
-        long_roots=positive,
-        fundamental_weights=fundamental,
-        rho=_sum_vectors(fundamental, dim),
-        theta=vec_sub(_unit(dim, 0), _unit(dim, dim - 1)),
-        dual_coxeter=s + 1,
-        center_order=s + 1,
-        nu=1,
-        gram_scale=Fraction(1),
-    )
+def _build(group_type: GroupType) -> RootSystem:
+    """The root data of one type, read off the plates of Bourbaki (Lie Groups
+    and Lie Algebras, ch. VI, plates I-IV), with integer roots.
 
-
-def _build_b(s: int) -> RootSystem:
-    simple = tuple(
-        vec_sub(_unit(s, i), _unit(s, i + 1)) for i in range(s - 1)
-    ) + (_unit(s, s - 1),)
-    long_roots = tuple(
-        vec_add(_unit(s, i), vec_scale(sign, _unit(s, j)))
-        for i in range(s)
-        for j in range(i + 1, s)
-        for sign in (-1, 1)
-    )
-    short = tuple(_unit(s, i) for i in range(s))
-    fundamental = tuple(
-        tuple(Fraction(1) if i <= j else _ZERO for i in range(s))
-        for j in range(s - 1)
-    ) + (tuple(_HALF for _ in range(s)),)
-    return RootSystem(
-        group_type=GroupType("B", s),
-        simple_roots=simple,
-        positive_roots=long_roots + short,
-        long_roots=long_roots,
-        fundamental_weights=fundamental,
-        rho=_sum_vectors(fundamental, s),
-        theta=vec_add(_unit(s, 0), _unit(s, 1)),
-        dual_coxeter=2 * s - 1,
-        center_order=2,
-        nu=2,
-        gram_scale=Fraction(1),
-    )
-
-
-def _build_c(s: int) -> RootSystem:
-    simple = tuple(
-        vec_sub(_unit(s, i), _unit(s, i + 1)) for i in range(s - 1)
-    ) + (_unit(s, s - 1, 2),)
-    short = tuple(
-        vec_add(_unit(s, i), vec_scale(sign, _unit(s, j)))
-        for i in range(s)
-        for j in range(i + 1, s)
-        for sign in (-1, 1)
-    )
-    long_roots = tuple(_unit(s, i, 2) for i in range(s))
-    fundamental = tuple(
-        tuple(Fraction(1) if i <= j else _ZERO for i in range(s))
-        for j in range(s)
-    )
-    return RootSystem(
-        group_type=GroupType("C", s),
-        simple_roots=simple,
-        positive_roots=short + long_roots,
-        long_roots=long_roots,
-        fundamental_weights=fundamental,
-        rho=_sum_vectors(fundamental, s),
-        theta=_unit(s, 0, 2),
-        dual_coxeter=s + 1,
-        center_order=2,
-        nu=None,
-        gram_scale=_HALF,
-    )
-
-
-def _build_d(s: int) -> RootSystem:
-    simple = tuple(
-        vec_sub(_unit(s, i), _unit(s, i + 1)) for i in range(s - 1)
-    ) + (vec_add(_unit(s, s - 2), _unit(s, s - 1)),)
-    positive = tuple(
-        vec_add(_unit(s, i), vec_scale(sign, _unit(s, j)))
-        for i in range(s)
-        for j in range(i + 1, s)
-        for sign in (-1, 1)
-    )
-    fundamental = tuple(
-        tuple(Fraction(1) if i <= j else _ZERO for i in range(s))
-        for j in range(s - 2)
-    ) + (
-        tuple(_HALF if i < s - 1 else -_HALF for i in range(s)),
-        tuple(_HALF for _ in range(s)),
-    )
-    return RootSystem(
-        group_type=GroupType("D", s),
-        simple_roots=simple,
-        positive_roots=positive,
-        long_roots=positive,
-        fundamental_weights=fundamental,
-        rho=_sum_vectors(fundamental, s),
-        theta=vec_add(_unit(s, 0), _unit(s, 1)),
-        dual_coxeter=2 * s - 2,
-        center_order=4,
-        nu=1,
-        gram_scale=Fraction(1),
-    )
-
-
-def _twice_pairings(rs: RootSystem, vectors, weights) -> Tuple[Tuple[int, ...], ...]:
-    """``2 (v | w)`` for each v in ``vectors`` (rows) and w in ``weights``.
-
-    Every coordinate is scaled by the common denominator to an integer once,
-    so each entry is an integer dot product over the nonzero coordinates of v.
+    The families differ only in the tables below.  The fundamental weights
+    are first built as integer vectors scaled by ``d``: prefix vectors
+    ``d (e_0 + ... + e_j)``, centred into the sum-zero hyperplane for type A,
+    followed by the spinor weights of types B and D.
     """
-    scale = math.lcm(*(x.denominator for v in vectors + weights for x in v))
-    num = 2 * rs.gram_scale.numerator
-    den = rs.gram_scale.denominator * scale * scale
+    family, s = group_type.family, group_type.rank
+    n = s + 1 if family == "A" else s
 
-    def scaled(x: Fraction) -> int:
-        return x.numerator * (scale // x.denominator)
+    def vector(*terms) -> Tuple[int, ...]:
+        v = [0] * n
+        for c, x in terms:
+            v[c] = x
+        return tuple(v)
 
-    columns = [[scaled(x) for x in w] for w in weights]
+    pair_roots = tuple(
+        vector((a, 1), (b, sign))
+        for a in range(n)
+        for b in range(a + 1, n)
+        for sign in ((-1,) if family == "A" else (-1, 1))
+    )
+    end = {"B": 1, "C": 2}.get(family)  # the roots e_a (B) or 2 e_a (C)
+    end_roots = tuple(vector((a, end)) for a in range(n)) if end else ()
+    last = {
+        "B": ((s - 1, 1),),
+        "C": ((s - 1, 2),),
+        "D": ((s - 2, 1), (s - 1, 1)),
+    }.get(family)
+    simple = tuple(vector((i, 1), (i + 1, -1)) for i in range(n - 1))
+    if last:
+        simple += (vector(*last),)
+    theta = vector(
+        *{"A": ((0, 1), (n - 1, -1)), "C": ((0, 2),)}.get(family, ((0, 1), (1, 1)))
+    )
+
+    d = {"A": n, "C": 1}.get(family, 2)
+    spinors = {
+        "B": ((1,) * n,),
+        "D": ((1,) * (n - 1) + (-1,), (1,) * n),
+    }.get(family, ())
+    shift = 1 if family == "A" else 0  # centres type A in the sum-zero plane
+    scaled = tuple(
+        tuple((d if i <= j else 0) - shift * (j + 1) for i in range(n))
+        for j in range(s - len(spinors))
+    ) + spinors
+
+    h, f, nu = {
+        "A": (s + 1, s + 1, 1),
+        "B": (2 * s - 1, 2, 2),
+        "C": (s + 1, 2, None),
+        "D": (2 * s - 2, 4, 1),
+    }[family]
+    gram = Fraction(1, 2) if family == "C" else Fraction(1)
+    positive = pair_roots + end_roots
+    num, den = 2 * gram.numerator, gram.denominator * d
+    return RootSystem(
+        group_type=group_type,
+        simple_roots=simple,
+        positive_roots=positive,
+        long_roots=end_roots if family == "C" else pair_roots,
+        fundamental_weights=tuple(tuple(Fraction(x, d) for x in w) for w in scaled),
+        rho=tuple(Fraction(sum(c), d) for c in zip(*scaled)),
+        theta=theta,
+        dual_coxeter=h,
+        center_order=f,
+        nu=nu,
+        gram_scale=gram,
+        pairing_matrix=_twice_pairings(group_type, positive, scaled, num, den),
+        comarks=tuple(
+            c // 2 for c in _twice_pairings(group_type, (theta,), scaled, num, den)[0]
+        ),
+    )
+
+
+def _twice_pairings(
+    group_type: GroupType, vectors, scaled, num: int, den: int
+) -> Tuple[Tuple[int, ...], ...]:
+    """``2 (v | w) = num (v . d w) / den`` for each integer vector v (rows)
+    and each fundamental weight w, given as its integer multiple ``d w``.
+
+    A row is summed from the weight columns over the nonzero coordinates of
+    v, which are at most two for a root.
+    """
+    columns = tuple(zip(*scaled))  # columns[c][i] = d (omega_i)_c
     rows = []
     for v in vectors:
-        support = [(c, scaled(x)) for c, x in enumerate(v) if x]
-        row = []
-        for w in columns:
-            q, r = divmod(num * sum(a * w[c] for c, a in support), den)
-            if r:
-                raise AssertionError(f"2 (v | w) is not an integer in {rs.group_type}")
-            row.append(q)
-        rows.append(tuple(row))
+        dots = [0] * len(scaled)
+        for c, x in enumerate(v):
+            if x:
+                dots = [t + x * y for t, y in zip(dots, columns[c])]
+        twice = [num * t for t in dots]
+        if any(t % den for t in twice):
+            raise AssertionError(f"2 (v | w) is not an integer in {group_type}")
+        rows.append(tuple([t // den for t in twice]))
     return tuple(rows)
-
-
-def _sum_vectors(vectors, dim: int) -> Vector:
-    total = zero_vector(dim)
-    for v in vectors:
-        total = vec_add(total, v)
-    return total
-
-
-_BUILDERS = {"A": _build_a, "B": _build_b, "C": _build_c, "D": _build_d}
 
 
 @lru_cache(maxsize=ROOT_SYSTEM_CACHE_SIZE)
@@ -308,7 +233,7 @@ def build_root_system(group_type: GroupType) -> RootSystem:
     Built once per type and process: a ``RootSystem`` is immutable, so every
     caller shares one instance, with its pairing matrix and comarks.
     """
-    return _BUILDERS[group_type.family](group_type.rank)
+    return _build(group_type)
 
 
 def root_system(family: str, rank: int) -> RootSystem:

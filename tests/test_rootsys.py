@@ -112,6 +112,20 @@ def test_theta_is_the_highest_root(family, rank):
 
 
 @pytest.mark.parametrize("family,rank", ALL_TYPES)
+def test_root_coordinates_are_integers(family, rank):
+    rs = root_system(family, rank)
+    for v in rs.positive_roots + rs.simple_roots + (rs.theta,):
+        assert all(type(x) is int for x in v), v
+
+
+@pytest.mark.parametrize("rank", range(1, 9))
+def test_type_a_weights_lie_in_the_root_span(rank):
+    rs = root_system("A", rank)
+    for w in rs.fundamental_weights + (rs.rho,):
+        assert sum(w) == 0, w
+
+
+@pytest.mark.parametrize("family,rank", ALL_TYPES + [(f, 20) for f in "ABCD"])
 def test_pairing_matrix_is_twice_the_inner_product(family, rank):
     """The integer lattice data agrees with the Fraction form, which stays
     the reference: M[a][i] = 2 (alpha | omega_i), comark_i = (omega_i | theta)."""

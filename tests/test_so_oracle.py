@@ -172,7 +172,7 @@ def test_oracle_value_is_r_to_the_g(r):
         assert n_so_oracle(r, g).value == r**g
 
 
-@pytest.mark.parametrize("r,g", [(8, 2), (7, 2), (11, 3), (12, 5)])
+@pytest.mark.parametrize("r,g", [(8, 2), (7, 2), (11, 3), (12, 5), (60, 2), (61, 2)])
 def test_oracle_agrees_with_engine(r, g):
     assert n_so_oracle(r, g).value == n_so(r, g).value
 
