@@ -41,6 +41,8 @@ RECORD_FIELDS = (
     "term_count",
 )
 
+# The arguments that each ``compute --group`` takes; it refuses the others.
+_GROUP_ARGS = {"so": ("r",), "sp": ("r", "level"), "sc": ("type", "rank", "level")}
 _QUOTIENT_SPEC = {"A": CenterSpec.SO3, "B": CenterSpec.SO_ODD, "D": CenterSpec.SO_EVEN}
 
 
@@ -76,17 +78,16 @@ def _emit_record(record: dict, fmt: str) -> None:
 
 
 def _cmd_compute(args) -> int:
+    wanted = _GROUP_ARGS[args.group]
+    for name in ("r", "level", "type", "rank"):
+        if (getattr(args, name) is None) == (name in wanted):
+            verb = "requires" if name in wanted else "does not take"
+            raise ValueError(f"--group {args.group} {verb} --{name}")
     if args.group == "so":
-        if args.r is None:
-            raise ValueError("--group so requires --r")
         res = n_so(args.r, args.genus, args.precision)
     elif args.group == "sp":
-        if args.r is None or args.level is None:
-            raise ValueError("--group sp requires --r and --level")
         res = n_sp(args.r, args.level, args.genus, args.precision)
     else:  # sc
-        if args.type is None or args.rank is None or args.level is None:
-            raise ValueError("--group sc requires --type, --rank and --level")
         rs = build_root_system(GroupType(args.type, args.rank))
         res = verlinde_sc(rs, args.level, args.genus, args.precision)
     _emit_record(output_record(res), args.format)

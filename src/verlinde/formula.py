@@ -54,13 +54,16 @@ same order, so every result is bit-identical to the operator form; what
 they skip is an mpf object and a read of the context per operation.
 
 Only the exponent depends on the genus, so the rest is built once per
-process and reused by every later call, in two bounded caches:
+process and reused by every later call, each piece by a pure function
+memoized with :func:`functools.lru_cache`:
 
-* the spectrum and the torus order T, keyed by the (GroupType, level) of
-  each factor, the center subgroup and whether the weights form a product
-  (``_exact``); a type-C T is certified by the g = 0 sum when first built;
+* the spectrum, keyed by the (GroupType, level) of each factor, the center
+  subgroup and whether the weights form a product (``_spectrum_of``);
 * the Delta of each spectrum term, keyed by that key and the working
-  precision (``_deltas``), evaluating each distinct numerator's sine once.
+  precision (``_deltas``), evaluating each distinct numerator's sine once;
+* the certified g = 0 sum over all of P_l of one group, keyed by its type,
+  level and requested precision (``_unitarity_sum``): the torus-order
+  oracle, and so a type-C T, certified once per (type, level, precision).
 
 ``_kernel``, the one floating-point loop, then only raises T / Delta to the
 power g - 1, multiplies and adds, entirely at the working precision, with
@@ -72,8 +75,8 @@ Verlinde pass at one precision share one Delta tuple.
 from __future__ import annotations
 
 import math
-from collections import OrderedDict
 from dataclasses import dataclass
+from functools import lru_cache
 from fractions import Fraction
 from operator import add
 from typing import NamedTuple, Optional, Sequence, Tuple
@@ -144,17 +147,15 @@ class Spectrum(NamedTuple):
     terms: Tuple[Tuple[int, int, Tuple[int, ...]], ...]
 
 
-# Spectra with their torus orders, kept per process (see ``_exact``).  Calls
-# that repeat a key come close together (a sweep over genera, the suite's
-# genus loops and level-rank pairs), and one entry holds up to |P_l| terms
-# (about 1.8e5 for A10 at level 10), so a few dozen entries serve them while
-# capping memory.
+# Spectra kept per process (see ``_spectrum_of``).  Calls that repeat a key
+# come close together (a sweep over genera, the suite's genus loops and
+# level-rank pairs), and one entry holds up to |P_l| terms (about 1.8e5 for
+# A10 at level 10), so a few dozen entries serve them while capping memory.
+# The certified unitarity sums (see ``_unitarity_sum``) share the bound.
 SPECTRUM_CACHE_SIZE = 32
 # Delta tuples, one per (key, working precision): a sweep with the precision
 # sized to each value uses up to nine precisions per key.
 DELTA_CACHE_SIZE = 4 * SPECTRUM_CACHE_SIZE
-_SPECTRA: OrderedDict = OrderedDict()
-_DELTAS: OrderedDict = OrderedDict()
 
 
 @dataclass(frozen=True)
@@ -302,76 +303,46 @@ class _Reduced(dict):
         return value
 
 
-def _cached(cache: OrderedDict, bound: int, key, fill, *args):
-    """``cache[key]``, computed by ``fill(*args)`` on a miss; the least
-    recently used entry is dropped past ``bound``, and what ``fill`` raises
-    is not stored.  Threads racing on one key may both fill it, never
-    corrupt it."""
-    value = cache.pop(key, None)
-    if value is None:
-        value = fill(*args)
-    cache[key] = value
-    if len(cache) > bound:
-        cache.popitem(last=False)
-    return value
-
-
-def _exact(
-    key, precision: int, certified: Optional[list] = None
-) -> Tuple[Spectrum, int]:
+def _exact(key, precision: int) -> Tuple[Spectrum, int]:
     """``(spectrum, T)`` for ``key``: the genus-independent part of a
-    Verlinde sum, built once per key and process.
+    Verlinde sum.
 
     ``key`` is ``(factors, spec, product)``: the ``(GroupType, level)`` of
     each factor, the center subgroup, and whether the weights form a product
     (whose center subgroups are checked as a product's even with one
-    factor).  A type-C factor's T is the unitarity sum of its P_l, certified
-    at ``precision`` when first built; as an exact integer it then serves
-    every precision.  When this call builds the entry of all of P_l of a
-    type-C group, that certification, ``(raw, value, residual, bits)``, is
-    appended to ``certified``.
+    factor).  T is the product of the factors' torus orders, a type-C one
+    being the unitarity sum of its P_l certified at ``precision``.
     """
     check_precision(precision)  # a refused request enumerates nothing
-    return _cached(
-        _SPECTRA, SPECTRUM_CACHE_SIZE, key, _exact_pass, key, precision, certified
-    )
+    spectrum = _spectrum_of(key)
+    T = 1
+    for group_type, level in key[0]:
+        rs = build_root_system(group_type)
+        if rs.nu is not None:
+            T *= torus_order(rs, level)
+        else:
+            T *= _unitarity_sum(group_type, level, precision)[1]
+    return spectrum, T
 
 
-def _whole(group_type: GroupType, level: int):
-    """The key of all of P_l of one simply connected group."""
-    return (((group_type, level),), CenterSpec.TRIVIAL, False)
-
-
-def _exact_pass(
-    key, precision: int, certified: Optional[list]
-) -> Tuple[Spectrum, int]:
-    """The work behind :func:`_exact` on a miss."""
+@lru_cache(maxsize=SPECTRUM_CACHE_SIZE)
+def _spectrum_of(key) -> Spectrum:
+    """The spectrum of ``key`` (see :func:`_exact`), built once per key and
+    process."""
     factors, spec, product = key
     systems = tuple((build_root_system(gt), lvl) for gt, lvl in factors)
     if product:
         P = enumerate_product_weights(systems)
     else:
         P = enumerate_level_weights(*systems[0])
-    spectrum = _terms(P, spec)
-    T = 1
-    for rs, lvl in systems:
-        whole = _whole(rs.group_type, lvl)
-        if rs.nu is not None:
-            T *= torus_order(rs, lvl)
-        elif key == whole:  # this spectrum is all of P_l, not yet in the cache
-            certificate = _unitarity_sum(whole, spectrum, precision)
-            if certified is not None:
-                certified.append(certificate)
-            T *= certificate[1]
-        else:
-            T *= _exact(whole, precision)[1]
-    return spectrum, T
+    return _terms(P, spec)
 
 
-def _deltas(key, spectrum: Spectrum, bits: int) -> Tuple[mpmath.mpf, ...]:
-    """Delta at ``bits`` for each term of ``spectrum``, the spectrum of
-    ``key``; built once per (key, bits) and process."""
-    return _cached(_DELTAS, DELTA_CACHE_SIZE, (key, bits), _products, spectrum, bits)
+@lru_cache(maxsize=DELTA_CACHE_SIZE)
+def _deltas(key, bits: int) -> Tuple[mpmath.mpf, ...]:
+    """Delta at ``bits`` for each term of the spectrum of ``key``; built
+    once per (key, bits) and process."""
+    return _products(_spectrum_of(key), bits)
 
 
 def _products(spectrum: Spectrum, bits: int) -> Tuple[mpmath.mpf, ...]:
@@ -424,21 +395,16 @@ def _kernel(
     return mpmath.mp.make_mpf(mpf_mul_int(total, gamma_order, bits, rnd))
 
 
-def _unitarity_sum(key, spectrum: Spectrum, precision: int):
-    """Certified sum of Delta over the spectrum of ``key`` (all of P_l) as
-    ``(raw, value, residual, bits)``."""
+@lru_cache(maxsize=SPECTRUM_CACHE_SIZE)
+def _unitarity_sum(group_type: GroupType, level: int, precision: int):
+    """Certified sum of Delta over all of P_l of ``group_type`` as
+    ``(raw, value, residual, bits)``, from ``precision`` bits."""
+    check_precision(precision)  # a refused request enumerates nothing
+    key = (((group_type, level),), CenterSpec.TRIVIAL, False)
+    spectrum = _spectrum_of(key)
     return certify_integer(
-        lambda bits: _kernel(spectrum, _deltas(key, spectrum, bits), 1, 0, 1, bits),
-        precision,
+        lambda bits: _kernel(spectrum, _deltas(key, bits), 1, 0, 1, bits), precision
     )
-
-
-def _oracle(rs: RootSystem, level: int, precision: int):
-    """The certified sum of Delta over P_l, read through the caches."""
-    whole = _whole(rs.group_type, level)
-    certified = []
-    spectrum, _ = _exact(whole, precision, certified)
-    return certified[0] if certified else _unitarity_sum(whole, spectrum, precision)
 
 
 def torus_order_oracle(
@@ -451,21 +417,21 @@ def torus_order_oracle(
     of an integer (escalating precision if needed); compare with
     :func:`torus_order` for the closed-form families.
     """
-    return _oracle(rs, level, precision)[0]
+    return _unitarity_sum(rs.group_type, level, precision)[0]
 
 
 def torus_order_oracle_certified(
     rs: RootSystem, level: int, precision: int = DEFAULT_PRECISION
 ) -> Tuple[int, float]:
     """Certified integer value and rounding residual of the oracle sum."""
-    return _oracle(rs, level, precision)[1:3]
+    return _unitarity_sum(rs.group_type, level, precision)[1:3]
 
 
 def certified_torus_order(
     rs: RootSystem, level: int, precision: int = DEFAULT_PRECISION
 ) -> int:
     """The oracle torus order rounded to its certified integer."""
-    return _oracle(rs, level, precision)[1]
+    return _unitarity_sum(rs.group_type, level, precision)[1]
 
 
 def _check_genus(genus: int) -> None:
@@ -482,9 +448,7 @@ def _verlinde(
     spectrum, T = _exact(key, precision)
     gamma_order = 1 if spec is CenterSpec.TRIVIAL else 2
     _, value, residual, bits = certify_integer(
-        lambda b: _kernel(
-            spectrum, _deltas(key, spectrum, b), T, genus, gamma_order, b
-        ),
+        lambda b: _kernel(spectrum, _deltas(key, b), T, genus, gamma_order, b),
         precision,
     )
     return VerlindeResult(

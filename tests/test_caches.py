@@ -1,5 +1,5 @@
-"""The per-process caches: root systems, spectra with torus orders, Delta,
-the sine table, and the SO oracle's own cache.
+"""The per-process caches: root systems, spectra, Delta, the certified
+unitarity sums, the sine table, and the SO oracle's own cache.
 
 Every test starts from empty caches, so that test order does not matter.
 """
@@ -14,8 +14,10 @@ import verlinde.numeric as numeric
 import verlinde.so_oracle as so_oracle
 from verlinde.formula import (
     _terms,
+    certified_torus_order,
     n_so,
     n_sp,
+    torus_order,
     torus_order_oracle_certified,
     verlinde_quotient,
     verlinde_sc,
@@ -32,8 +34,9 @@ from verlinde.weights import CenterSpec, enumerate_level_weights
 
 def clear_caches():
     build_root_system.cache_clear()
-    formula._SPECTRA.clear()
-    formula._DELTAS.clear()
+    formula._spectrum_of.cache_clear()
+    formula._deltas.cache_clear()
+    formula._unitarity_sum.cache_clear()
     numeric._sine_table.cache_clear()
     so_oracle._level_two_terms.cache_clear()
 
@@ -79,7 +82,7 @@ def test_torus_pass_and_verlinde_pass_share_one_sine_per_numerator(monkeypatch):
     P = enumerate_level_weights(root_system("C", 6), 6)
     spectrum = _terms(P, CenterSpec.TRIVIAL)
     numerators = {j for _, _, js in spectrum.terms for j in js}
-    formula._SPECTRA.clear()
+    formula._spectrum_of.cache_clear()
     sines = counter(monkeypatch, "four_sin_sq")
     res = n_sp(6, 6, 2)
     assert res.precision_bits == 192
@@ -125,8 +128,10 @@ def test_caches_stay_within_their_bounds():
     for level in levels:
         for p in precisions:
             assert verlinde_sc(a1, level, 1, p).value == level + 1
-    assert len(formula._SPECTRA) == formula.SPECTRUM_CACHE_SIZE
-    assert len(formula._DELTAS) == formula.DELTA_CACHE_SIZE
+            assert certified_torus_order(a1, level, p) == torus_order(a1, level)
+    assert formula._spectrum_of.cache_info().currsize == formula.SPECTRUM_CACHE_SIZE
+    assert formula._deltas.cache_info().currsize == formula.DELTA_CACHE_SIZE
+    assert formula._unitarity_sum.cache_info().currsize == formula.SPECTRUM_CACHE_SIZE
     assert verlinde_sc(a1, 0, 2).value == 1  # evicted, and built again
     types = [GroupType(f, r) for f, lo in MIN_RANK.items() for r in range(lo, 13)]
     assert len(types) > ROOT_SYSTEM_CACHE_SIZE
@@ -141,7 +146,8 @@ def test_a_call_that_raised_raises_again():
             n_sp(2, -1, 3)
         with pytest.raises(ValueError, match="does not apply"):
             verlinde_quotient(root_system("D", 4), 2, CenterSpec.SO_ODD, 2)
-    assert not formula._SPECTRA and not formula._DELTAS
+    assert formula._spectrum_of.cache_info().currsize == 0
+    assert formula._deltas.cache_info().currsize == 0
     n_sp(2, 3, 2)
     for _ in range(2):
         with pytest.raises(ValueError, match=">= 64"):
@@ -156,6 +162,14 @@ def test_type_c_torus_oracle_certifies_once(monkeypatch):
     warm = torus_order_oracle_certified(root_system("C", 4), 3)
     assert len(certifications) <= 1
     assert cold == warm and cold[0] == 65536
+
+
+def test_torus_oracle_reuses_the_certification_of_n_sp(monkeypatch):
+    n_sp(4, 3, 2)
+    certifications = counter(monkeypatch, "certify_integer")
+    sines = counter(monkeypatch, "four_sin_sq")
+    assert torus_order_oracle_certified(root_system("C", 4), 3)[0] == 65536
+    assert certifications == [] and sines == []
 
 
 def direct_four_sin_sq(x):

@@ -95,6 +95,10 @@ def test_invalid_value_exit_2(capsys):
     ["suite", "--r-max", "2"],
     ["suite", "--unitarity-level-max", "-1"],
     ["suite", "--unitarity-rank-max", "0"],
+    ["compute", "--group", "so", "--r", "7", "--level", "4", "--genus", "2"],
+    ["compute", "--group", "sp", "--r", "2", "--level", "3", "--rank", "2", "--genus", "2"],
+    ["compute", "--group", "sc", "--type", "A", "--rank", "2", "--level", "3", "--r", "3",
+     "--genus", "2"],
 ])
 def test_bad_arguments_of_any_command_exit_2(capsys, argv):
     with pytest.raises(SystemExit) as info:
