@@ -101,7 +101,7 @@ def _cmd_weights(args) -> int:
         listing = [(n, None) for n in P.marks]
     else:
         spec = _QUOTIENT_SPEC.get(args.type)
-        if spec is None or (args.type == "A" and args.rank != 1):
+        if spec is None:
             raise ValueError(f"no SO-type center quotient for {args.type}{args.rank}")
         orbits = orbit_decompose(restrict_to_quotient(P, spec), spec)
         listing = [(o.marks, o.size) for o in orbits.orbits]

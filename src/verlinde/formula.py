@@ -57,8 +57,8 @@ Only the exponent depends on the genus, so the rest is built once per
 process and reused by every later call, each piece by a pure function
 memoized with :func:`functools.lru_cache`:
 
-* the spectrum, keyed by the (GroupType, level) of each factor, the center
-  subgroup and whether the weights form a product (``_spectrum_of``);
+* the spectrum, keyed by the (GroupType, level) of each factor and the
+  center subgroup (``_spectrum_of``);
 * the Delta of each spectrum term, keyed by that key and the working
   precision (``_deltas``), evaluating each distinct numerator's sine once;
 * the certified g = 0 sum over all of P_l of one group, keyed by its type,
@@ -112,11 +112,8 @@ from .rootsys import (
 )
 from .weights import (
     CenterSpec,
-    ProductLevelWeightSet,
-    enumerate_level_weights,
     enumerate_product_weights,
     orbit_decompose,
-    restrict_product_to_quotient,
     restrict_to_quotient,
 )
 
@@ -229,22 +226,13 @@ def _prefix_folds(tuples, start, step) -> list:
 
 def _terms(P, spec: CenterSpec) -> Spectrum:
     """The exact pass: the merged spectrum of the Gamma-orbits of the
-    Gamma-trivial weights of ``P``.
-
-    ``P`` is a full level weight set, or a product weight set whose mark
-    tuples contribute their parts' numerators together.
-    """
-    product = isinstance(P, ProductLevelWeightSet)
-    factors = P.factors if product else ((P.rs, P.level),)
+    Gamma-trivial weights of the full level weight set ``P``."""
     if spec is CenterSpec.TRIVIAL:
         reps = [(1, n) for n in P.marks]
     else:
-        restrict = restrict_product_to_quotient if product else restrict_to_quotient
-        orbits = orbit_decompose(restrict(P, spec), spec).orbits
+        orbits = orbit_decompose(restrict_to_quotient(P, spec), spec).orbits
         reps = [(o.size, o.marks) for o in orbits]
-    if product:
-        reps = [(m, sum(n, ())) for m, n in reps]
-    return _spectrum(factors, reps)
+    return _spectrum(P.factors, reps)
 
 
 def _spectrum(factors, reps) -> Spectrum:
@@ -307,11 +295,10 @@ def _exact(key, precision: int) -> Tuple[Spectrum, int]:
     """``(spectrum, T)`` for ``key``: the genus-independent part of a
     Verlinde sum.
 
-    ``key`` is ``(factors, spec, product)``: the ``(GroupType, level)`` of
-    each factor, the center subgroup, and whether the weights form a product
-    (whose center subgroups are checked as a product's even with one
-    factor).  T is the product of the factors' torus orders, a type-C one
-    being the unitarity sum of its P_l certified at ``precision``.
+    ``key`` is ``(factors, spec)``: the ``(GroupType, level)`` of each
+    factor and the center subgroup.  T is the product of the factors' torus
+    orders, a type-C one being the unitarity sum of its P_l certified at
+    ``precision``.
     """
     check_precision(precision)  # a refused request enumerates nothing
     spectrum = _spectrum_of(key)
@@ -329,12 +316,8 @@ def _exact(key, precision: int) -> Tuple[Spectrum, int]:
 def _spectrum_of(key) -> Spectrum:
     """The spectrum of ``key`` (see :func:`_exact`), built once per key and
     process."""
-    factors, spec, product = key
-    systems = tuple((build_root_system(gt), lvl) for gt, lvl in factors)
-    if product:
-        P = enumerate_product_weights(systems)
-    else:
-        P = enumerate_level_weights(*systems[0])
+    factors, spec = key
+    P = enumerate_product_weights([(build_root_system(gt), lvl) for gt, lvl in factors])
     return _terms(P, spec)
 
 
@@ -400,7 +383,7 @@ def _unitarity_sum(group_type: GroupType, level: int, precision: int):
     """Certified sum of Delta over all of P_l of ``group_type`` as
     ``(raw, value, residual, bits)``, from ``precision`` bits."""
     check_precision(precision)  # a refused request enumerates nothing
-    key = (((group_type, level),), CenterSpec.TRIVIAL, False)
+    key = (((group_type, level),), CenterSpec.TRIVIAL)
     spectrum = _spectrum_of(key)
     return certify_integer(
         lambda bits: _kernel(spectrum, _deltas(key, bits), 1, 0, 1, bits), precision
@@ -439,12 +422,10 @@ def _check_genus(genus: int) -> None:
         raise ValueError(f"genus must be >= 1, got {genus}")
 
 
-def _verlinde(
-    factors, spec, product, genus, precision, label, level
-) -> VerlindeResult:
+def _verlinde(factors, spec, genus, precision, label, level) -> VerlindeResult:
     """The certified Verlinde number of the weights of ``factors``, a tuple
     of ``(RootSystem, level)``, modulo ``spec``."""
-    key = (tuple((rs.group_type, lvl) for rs, lvl in factors), spec, product)
+    key = (tuple((rs.group_type, lvl) for rs, lvl in factors), spec)
     spectrum, T = _exact(key, precision)
     gamma_order = 1 if spec is CenterSpec.TRIVIAL else 2
     _, value, residual, bits = certify_integer(
@@ -489,7 +470,7 @@ def verlinde_quotient(
     """
     _check_genus(genus)
     return _verlinde(
-        ((rs, level),), spec, False, genus, precision,
+        ((rs, level),), spec, genus, precision,
         label or _quotient_label(rs, spec), level,
     )
 
@@ -514,8 +495,9 @@ def verlinde_product_quotient(
     """Verlinde number of (G1 x G2 x ...)/Gamma with per-factor levels.
 
     The torus-to-Delta ratio of a weight tuple is the product of the
-    per-factor ratios.  Supported subgroups: trivial, and the diagonal
-    order-2 center of SL(2) x SL(2) (the SO(4) case).
+    per-factor ratios.  ``spec`` is any center subgroup that acts on the
+    factors: for two, the diagonal order-2 center of SL(2) x SL(2) (the
+    SO(4) case).
     """
     _check_genus(genus)
     factors = tuple(factors)
@@ -524,7 +506,7 @@ def verlinde_product_quotient(
             str(rs.group_type) for rs, _ in factors
         )
     return _verlinde(
-        factors, spec, True, genus, precision, label, tuple(lvl for _, lvl in factors),
+        factors, spec, genus, precision, label, tuple(lvl for _, lvl in factors),
     )
 
 

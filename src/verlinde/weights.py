@@ -1,14 +1,18 @@
 """Level-bounded dominant weights, center quotients and their orbits.
 
-``enumerate_level_weights`` lists the dominant weights lambda with
-(lambda | theta) <= l, ordered by their fundamental-weight coefficient
-tuples.  Weight sets store those integer mark tuples; their ``weights``
-attribute is the coordinate-vector view, built only when asked for.  For a
-quotient by an order-2 center subgroup, ``restrict_to_quotient`` keeps the
-weights whose character is trivial on the subgroup (a parity test on the
-marks) and ``orbit_decompose`` groups them into orbits under the induced
-involution, which acts on the marks as a diagram automorphism of the affine
-Dynkin diagram (:func:`center_act_marks`).
+A weight set belongs to a product of simply connected factors, each with
+its own level; a simple group is the one-factor case.  A weight is stored
+as one flat tuple of marks (coefficients in the fundamental-weight basis),
+the factors' marks in turn.  ``enumerate_product_weights`` lists the
+tuples with (lambda | theta) <= l in every factor, in lexicographic order;
+a set's ``weights`` attribute is the vector view, built only when asked for.
+
+One table, ``_ACTS_ON``, states which factors each order-2 center subgroup
+acts on.  ``restrict_to_quotient`` keeps the weights whose character is
+trivial on the subgroup (a parity test on a few marks of each factor) and
+``orbit_decompose`` groups them into orbits under the induced involution.
+On every factor it is the same affine diagram automorphism, which swaps
+the affine mark n_0 and n_1 (:func:`center_act_marks`).
 
 Types B and D also carry the coordinate view used throughout: writing
 lambda + rho = sum u_i e_i, the u_i form a strictly decreasing sequence of
@@ -22,7 +26,6 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
-from itertools import product
 from typing import Sequence, Tuple
 
 from .rootsys import (
@@ -35,6 +38,7 @@ from .rootsys import (
 )
 
 Marks = Tuple[int, ...]
+Factor = Tuple[RootSystem, int]
 
 
 class CenterSpec(Enum):
@@ -47,47 +51,43 @@ class CenterSpec(Enum):
     SO4_DIAGONAL = "so4-diagonal"  # (-I, -I) in SL(2) x SL(2)
 
 
+# The factors each non-trivial center subgroup acts on, by family, or by
+# family and rank.
+_ACTS_ON = {
+    CenterSpec.SO_EVEN: ("D",),
+    CenterSpec.SO_ODD: ("B",),
+    CenterSpec.SO3: ("A1",),
+    CenterSpec.SO4_DIAGONAL: ("A1", "A1"),
+}
+
+
 @dataclass(frozen=True)
 class LevelWeightSet:
-    """All dominant weights of ``rs`` at level <= ``level``, in canonical order.
+    """The dominant weights of a product of ``factors``, pairs
+    ``(rs, level)``, each factor's weight at level <= its own, in canonical
+    order; a simple group is one factor.
 
-    The weights are stored as their mark tuples; ``weights`` is the
-    coordinate-vector view of the same list, built on first use.
+    A weight is stored as one flat mark tuple, the factors' marks in turn.
+    ``weight`` turns marks into a vector (a tuple of vectors, one per
+    factor, for a product), and ``weights`` is the vector view of the whole
+    set, built on first use.
     """
 
-    rs: RootSystem
-    level: int
+    factors: Tuple[Factor, ...]
     marks: Tuple[Marks, ...]
 
     @property
     def k(self) -> int:
-        """The shifted level l + h appearing in all denominators."""
-        return self.level + self.rs.dual_coxeter
+        """The shifted level l + h appearing in all denominators (one factor)."""
+        ((rs, level),) = self.factors
+        return level + rs.dual_coxeter
 
-    def weight(self, n: Marks) -> Vector:
-        return weight_from_marks(self.rs, n)
-
-    @cached_property
-    def weights(self) -> Tuple[Vector, ...]:
-        return tuple(map(self.weight, self.marks))
-
-    def __len__(self) -> int:
-        return len(self.marks)
-
-
-@dataclass(frozen=True)
-class ProductLevelWeightSet:
-    """Weight tuples for a product of simply connected factors, stored as
-    tuples of per-factor mark tuples; ``weights`` is the vector view."""
-
-    factors: Tuple[Tuple[RootSystem, int], ...]
-    marks: Tuple[Tuple[Marks, ...], ...]
-
-    def weight(self, ns: Tuple[Marks, ...]) -> Tuple[Vector, ...]:
-        return tuple(weight_from_marks(rs, n) for (rs, _), n in zip(self.factors, ns))
+    def weight(self, n: Marks):
+        vectors = tuple(weight_from_marks(rs, p) for rs, _, p in _parts(self.factors, n))
+        return vectors[0] if len(vectors) == 1 else vectors
 
     @cached_property
-    def weights(self) -> Tuple[Tuple[Vector, ...], ...]:
+    def weights(self) -> tuple:
         return tuple(map(self.weight, self.marks))
 
     def __len__(self) -> int:
@@ -109,9 +109,9 @@ class Orbit:
     its size.  ``representative`` is that member as a vector (a tuple of
     vectors for products)."""
 
-    marks: object  # Marks, or a tuple of Marks for products
+    marks: Marks
     size: int
-    weight_set: object = field(repr=False, compare=False)
+    weight_set: LevelWeightSet = field(repr=False, compare=False)
 
     @property
     def representative(self):
@@ -129,41 +129,55 @@ class OrbitSet:
         return len(self.orbits)
 
 
-def enumerate_level_weights(rs: RootSystem, level: int) -> LevelWeightSet:
-    """All dominant weights with (lambda | theta) <= level.
+def _parts(factors: Sequence[Factor], n: Marks):
+    """Each factor as ``(rs, level, part)``, with its part of the flat marks ``n``."""
+    start = 0
+    for rs, level in factors:
+        yield rs, level, n[start:start + rs.rank]
+        start += rs.rank
 
-    Enumerates fundamental-weight coefficient tuples n with
-    sum n_i (w_i | theta) <= level; the output is ordered by the coefficient
-    tuple, so it is deterministic and duplicate-free by construction.
+
+def enumerate_product_weights(factors: Sequence[Factor]) -> LevelWeightSet:
+    """All weights of a product of ``factors``, with (lambda | theta) <= l
+    in each factor ``(rs, l)``.
+
+    Enumerates the flat mark tuples n, the marks of each factor in turn,
+    with sum n_i (w_i | theta) <= l over each factor's marks: the recursion
+    gives each factor its own level budget at its first mark.  The output
+    is ordered by the mark tuple, so it is deterministic and duplicate-free
+    by construction.
     """
-    if level < 0:
-        raise ValueError(f"level must be >= 0, got {level}")
-    m = rs.comarks
+    factors = tuple(factors)
+    if not factors:
+        raise ValueError("need at least one factor")
+    comarks = []
+    budgets = {}  # position of a factor's first mark -> its level
+    for rs, level in factors:
+        if level < 0:
+            raise ValueError(f"level must be >= 0, got {level}")
+        budgets[len(comarks)] = level
+        comarks += rs.comarks
+    size = len(comarks)
     tuples = []
 
     def extend(i, remaining, cur):
-        if i == rs.rank:
+        if i == size:
             tuples.append(tuple(cur))
             return
-        for n in range(remaining // m[i] + 1):
+        remaining = budgets.get(i, remaining)
+        m = comarks[i]
+        for n in range(remaining // m + 1):
             cur.append(n)
-            extend(i + 1, remaining - n * m[i], cur)
+            extend(i + 1, remaining - n * m, cur)
             cur.pop()
 
-    extend(0, level, [])
-    return LevelWeightSet(rs=rs, level=level, marks=tuple(tuples))
+    extend(0, 0, [])
+    return LevelWeightSet(factors=factors, marks=tuple(tuples))
 
 
-def enumerate_product_weights(
-    factors: Sequence[Tuple[RootSystem, int]]
-) -> ProductLevelWeightSet:
-    """Cartesian product of the per-factor level weight sets."""
-    if not factors:
-        raise ValueError("need at least one factor")
-    per_factor = [enumerate_level_weights(rs, lvl).marks for rs, lvl in factors]
-    return ProductLevelWeightSet(
-        factors=tuple(factors), marks=tuple(product(*per_factor))
-    )
+def enumerate_level_weights(rs: RootSystem, level: int) -> LevelWeightSet:
+    """All dominant weights of ``rs`` with (lambda | theta) <= level."""
+    return enumerate_product_weights(((rs, level),))
 
 
 def u_coords(rs: RootSystem, lam: Vector) -> UCoordinates:
@@ -186,82 +200,58 @@ def weight_from_u(rs: RootSystem, u: Sequence[Fraction]) -> Vector:
     return lam
 
 
-def _check_single_spec(spec: CenterSpec, rs: RootSystem) -> None:
-    wanted = {
-        CenterSpec.SO_EVEN: ("D", None),
-        CenterSpec.SO_ODD: ("B", None),
-        CenterSpec.SO3: ("A", 1),
-    }
+def _as_factors(factors) -> Tuple[Factor, ...]:
+    """``factors`` as a tuple of ``(rs, level)``; a bare ``(rs, level)`` is
+    one factor."""
+    factors = tuple(factors)
+    return (factors,) if factors and isinstance(factors[0], RootSystem) else factors
+
+
+def _trivial_on_center(spec: CenterSpec, factors: Sequence[Factor]):
+    """The test of flat marks n for a weight trivial on the center subgroup:
+    the sum over the factors of their charged marks (A: the first, B: the
+    last, D: the last two) is even.
+
+    Raises ``ValueError`` unless ``spec`` acts on ``factors``: on those of
+    ``_ACTS_ON``, with A1 levels of even sum, as only then does the swap
+    n -> l - n keep the parity of the charged marks (an even level for
+    SO(3), equal parities for SO(4)).
+    """
     if spec is CenterSpec.TRIVIAL:
-        return
-    if spec is CenterSpec.SO4_DIAGONAL:
-        raise ValueError("so4-diagonal acts on weight pairs, not single weights")
-    family, rank = wanted[spec]
-    if rs.family != family or (rank is not None and rs.rank != rank):
-        raise ValueError(f"center spec {spec.value} does not apply to {rs.group_type}")
-
-
-def _trivial_on_center(spec: CenterSpec, n: Marks) -> bool:
-    """Whether the weight with marks ``n`` is trivial on the center subgroup."""
-    if spec is CenterSpec.SO_EVEN:
-        # equivalently: all u-coordinates of lambda + rho are integers
-        return (n[-2] - n[-1]) % 2 == 0
-    if spec is CenterSpec.SO_ODD:
-        # equivalently: all u-coordinates lie in Z + 1/2
-        return n[-1] % 2 == 0
-    if spec is CenterSpec.SO3:
-        return n[0] % 2 == 0
-    return True
+        return lambda n: True
+    wanted = _ACTS_ON[spec]
+    if len(factors) != len(wanted):
+        count = "one factor" if len(wanted) == 1 else "two factors"
+        raise ValueError(f"center spec {spec.value} acts on {count}, got {len(factors)}")
+    if any(kind not in (rs.family, str(rs.group_type))
+           for (rs, _), kind in zip(factors, wanted)):
+        have = " x ".join(str(rs.group_type) for rs, _ in factors)
+        raise ValueError(f"center spec {spec.value} does not apply to {have}; "
+                         f"it acts on {' x '.join(wanted)} factors")
+    a1_levels = [level for rs, level in factors if rs.family == "A"]
+    if sum(a1_levels) % 2:
+        raise ValueError(
+            f"center spec {spec.value} needs an even level, or A1 levels of equal "
+            f"parity (got {', '.join(map(str, a1_levels))})"
+        )
+    charged = {"A": (0,), "B": (-1,), "D": (-2, -1)}  # mark positions in a factor
+    positions, start = [], 0
+    for rs, _ in factors:
+        positions += [start + i % rs.rank for i in charged[rs.family]]
+        start += rs.rank
+    return lambda n: sum(n[i] for i in positions) % 2 == 0
 
 
 def is_quotient_weight(spec: CenterSpec, rs: RootSystem, lam: Vector) -> bool:
     """Whether the character lambda is trivial on the center subgroup."""
-    _check_single_spec(spec, rs)
-    return _trivial_on_center(spec, marks(rs, lam))
+    # the character does not depend on the level
+    return _trivial_on_center(spec, ((rs, 0),))(marks(rs, lam))
 
 
 def restrict_to_quotient(P: LevelWeightSet, spec: CenterSpec) -> LevelWeightSet:
-    """The sub-level-set of weights trivial on the center subgroup."""
-    _check_single_spec(spec, P.rs)
-    kept = tuple(n for n in P.marks if _trivial_on_center(spec, n))
-    return LevelWeightSet(rs=P.rs, level=P.level, marks=kept)
-
-
-def restrict_product_to_quotient(
-    P: ProductLevelWeightSet, spec: CenterSpec
-) -> ProductLevelWeightSet:
-    """Product-version of the restriction (diagonal center of SL2 x SL2)."""
-    if spec is CenterSpec.TRIVIAL:
-        return P
-    if spec is not CenterSpec.SO4_DIAGONAL:
-        raise ValueError(f"center spec {spec.value} does not apply to products")
-    _check_so4_factors(P.factors)
-    kept = tuple(ns for ns in P.marks if (ns[0][0] + ns[1][0]) % 2 == 0)
-    return ProductLevelWeightSet(factors=P.factors, marks=kept)
-
-
-def _check_so4_factors(factors) -> None:
-    if len(factors) != 2:
-        raise ValueError("so4-diagonal requires exactly two factors")
-    for rs, lvl in factors:
-        if rs.family != "A" or rs.rank != 1:
-            raise ValueError("so4-diagonal requires two A1 factors")
-    if (factors[0][1] + factors[1][1]) % 2 != 0:
-        raise ValueError(
-            "so4-diagonal requires levels of equal parity "
-            f"(got {factors[0][1]}, {factors[1][1]})"
-        )
-
-
-def _check_action(spec: CenterSpec, factors) -> None:
-    """Validate that ``spec`` acts on the level weights of ``factors``."""
-    if spec is CenterSpec.SO4_DIAGONAL:
-        _check_so4_factors(factors)
-        return
-    rs, level = factors
-    _check_single_spec(spec, rs)
-    if spec is CenterSpec.SO3 and level % 2 != 0:
-        raise ValueError("the SO3 quotient needs an even level")
+    """The weights of ``P`` trivial on the center subgroup ``spec``."""
+    kept = filter(_trivial_on_center(spec, P.factors), P.marks)
+    return LevelWeightSet(factors=P.factors, marks=tuple(kept))
 
 
 def _affine_mark(rs: RootSystem, level: int, n: Marks) -> int:
@@ -269,86 +259,65 @@ def _affine_mark(rs: RootSystem, level: int, n: Marks) -> int:
     return level - sum(c * x for c, x in zip(rs.comarks, n))
 
 
-def center_act_marks(spec: CenterSpec, n, factors):
-    """The order-2 center generator on marks: a diagram automorphism of the
-    affine Dynkin diagram, with n_0 the affine mark.
+def center_act_marks(spec: CenterSpec, n: Marks, factors) -> Marks:
+    """The order-2 center generator on flat marks: on each factor, the
+    diagram automorphism of its affine Dynkin diagram that swaps n_0 and
+    n_1, n_0 being the affine mark, and for type D also the last two marks
+    (on A1, n -> l - n).
 
-    B swaps n_0 and n_1; D swaps n_0 and n_1, and n_(s-1) and n_s; A1 sends
-    n to l - n, factor by factor for the diagonal SO(4) case.  ``n`` and
-    ``factors`` follow :func:`center_act`; the marks are not validated.
+    ``factors`` follows :func:`center_act`; the marks are not validated.
     """
     if spec is CenterSpec.TRIVIAL:
         return n
-    if spec is CenterSpec.SO4_DIAGONAL:
-        return tuple((lvl - part[0],) for (_, lvl), part in zip(factors, n))
-    rs, level = factors
-    if spec is CenterSpec.SO3:
-        return (level - n[0],)
-    n0 = _affine_mark(rs, level, n)
-    if spec is CenterSpec.SO_ODD:
-        return (n0,) + n[1:]
-    return (n0,) + n[1:-2] + (n[-1], n[-2])  # SO_EVEN
+    image = ()
+    for rs, level, part in _parts(_as_factors(factors), n):
+        swapped = (_affine_mark(rs, level, part),) + part[1:]
+        if rs.family == "D":
+            swapped = swapped[:-2] + (part[-1], part[-2])
+        image += swapped
+    return image
 
 
 def center_act(spec: CenterSpec, w, factors):
     """Apply the order-2 generator of the center subgroup to a weight.
 
-    ``factors`` is ``(rs, level)`` for a single weight, or a sequence of
-    ``(rs, level)`` pairs when ``w`` is a tuple of weights (the diagonal
-    product case).  The action is an involution on the quotient sublattice;
-    this is the vector view of :func:`center_act_marks`.
+    ``factors`` is a sequence of ``(rs, level)`` pairs and ``w`` a tuple of
+    weights, one per factor; a bare ``(rs, level)`` is one factor, whose
+    weight ``w`` is a single vector.  ``w`` must be trivial on the subgroup
+    and within the levels; on those weights the action is an involution.
+    This is the vector view of :func:`center_act_marks`.
     """
     if spec is CenterSpec.TRIVIAL:
         return w
-    factors = tuple(factors)
-    _check_action(spec, factors)
-    if spec is CenterSpec.SO4_DIAGONAL:
-        ns = tuple(
-            _level_marks(spec, rs, lvl, part) for (rs, lvl), part in zip(factors, w)
-        )
-        image = center_act_marks(spec, ns, factors)
-        return tuple(weight_from_marks(rs, n) for (rs, _), n in zip(factors, image))
-    rs, level = factors
-    return weight_from_marks(
-        rs, center_act_marks(spec, _level_marks(spec, rs, level, w), factors)
-    )
+    factors = _as_factors(factors)
+    trivial = _trivial_on_center(spec, factors)
+    parts = (w,) if len(factors) == 1 else w
+    n = sum((marks(rs, lam) for (rs, _), lam in zip(factors, parts)), ())
+    if not trivial(n):
+        raise ValueError(f"{w} is not trivial on the center subgroup {spec.value}")
+    if min(n) < 0 or any(_affine_mark(*p) < 0 for p in _parts(factors, n)):
+        levels = ", ".join(str(level) for _, level in factors)
+        raise ValueError(f"{w} is not a level-{levels} weight")
+    return LevelWeightSet(factors, ()).weight(center_act_marks(spec, n, factors))
 
 
-def _level_marks(spec: CenterSpec, rs: RootSystem, level: int, lam: Vector) -> Marks:
-    """The marks of ``lam``, checked to be a Gamma-trivial level-``level`` weight."""
-    n = marks(rs, lam)
-    if not _trivial_on_center(spec, n):
-        raise ValueError(f"{lam} is not trivial on the center subgroup {spec.value}")
-    if min(n) < 0 or _affine_mark(rs, level, n) < 0:
-        raise ValueError(f"{lam} is not a level-{level} weight")
-    return n
-
-
-def orbit_decompose(Pprime, spec: CenterSpec) -> OrbitSet:
+def orbit_decompose(Pprime: LevelWeightSet, spec: CenterSpec) -> OrbitSet:
     """Group a restricted level set into center orbits.
 
-    Representatives are the members with lexicographically minimal
-    coefficient tuples; orbits are listed in representative order.  Orbit
-    sizes are 1 (fixed point) or 2.
+    Representatives are the members with lexicographically minimal mark
+    tuples; orbits are listed in representative order.  Orbit sizes are 1
+    (fixed point) or 2.
     """
-    if isinstance(Pprime, ProductLevelWeightSet):
-        factors = Pprime.factors
-    else:
-        factors = (Pprime.rs, Pprime.level)
-    if spec is not CenterSpec.TRIVIAL:
-        _check_action(spec, factors)
+    factors = Pprime.factors
+    trivial = _trivial_on_center(spec, factors)
     members = set(Pprime.marks)
-    seen = set()
     orbits = []
     for n in sorted(Pprime.marks):
-        if n in seen:
-            continue
-        if not _trivial_on_center(spec, n):
+        if not trivial(n):
             raise ValueError(f"{n} is not trivial on the center subgroup {spec.value}")
         image = center_act_marks(spec, n, factors)
         if image not in members:
             raise AssertionError(f"center action left the level set: {n} -> {image}")
-        seen.add(n)
-        seen.add(image)
-        orbits.append(Orbit(marks=n, size=1 if image == n else 2, weight_set=Pprime))
+        if n <= image:
+            orbits.append(Orbit(marks=n, size=1 if image == n else 2, weight_set=Pprime))
     return OrbitSet(orbits=tuple(orbits))

@@ -7,9 +7,7 @@ import mpmath
 
 from verlinde.weights import (
     CenterSpec,
-    ProductLevelWeightSet,
     orbit_decompose,
-    restrict_product_to_quotient,
     restrict_to_quotient,
 )
 
@@ -83,27 +81,29 @@ def reference_terms(P, spec):
     """The exact pass of ``formula._terms``, weight by weight, as a
     ``(denominator, terms)`` tuple.
 
-    Each Gamma-orbit representative with marks n (a product's factors in
-    turn) gets one numerator per positive root of each factor,
-    ``j = sum_i (n_i + 1) M[a][i] * scale mod D`` with M the factor's
+    Each Gamma-orbit representative with flat marks n, split into its
+    factors' parts in turn, gets one numerator per positive root of each
+    factor, ``j = sum_i (n_i + 1) M[a][i] * scale mod D`` with M the factor's
     pairing matrix, D the lcm of the factors' 2(l+h) and scale = D / 2(l+h),
     folded to ``min(j, D - j)``.  Representatives with equal orbit size and
     sorted numerators merge into one ``(count, size, numerators)`` term, in
     the order first seen.
     """
-    product = isinstance(P, ProductLevelWeightSet)
-    factors = P.factors if product else ((P.rs, P.level),)
+    factors = P.factors
     if spec is CenterSpec.TRIVIAL:
         reps = [(1, n) for n in P.marks]
     else:
-        restrict = restrict_product_to_quotient if product else restrict_to_quotient
-        reps = [(o.size, o.marks) for o in orbit_decompose(restrict(P, spec), spec).orbits]
+        orbits = orbit_decompose(restrict_to_quotient(P, spec), spec).orbits
+        reps = [(o.size, o.marks) for o in orbits]
     shifted = [2 * (level + rs.dual_coxeter) for rs, level in factors]
     D = math.lcm(*shifted)
     counts = {}
     for size, n in reps:
         numerators = []
-        for (rs, _), part, d in zip(factors, n if product else (n,), shifted):
+        start = 0
+        for (rs, _), d in zip(factors, shifted):
+            part = n[start:start + rs.rank]
+            start += rs.rank
             for row in rs.pairing_matrix:
                 j = sum((x + 1) * m for x, m in zip(part, row)) * (D // d) % D
                 numerators.append(min(j, D - j))

@@ -71,7 +71,7 @@ def test_root_systems_are_shared():
 def test_a_further_genus_reuses_the_spectrum_and_deltas(monkeypatch):
     first = n_sp(2, 3, 5)
     sines = counter(monkeypatch, "four_sin_sq")
-    enumerations = counter(monkeypatch, "enumerate_level_weights")
+    enumerations = counter(monkeypatch, "enumerate_product_weights")
     later = n_sp(2, 3, 9)
     assert later.precision_bits == first.precision_bits == 192
     assert later.value == 8285150897373184
@@ -92,7 +92,7 @@ def test_torus_pass_and_verlinde_pass_share_one_sine_per_numerator(monkeypatch):
 def test_torus_oracle_reads_the_spectrum_of_n_sp(monkeypatch):
     n_sp(3, 2, 2)
     sines = counter(monkeypatch, "four_sin_sq")
-    enumerations = counter(monkeypatch, "enumerate_level_weights")
+    enumerations = counter(monkeypatch, "enumerate_product_weights")
     assert torus_order_oracle_certified(root_system("C", 3), 2)[0] == 1728
     assert sines == [] and enumerations == []
 

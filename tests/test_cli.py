@@ -198,10 +198,11 @@ def test_weights_listing_b2_level_zero(capsys):
 
 
 def test_weights_quotient_unsupported(capsys):
-    with pytest.raises(SystemExit) as info:
-        main(["weights", "--type", "C", "--rank", "2", "--level", "2",
-              "--quotient", "so"])
-    assert info.value.code == 2
+    for family, rank in (("C", 2), ("A", 2)):
+        with pytest.raises(SystemExit) as info:
+            main(["weights", "--type", family, "--rank", str(rank), "--level", "2",
+                  "--quotient", "so"])
+        assert info.value.code == 2
 
 
 def test_weights_deterministic(capsys):

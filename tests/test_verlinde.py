@@ -22,14 +22,13 @@ from verlinde.formula import (
     verlinde_sc,
 )
 from verlinde.numeric import four_sin_sq
-from verlinde.rootsys import MIN_RANK, GroupType, root_system, weight_from_marks
+from verlinde.rootsys import MIN_RANK, root_system, weight_from_marks
 from verlinde.weights import (
     CenterSpec,
     center_act,
     enumerate_level_weights,
     enumerate_product_weights,
     orbit_decompose,
-    restrict_product_to_quotient,
     restrict_to_quotient,
 )
 
@@ -122,7 +121,7 @@ def test_spectrum_counts_cover_the_quotient_weights(family, rank, level, spec):
 def test_product_spectrum_counts_cover_the_quotient_weights(levels, spec):
     factors = tuple((A1, lvl) for lvl in levels)
     P = enumerate_product_weights(factors)
-    kept = restrict_product_to_quotient(P, spec)
+    kept = restrict_to_quotient(P, spec)
     spectrum = _terms(P, spec)
     assert sum(count * m for count, m, _ in spectrum.terms) == len(kept)
     assert spectrum.denominator == math.lcm(*(2 * (lvl + 2) for lvl in levels))
@@ -143,7 +142,8 @@ def test_spectrum_merges_weights_with_equal_delta(family, rank, level, weights, 
 def _exact_pass_cases():
     """(id, weight set, center subgroup) for every family from its minimum
     rank to rank 6 at levels 0-4, the B and D SO quotients, A1 with SO3 at
-    even levels, and SO(4) products at equal-parity levels up to 4."""
+    even levels, SO(4) products at equal-parity levels up to 4, and two
+    products of factors of different ranks."""
     cases = []
     for family, lo in MIN_RANK.items():
         for rank in range(lo, 7):
@@ -160,6 +160,10 @@ def _exact_pass_cases():
         for b in range(a % 2, 5, 2)
         for spec in (CenterSpec.TRIVIAL, CenterSpec.SO4_DIAGONAL)
     ]
+    cases += [
+        ("A1xB2", "", (2, 1), CenterSpec.TRIVIAL),
+        ("C2xA2", "", (2, 3), CenterSpec.TRIVIAL),
+    ]
     return [
         pytest.param(f, r, lvl, spec, id=f"{f}{r}-{_levels(lvl)}-{spec.value}")
         for f, r, lvl, spec in cases
@@ -170,9 +174,18 @@ def _levels(level):
     return ",".join(map(str, level)) if isinstance(level, tuple) else str(level)
 
 
+def _factors(family, rank, level):
+    """``(rs, level)`` per factor; a product's family names its factors,
+    as in "A1xB2", and its level is a tuple."""
+    if isinstance(level, tuple):
+        names = family.split("x")
+        return tuple((root_system(f[0], int(f[1:])), lvl) for f, lvl in zip(names, level))
+    return ((root_system(family, rank), level),)
+
+
 def _weight_set(family, rank, level):
-    if family == "A1xA1":
-        return enumerate_product_weights(tuple((A1, lvl) for lvl in level))
+    if isinstance(level, tuple):
+        return enumerate_product_weights(_factors(family, rank, level))
     return enumerate_level_weights(root_system(family, rank), level)
 
 
@@ -201,10 +214,7 @@ def test_deltas_equal_the_left_fold_in_numerator_order(family, rank, level, spec
 
 @pytest.mark.parametrize("family,rank,level,spec", _exact_pass_cases())
 def test_kernel_equals_the_operator_form_reference(family, rank, level, spec):
-    if family == "A1xA1":
-        key = (tuple((GroupType("A", 1), lvl) for lvl in level), spec, True)
-    else:
-        key = (((GroupType(family, rank), level),), spec, False)
+    key = (tuple((rs.group_type, lvl) for rs, lvl in _factors(family, rank, level)), spec)
     spectrum, T = _exact(key, 192)  # the spectrum and T that the engine sums
     assert spectrum == _terms(_weight_set(family, rank, level), spec)
     gamma_order = 1 if spec is CenterSpec.TRIVIAL else 2
@@ -384,6 +394,13 @@ def test_spin4_trivial_quotient_is_product_of_factors():
     res = verlinde_product_quotient(factors, CenterSpec.TRIVIAL, 2)
     assert res.value == verlinde_sc(A1, 2, 2).value ** 2 == 100
     assert res.term_count == 9
+    b2 = root_system("B", 2)
+    for factors in (((A1, 2), (b2, 1)), ((b2, 1), (A1, 2), (A1, 3))):
+        for genus in (2, 3):
+            res = verlinde_product_quotient(factors, CenterSpec.TRIVIAL, genus)
+            parts = [verlinde_sc(rs, lvl, genus) for rs, lvl in factors]
+            assert res.value == math.prod(p.value for p in parts)
+            assert res.term_count == math.prod(p.term_count for p in parts)
 
 
 def test_trivial_product_of_different_levels_at_high_genus():

@@ -22,7 +22,6 @@ from verlinde.weights import (
     enumerate_product_weights,
     is_quotient_weight,
     orbit_decompose,
-    restrict_product_to_quotient,
     restrict_to_quotient,
     u_coords,
     weight_from_u,
@@ -83,6 +82,20 @@ def test_negative_level_rejected():
 def test_k_is_shifted_level():
     P = enumerate_level_weights(root_system("B", 3), 2)
     assert P.k == 2 + 5
+
+
+@pytest.mark.parametrize(
+    "types,levels",
+    [((("A", 1), ("B", 2)), (2, 1)), ((("C", 2), ("A", 2)), (2, 3)),
+     ((("B", 2), ("A", 1), ("A", 1)), (1, 2, 3))],
+)
+def test_product_marks_are_the_sorted_concatenations(types, levels):
+    factors = tuple((root_system(*t), lvl) for t, lvl in zip(types, levels))
+    per_factor = [enumerate_level_weights(rs, lvl) for rs, lvl in factors]
+    P = enumerate_product_weights(factors)
+    concatenations = (sum(ns, ()) for ns in product(*(Q.marks for Q in per_factor)))
+    assert P.marks == tuple(sorted(concatenations))
+    assert list(P.weights) == list(product(*(Q.weights for Q in per_factor)))
 
 
 # --- u-coordinates -----------------------------------------------------------
@@ -233,6 +246,8 @@ def test_so3_action_needs_even_level():
     zero = weight_from_marks(A1, (0,))
     with pytest.raises(ValueError, match="even level"):
         center_act(CenterSpec.SO3, zero, (A1, 3))
+    with pytest.raises(ValueError, match="even level"):
+        restrict_to_quotient(enumerate_level_weights(A1, 3), CenterSpec.SO3)
 
 
 def test_so4_action_on_zero_pair():
@@ -247,7 +262,7 @@ def test_so4_action_on_zero_pair():
 
 def test_so4_action_is_an_involution():
     factors = ((A1, 2), (A1, 2))
-    P = restrict_product_to_quotient(
+    P = restrict_to_quotient(
         enumerate_product_weights(factors), CenterSpec.SO4_DIAGONAL
     )
     for pair in P.weights:
@@ -303,6 +318,9 @@ def test_center_act_rejects_non_quotient_weight():
     lam = rs.fundamental_weights[2]  # parity condition fails
     with pytest.raises(ValueError, match="not trivial"):
         center_act(CenterSpec.SO_EVEN, lam, (rs, 2))
+    pair = (A1.fundamental_weights[0], weight_from_marks(A1, (0,)))  # odd mark sum
+    with pytest.raises(ValueError, match="not trivial"):
+        center_act(CenterSpec.SO4_DIAGONAL, pair, ((A1, 2), (A1, 2)))
 
 
 def _u_coordinate_image(spec, rs, level, lam):
@@ -346,20 +364,24 @@ def test_a1_mark_action_is_the_alcove_reflection(level):
 def test_so4_mark_action_is_the_alcove_reflection_per_factor(levels):
     factors = tuple((A1, lvl) for lvl in levels)
     omega = A1.fundamental_weights[0]
-    P = restrict_product_to_quotient(
+    P = restrict_to_quotient(
         enumerate_product_weights(factors), CenterSpec.SO4_DIAGONAL
     )
     for ns, pair in zip(P.marks, P.weights):
         image = center_act_marks(CenterSpec.SO4_DIAGONAL, ns, factors)
-        assert tuple(weight_from_marks(A1, n) for n in image) == tuple(
+        assert P.weight(image) == tuple(
             vec_sub(vec_scale(lvl, omega), lam) for lvl, lam in zip(levels, pair)
         )
 
 
 def test_orbit_decompose_rejects_weights_outside_the_quotient():
-    rs = root_system("D", 4)
-    with pytest.raises(ValueError, match="not trivial"):
-        orbit_decompose(enumerate_level_weights(rs, 2), CenterSpec.SO_EVEN)
+    for factors, spec in [
+        (((root_system("D", 4), 2),), CenterSpec.SO_EVEN),
+        (((root_system("B", 3), 2),), CenterSpec.SO_ODD),
+        (((A1, 2), (A1, 2)), CenterSpec.SO4_DIAGONAL),
+    ]:
+        with pytest.raises(ValueError, match="not trivial"):
+            orbit_decompose(enumerate_product_weights(factors), spec)
 
 
 def test_trivial_spec_is_identity():
@@ -418,7 +440,7 @@ def test_orbit_representatives_are_lex_minimal():
 
 def test_so4_orbit_structure():
     factors = ((A1, 2), (A1, 2))
-    P = restrict_product_to_quotient(
+    P = restrict_to_quotient(
         enumerate_product_weights(factors), CenterSpec.SO4_DIAGONAL
     )
     assert len(P) == 5
@@ -433,7 +455,7 @@ def test_so4_orbit_structure():
 
 def test_so4_requires_matching_parity():
     with pytest.raises(ValueError, match="parity"):
-        restrict_product_to_quotient(
+        restrict_to_quotient(
             enumerate_product_weights(((A1, 2), (A1, 1))), CenterSpec.SO4_DIAGONAL
         )
 
@@ -441,6 +463,6 @@ def test_so4_requires_matching_parity():
 def test_so4_requires_a1_factors():
     b2 = root_system("B", 2)
     with pytest.raises(ValueError, match="A1 factors"):
-        restrict_product_to_quotient(
+        restrict_to_quotient(
             enumerate_product_weights(((b2, 2), (b2, 2))), CenterSpec.SO4_DIAGONAL
         )
