@@ -10,13 +10,12 @@ from .formula import (
     DYNKIN_INDEX,
     DynkinIndices,
     VerlindeResult,
-    certified_torus_order,
     delta,
     n_so,
     n_sp,
     theta_dim,
     torus_order,
-    torus_order_oracle,
+    torus_order_oracle_certified,
     verlinde_product_quotient,
     verlinde_quotient,
     verlinde_sc,
@@ -61,7 +60,6 @@ __all__ = [
     "VerlindeResult",
     "build_root_system",
     "center_act",
-    "certified_torus_order",
     "delta",
     "enumerate_level_weights",
     "enumerate_usets",
@@ -77,7 +75,7 @@ __all__ = [
     "run_unitarity",
     "theta_dim",
     "torus_order",
-    "torus_order_oracle",
+    "torus_order_oracle_certified",
     "u_coords",
     "uset_delta_b",
     "uset_delta_d",

@@ -12,7 +12,11 @@ where P_l is the set of dominant weights with (lambda | theta) <= l,
                     4 sin^2( pi (alpha | lambda + rho) / (l + h) ),
 
 and |T_l| = (l+h)^s * f * nu is the order of the finite torus subgroup
-behind the sum (f = center order).  Every sum shape is one formula,
+behind the sum, in closed form for every family: f is the center order and
+nu = |Q / Q_long| the index of the long-root lattice in the root lattice
+(Beauville, "Conformal blocks, fusion rules and the Verlinde formula",
+1996), which is 1 for A and D, 2 for B and 2^(s-1) for C_s.  Every sum
+shape is one formula,
 
     N = |Gamma| * sum over orbits of m^(1-2g) * (T / Delta)^(g-1),
 
@@ -21,7 +25,7 @@ subgroup Gamma; the simply connected group is the case Gamma = 1.  For a
 product of factors, Delta runs over the factors' sine arguments together
 and T is the product of their torus orders.  At g = 0, T = 1, Gamma = 1 the
 formula is the sum of Delta over P_l, which equals |T_l| (S-matrix
-unitarity): the torus-order oracle, and the source of |T_l| for type C.
+unitarity): the torus-order oracle, which only cross-checks the closed form.
 
 The exact pass, ``_terms``, is integer arithmetic on the weight lattice.  A
 weight with marks n has sine arguments j / D with integer numerators
@@ -60,16 +64,14 @@ memoized with :func:`functools.lru_cache`:
 * the spectrum, keyed by the (GroupType, level) of each factor and the
   center subgroup (``_spectrum_of``);
 * the Delta of each spectrum term, keyed by that key and the working
-  precision (``_deltas``), evaluating each distinct numerator's sine once;
-* the certified g = 0 sum over all of P_l of one group, keyed by its type,
-  level and requested precision (``_unitarity_sum``): the torus-order
-  oracle, and so a type-C T, certified once per (type, level, precision).
+  precision (``_deltas``), evaluating each distinct numerator's sine once.
 
 ``_kernel``, the one floating-point loop, then only raises T / Delta to the
 power g - 1, multiplies and adds, entirely at the working precision, with
 m^(1-2g) computed once per distinct orbit size; the result is rounded and
-certified via :mod:`verlinde.numeric`.  The type-C torus pass and the
-Verlinde pass at one precision share one Delta tuple.
+certified via :mod:`verlinde.numeric`, once per Verlinde number.  The
+torus-order oracle and the Verlinde pass of a simply connected group at one
+precision share one Delta tuple.
 """
 
 from __future__ import annotations
@@ -103,7 +105,6 @@ from .numeric import (
     four_sin_sq,
 )
 from .rootsys import (
-    GroupType,
     RootSystem,
     Vector,
     build_root_system,
@@ -123,9 +124,7 @@ __all__ = [
     "VerlindeResult",
     "delta",
     "torus_order",
-    "torus_order_oracle",
     "torus_order_oracle_certified",
-    "certified_torus_order",
     "verlinde_sc",
     "verlinde_quotient",
     "verlinde_product_quotient",
@@ -148,7 +147,6 @@ class Spectrum(NamedTuple):
 # come close together (a sweep over genera, the suite's genus loops and
 # level-rank pairs), and one entry holds up to |P_l| terms (about 1.8e5 for
 # A10 at level 10), so a few dozen entries serve them while capping memory.
-# The certified unitarity sums (see ``_unitarity_sum``) share the bound.
 SPECTRUM_CACHE_SIZE = 32
 # Delta tuples, one per (key, working precision): a sweep with the precision
 # sized to each value uses up to nine precisions per key.
@@ -189,14 +187,9 @@ def delta(
 
 
 def torus_order(rs: RootSystem, level: int) -> int:
-    """|T_l| = (l+h)^s * f * nu from the closed form (types A, B, D)."""
+    """|T_l| = (l+h)^s * f * nu from the closed form, for every family."""
     if level < 0:
         raise ValueError(f"level must be >= 0, got {level}")
-    if rs.nu is None:
-        raise ValueError(
-            f"nu is not known in closed form for type {rs.family}; "
-            "use torus_order_oracle"
-        )
     return (level + rs.dual_coxeter) ** rs.rank * rs.center_order * rs.nu
 
 
@@ -291,24 +284,16 @@ class _Reduced(dict):
         return value
 
 
-def _exact(key, precision: int) -> Tuple[Spectrum, int]:
+def _exact(key) -> Tuple[Spectrum, int]:
     """``(spectrum, T)`` for ``key``: the genus-independent part of a
     Verlinde sum.
 
     ``key`` is ``(factors, spec)``: the ``(GroupType, level)`` of each
-    factor and the center subgroup.  T is the product of the factors' torus
-    orders, a type-C one being the unitarity sum of its P_l certified at
-    ``precision``.
+    factor and the center subgroup.  T is the product of the factors'
+    closed-form torus orders.
     """
-    check_precision(precision)  # a refused request enumerates nothing
     spectrum = _spectrum_of(key)
-    T = 1
-    for group_type, level in key[0]:
-        rs = build_root_system(group_type)
-        if rs.nu is not None:
-            T *= torus_order(rs, level)
-        else:
-            T *= _unitarity_sum(group_type, level, precision)[1]
+    T = math.prod(torus_order(build_root_system(gt), lvl) for gt, lvl in key[0])
     return spectrum, T
 
 
@@ -378,43 +363,19 @@ def _kernel(
     return mpmath.mp.make_mpf(mpf_mul_int(total, gamma_order, bits, rnd))
 
 
-@lru_cache(maxsize=SPECTRUM_CACHE_SIZE)
-def _unitarity_sum(group_type: GroupType, level: int, precision: int):
-    """Certified sum of Delta over all of P_l of ``group_type`` as
-    ``(raw, value, residual, bits)``, from ``precision`` bits."""
-    check_precision(precision)  # a refused request enumerates nothing
-    key = (((group_type, level),), CenterSpec.TRIVIAL)
-    spectrum = _spectrum_of(key)
-    return certify_integer(
-        lambda bits: _kernel(spectrum, _deltas(key, bits), 1, 0, 1, bits), precision
-    )
-
-
-def torus_order_oracle(
-    rs: RootSystem, level: int, precision: int = DEFAULT_PRECISION
-) -> mpmath.mpf:
-    """|T_l| recovered as sum of Delta over all of P_l (S-matrix unitarity).
-
-    Works for every family, including type C where nu is not stored.  The
-    returned raw sum is certified to lie within the integrality tolerance
-    of an integer (escalating precision if needed); compare with
-    :func:`torus_order` for the closed-form families.
-    """
-    return _unitarity_sum(rs.group_type, level, precision)[0]
-
-
 def torus_order_oracle_certified(
     rs: RootSystem, level: int, precision: int = DEFAULT_PRECISION
 ) -> Tuple[int, float]:
-    """Certified integer value and rounding residual of the oracle sum."""
-    return _unitarity_sum(rs.group_type, level, precision)[1:3]
-
-
-def certified_torus_order(
-    rs: RootSystem, level: int, precision: int = DEFAULT_PRECISION
-) -> int:
-    """The oracle torus order rounded to its certified integer."""
-    return _unitarity_sum(rs.group_type, level, precision)[1]
+    """|T_l| as the sum of Delta over all of P_l (S-matrix unitarity): the
+    certified integer and the rounding residual of the sum, from
+    ``precision`` bits.  A cross-check of :func:`torus_order`."""
+    check_precision(precision)  # a refused request enumerates nothing
+    key = (((rs.group_type, level),), CenterSpec.TRIVIAL)
+    spectrum = _spectrum_of(key)
+    _, value, residual, _ = certify_integer(
+        lambda bits: _kernel(spectrum, _deltas(key, bits), 1, 0, 1, bits), precision
+    )
+    return value, residual
 
 
 def _check_genus(genus: int) -> None:
@@ -425,8 +386,9 @@ def _check_genus(genus: int) -> None:
 def _verlinde(factors, spec, genus, precision, label, level) -> VerlindeResult:
     """The certified Verlinde number of the weights of ``factors``, a tuple
     of ``(RootSystem, level)``, modulo ``spec``."""
+    check_precision(precision)  # a refused request enumerates nothing
     key = (tuple((rs.group_type, lvl) for rs, lvl in factors), spec)
-    spectrum, T = _exact(key, precision)
+    spectrum, T = _exact(key)
     gamma_order = 1 if spec is CenterSpec.TRIVIAL else 2
     _, value, residual, bits = certify_integer(
         lambda b: _kernel(spectrum, _deltas(key, b), T, genus, gamma_order, b),
@@ -537,11 +499,8 @@ def n_so(r: int, genus: int, precision: int = DEFAULT_PRECISION) -> VerlindeResu
 def n_sp(
     r: int, level: int, genus: int, precision: int = DEFAULT_PRECISION
 ) -> VerlindeResult:
-    """Verlinde number of the (simply connected) symplectic group Sp(2r).
-
-    The type-C torus order is not stored in closed form; it is the
-    certified sum of Delta over the same terms that the Verlinde sum uses.
-    """
+    """Verlinde number of the (simply connected) symplectic group Sp(2r),
+    with the closed-form type-C torus order (nu = 2^(r-1))."""
     if r < 1:
         raise ValueError(f"n_sp requires r >= 1, got {r}")
     return verlinde_sc(

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from numbers import Rational
-from typing import Optional, Tuple
+from typing import Tuple
 
 Vector = Tuple[Rational, ...]
 
@@ -84,10 +84,11 @@ class GroupType:
 class RootSystem:
     """Root data for one classical simply connected group.
 
-    ``nu`` is the factor in the finite-torus order ``(l+h)^s * f * nu``; it
-    is stored only for the families where it is pinned down exactly (A, B,
-    D).  For type C it is ``None`` and torus orders must be obtained from
-    the sine-sum oracle instead of the closed form.
+    ``nu`` is the factor in the finite-torus order ``(l+h)^s * f * nu``:
+    the index ``|Q / Q_long|`` of the lattice spanned by the long roots in
+    the root lattice (Beauville, "Conformal blocks, fusion rules and the
+    Verlinde formula", 1996).  It is 1 for A and D, 2 for B, and 2^(s-1)
+    for C_s, whose long roots 2 e_i span 2 Z^s.
     """
 
     group_type: GroupType
@@ -99,7 +100,7 @@ class RootSystem:
     theta: Vector
     dual_coxeter: int
     center_order: int
-    nu: Optional[int]
+    nu: int
     gram_scale: Fraction
     # M[a][i] = 2 (alpha | omega_i) for the positive roots, in order, and the
     # comarks (omega_i | theta), all strictly positive.
@@ -178,7 +179,7 @@ def _build(group_type: GroupType) -> RootSystem:
     h, f, nu = {
         "A": (s + 1, s + 1, 1),
         "B": (2 * s - 1, 2, 2),
-        "C": (s + 1, 2, None),
+        "C": (s + 1, 2, 2 ** (s - 1)),
         "D": (2 * s - 2, 4, 1),
     }[family]
     gram = Fraction(1, 2) if family == "C" else Fraction(1)

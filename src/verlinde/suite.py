@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
 from .formula import (
@@ -25,14 +25,12 @@ from .numeric import IntegralityError
 from .rootsys import MIN_RANK, root_system
 from .so_oracle import n_so_oracle
 
-INTEGRALITY = "integrality"
-
 
 @dataclass(frozen=True)
 class SuiteEntry:
     check_name: str
     parameters: Dict[str, object]
-    expected: str  # decimal string, or "integrality" for oracle-only checks
+    expected: str  # decimal string
     computed: str
     residual: float
     passed: bool
@@ -123,18 +121,18 @@ def _timed_entry(check_name, parameters, expected_value, compute) -> SuiteEntry:
     """Run one check; integrality failures become failed entries, not errors.
 
     ``expected_value`` is an integer, the decimal string of another entry's
-    outcome, or ``None`` for an integrality-only check."""
+    outcome, or ``None`` for the entry's own computed value."""
     start = time.perf_counter()
     computed, residual, certified = _outcome(compute)
     elapsed_ms = (time.perf_counter() - start) * 1e3
-    expected = INTEGRALITY if expected_value is None else str(expected_value)
+    expected = computed if expected_value is None else str(expected_value)
     return SuiteEntry(
         check_name=check_name,
         parameters=dict(parameters),
         expected=expected,
         computed=computed,
         residual=residual,
-        passed=certified and (expected_value is None or computed == expected),
+        passed=certified and computed == expected,
         elapsed_ms=elapsed_ms,
     )
 
@@ -186,15 +184,14 @@ def run_strange_duality_symmetry(
                 partner = None if r == s else _outcome(
                     lambda: _value(n_sp(s, r, g, precision))
                 )[0]
-                entry = _timed_entry(
-                    "sp-duality-symmetry",
-                    {"r": r, "s": s, "genus": g},
-                    partner,
-                    lambda r=r, s=s, g=g: _value(n_sp(r, s, g, precision)),
+                entries.append(
+                    _timed_entry(
+                        "sp-duality-symmetry",
+                        {"r": r, "s": s, "genus": g},
+                        partner,
+                        lambda r=r, s=s, g=g: _value(n_sp(r, s, g, precision)),
+                    )
                 )
-                if r == s:
-                    entry = replace(entry, expected=entry.computed)
-                entries.append(entry)
     return _sorted_report(entries)
 
 
@@ -204,10 +201,8 @@ def run_unitarity(
     level_max: int,
     precision: int = DEFAULT_PRECISION,
 ) -> SuiteReport:
-    """Closed-form torus orders against the sine-sum oracle.
-
-    Type C has no stored closed form; its entries record the certified
-    oracle integer with expected "integrality"."""
+    """Closed-form torus orders against the sine-sum oracle, for every
+    family."""
     if rank_max < 1 or level_max < 0:
         raise ValueError("need rank_max >= 1 and level_max >= 0")
     unknown = [f for f in types if f not in MIN_RANK]
@@ -218,12 +213,11 @@ def run_unitarity(
         for rank in range(MIN_RANK[family], rank_max + 1):
             rs = root_system(family, rank)
             for level in range(0, level_max + 1):
-                expected = None if rs.nu is None else torus_order(rs, level)
                 entries.append(
                     _timed_entry(
                         "torus-order-unitarity",
                         {"family": family, "rank": rank, "level": level},
-                        expected,
+                        torus_order(rs, level),
                         lambda rs=rs, level=level: torus_order_oracle_certified(
                             rs, level, precision
                         ),

@@ -17,7 +17,7 @@ from verlinde.formula import (
     n_sp,
     theta_dim,
     torus_order,
-    torus_order_oracle,
+    torus_order_oracle_certified,
     verlinde_sc,
 )
 from verlinde.numeric import integrality_tolerance
@@ -102,13 +102,15 @@ def test_criterion_4_torus_orders():
     closed form against the unitarity oracle, residual below 1e-20."""
     a1 = root_system("A", 1)
     assert torus_order(a1, 4) == 12
-    assert abs(torus_order_oracle(a1, 4) - 12) < TOL20
+    value, residual = torus_order_oracle_certified(a1, 4)
+    assert value == 12 and residual < TOL20
     for family, s in LEVEL_TWO_FAMILIES:
         rs = root_system(family, s)
         r = 2 * s if family == "D" else 2 * s + 1
         closed = torus_order(rs, 2)
         assert closed == 4 * r**s
-        assert abs(torus_order_oracle(rs, 2) - closed) < TOL20, (family, s)
+        value, residual = torus_order_oracle_certified(rs, 2)
+        assert value == closed and residual < TOL20, (family, s)
     verdict(4, "torus orders")
 
 

@@ -1,5 +1,5 @@
-"""The per-process caches: root systems, spectra, Delta, the certified
-unitarity sums, the sine table, and the SO oracle's own cache.
+"""The per-process caches: root systems, spectra, Delta, the sine table,
+and the SO oracle's own cache.
 
 Every test starts from empty caches, so that test order does not matter.
 """
@@ -14,7 +14,6 @@ import verlinde.numeric as numeric
 import verlinde.so_oracle as so_oracle
 from verlinde.formula import (
     _terms,
-    certified_torus_order,
     n_so,
     n_sp,
     torus_order,
@@ -36,7 +35,6 @@ def clear_caches():
     build_root_system.cache_clear()
     formula._spectrum_of.cache_clear()
     formula._deltas.cache_clear()
-    formula._unitarity_sum.cache_clear()
     numeric._sine_table.cache_clear()
     so_oracle._level_two_terms.cache_clear()
 
@@ -128,10 +126,9 @@ def test_caches_stay_within_their_bounds():
     for level in levels:
         for p in precisions:
             assert verlinde_sc(a1, level, 1, p).value == level + 1
-            assert certified_torus_order(a1, level, p) == torus_order(a1, level)
+            assert torus_order_oracle_certified(a1, level, p)[0] == torus_order(a1, level)
     assert formula._spectrum_of.cache_info().currsize == formula.SPECTRUM_CACHE_SIZE
     assert formula._deltas.cache_info().currsize == formula.DELTA_CACHE_SIZE
-    assert formula._unitarity_sum.cache_info().currsize == formula.SPECTRUM_CACHE_SIZE
     assert verlinde_sc(a1, 0, 2).value == 1  # evicted, and built again
     types = [GroupType(f, r) for f, lo in MIN_RANK.items() for r in range(lo, 13)]
     assert len(types) > ROOT_SYSTEM_CACHE_SIZE
@@ -164,12 +161,10 @@ def test_type_c_torus_oracle_certifies_once(monkeypatch):
     assert cold == warm and cold[0] == 65536
 
 
-def test_torus_oracle_reuses_the_certification_of_n_sp(monkeypatch):
-    n_sp(4, 3, 2)
+def test_a_cold_n_sp_certifies_once(monkeypatch):
     certifications = counter(monkeypatch, "certify_integer")
-    sines = counter(monkeypatch, "four_sin_sq")
-    assert torus_order_oracle_certified(root_system("C", 4), 3)[0] == 65536
-    assert certifications == [] and sines == []
+    assert n_sp(4, 3, 2).value == 26120
+    assert len(certifications) == 1
 
 
 def direct_four_sin_sq(x):

@@ -8,10 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from verlinde.formula import (
-    certified_torus_order,
     n_so,
     n_sp,
     torus_order,
+    torus_order_oracle_certified,
     verlinde_sc,
 )
 from verlinde.rootsys import MIN_RANK, root_system
@@ -41,10 +41,10 @@ def test_level_zero_gives_one(group, genus):
 
 
 @SMALL
-@given(group=groups("ABD"), level=st.integers(0, 5))
+@given(group=groups(), level=st.integers(0, 5))
 def test_sum_of_delta_is_the_closed_form_torus_order(group, level):
     rs = root_system(*group)
-    assert certified_torus_order(rs, level) == torus_order(rs, level)
+    assert torus_order_oracle_certified(rs, level)[0] == torus_order(rs, level)
 
 
 @SMALL

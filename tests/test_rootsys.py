@@ -71,7 +71,7 @@ def test_dual_coxeter_and_center_closed_forms(family, rank):
     rs = root_system(family, rank)
     assert rs.dual_coxeter == DUAL_COXETER[family](rank)
     assert rs.center_order == CENTER_ORDER[family](rank)
-    assert rs.nu == {"A": 1, "B": 2, "C": None, "D": 1}[family]
+    assert rs.nu == {"A": 1, "B": 2, "C": 2 ** (rank - 1), "D": 1}[family]
 
 
 @pytest.mark.parametrize("family,rank", ALL_TYPES)
@@ -180,7 +180,7 @@ def test_b2_data():
 def test_c2_data():
     rs = root_system("C", 2)
     assert rs.gram_scale == Fraction(1, 2)
-    assert rs.nu is None
+    assert rs.nu == 2 ** (rs.rank - 1)
     e1 = (Fraction(1), Fraction(0))
     assert inner(rs, e1, e1) == Fraction(1, 2)
     for alpha in rs.long_roots:
