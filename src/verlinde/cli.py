@@ -3,7 +3,9 @@
 Subcommands: ``compute`` (one certified number), ``weights`` (level weight
 and orbit listings), ``suite`` (the batch identity checks) and
 ``compare-oracle`` (the two independent SO paths side by side).  Values
-are emitted as decimal strings since they outgrow 64-bit integers quickly.
+are emitted as decimal strings since they outgrow 64-bit integers quickly;
+they are formatted through :class:`decimal.Decimal`, as ``str`` refuses an
+int of more than 4,300 digits.
 
 Exit codes: 0 success, 1 failed check or certification, 2 argument error.
 """
@@ -15,6 +17,7 @@ import csv
 import io
 import json
 import sys
+from decimal import Decimal
 from functools import cache
 from typing import Optional, Sequence
 
@@ -52,7 +55,7 @@ def output_record(res: VerlindeResult) -> dict:
         "group_label": res.group_label,
         "level": level,
         "genus": res.genus,
-        "value": str(res.value),
+        "value": str(Decimal(res.value)),
         "residual": f"{res.residual:.6e}",
         "precision_bits": res.precision_bits,
         "term_count": res.term_count,

@@ -37,25 +37,21 @@ and the diagram automorphisms, so many weights share their multiset of
 numerators: the terms are merged into a spectrum of distinct
 (orbit size, sorted numerators) with a count each.
 
-Work shared between neighbouring inputs is done once, by one prefix-fold
-helper (``_prefix_folds``) that reuses the fold of the prefix a tuple shares
-with the tuple before it.  The exact pass folds over the mark tuples, which
-come in lexicographic order: from rho (the sum of the pairing columns) each
-step adds n_i times column i (each multiple built once per call), so a
-weight costs one vector add per mark that differs from its predecessor's,
-not one dot product per root.  The Delta pass folds over the terms'
-numerator tuples in sorted order, writing each product back to its own
-term, so every Delta is still the left fold over its own numerators, bit
-for bit.  The sine values themselves come from the per-process sine table
-of :func:`verlinde.numeric.four_sin_sq`.
+The exact pass folds over the mark tuples, which come in lexicographic
+order, through one prefix-fold helper (``_prefix_folds``): from rho (the sum
+of the pairing columns) each step adds n_i times column i (each multiple
+built once per call), and the fold of the prefix a tuple shares with the
+tuple before it is reused, so a weight costs one vector add per mark that
+differs from its predecessor's, not one dot product per root.
 
-The Delta fold and ``_kernel`` work on mpmath's raw ``_mpf_`` tuples
-through :mod:`mpmath.libmp`, at the working precision and rounding to
-nearest.  They call the functions that mpf's arithmetic operators call
-(``mpf_mul``, ``mpf_rdiv_int``, ``mpf_pow_int``, ``mpf_mul_int``,
-``mpf_div``, ``mpf_add`` and ``from_int``), with the same operands in the
-same order, so every result is bit-identical to the operator form; what
-they skip is an mpf object and a read of the context per operation.
+The float layer (``_products``, ``_kernel`` and :func:`delta`) is decimal
+arithmetic under a local :class:`decimal.Context` of P = ceil(bits log10 2)
++ 1 digits for ``bits`` working bits, each operation correctly rounded
+(Cowlishaw, *General Decimal Arithmetic Specification*) within
+eps = 10^(1-P) / 2 <= 2^-(bits+1), relative: at least as accurate as an mpf
+operation at ``bits``.  ``_products`` and ``_kernel`` state their error
+bounds.  The sines (from the sine table of
+:func:`verlinde.numeric.four_sin_sq`) and the certification stay on mpmath.
 
 Only the exponent depends on the genus, so the rest is built once per
 process and reused by every later call, each piece by a pure function
@@ -67,35 +63,23 @@ memoized with :func:`functools.lru_cache`:
   precision (``_deltas``), evaluating each distinct numerator's sine once.
 
 ``_kernel``, the one floating-point loop, then only raises T / Delta to the
-power g - 1, multiplies and adds, entirely at the working precision, with
-m^(1-2g) computed once per distinct orbit size; the result is rounded and
-certified via :mod:`verlinde.numeric`, once per Verlinde number.  The
-torus-order oracle and the Verlinde pass of a simply connected group at one
-precision share one Delta tuple.
+power g - 1, multiplies and adds, with m^(1-2g) computed once per distinct
+orbit size; the result is rounded and certified once per Verlinde number.
+The torus-order oracle and the Verlinde pass of a simply connected group at
+one precision share one Delta tuple.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, localcontext
 from functools import lru_cache
 from fractions import Fraction
 from operator import add
 from typing import NamedTuple, Optional, Sequence, Tuple
 
 import mpmath
-from mpmath.libmp import (
-    fone,
-    from_int,
-    fzero,
-    mpf_add,
-    mpf_div,
-    mpf_mul,
-    mpf_mul_int,
-    mpf_pow_int,
-    mpf_rdiv_int,
-    round_nearest,
-)
 
 from .numeric import (
     DEFAULT_PRECISION,
@@ -179,11 +163,13 @@ def delta(
     Strictly positive for every weight in P_l; a zero factor means the
     weight is outside the level-l alcove and raises ``ValueError``.
     The sine arguments are computed exactly, from the marks of ``lam``,
-    before any floating point enters.
+    before any floating point enters; the product is that of the float
+    layer (``_products``) at ``precision``, returned as an mpf that holds
+    all of its digits.
     """
     spectrum = _spectrum(((rs, level),), [(1, marks(rs, lam))])
     check_precision(precision)
-    return _products(spectrum, precision)[0]
+    return _to_mpf(_products(spectrum, precision)[0], _context(precision))
 
 
 def torus_order(rs: RootSystem, level: int) -> int:
@@ -307,60 +293,86 @@ def _spectrum_of(key) -> Spectrum:
 
 
 @lru_cache(maxsize=DELTA_CACHE_SIZE)
-def _deltas(key, bits: int) -> Tuple[mpmath.mpf, ...]:
+def _deltas(key, bits: int) -> Tuple[Decimal, ...]:
     """Delta at ``bits`` for each term of the spectrum of ``key``; built
     once per (key, bits) and process."""
     return _products(_spectrum_of(key), bits)
 
 
-def _products(spectrum: Spectrum, bits: int) -> Tuple[mpmath.mpf, ...]:
-    """The product of 4 sin^2(pi j / D) over each term's numerators j, at
-    ``bits``, evaluating each distinct numerator's sine once.
+def _context(bits: int) -> Context:
+    """The decimal context of the float layer at ``bits``: P = ceil(bits
+    log10 2) + 1 digits, so eps = 10^(1-P) / 2 <= 2^-(bits+1), rounding half
+    to even, and exponents that no certifiable value reaches."""
+    return Context(prec=math.ceil(bits * math.log10(2)) + 1, Emax=MAX_EMAX, Emin=MIN_EMIN)
 
-    The terms are visited in the sorted order of their numerator tuples, so
-    each product reuses the partial product of the prefix it shares with
-    the one before; each Delta is the plain left fold over its own
-    numerators, written back to its term's slot.
+
+def _to_decimal(x: mpmath.mpf, context: Context) -> Decimal:
+    """The positive mpf ``x`` = man * 2^exp, exactly (as man * 5^-exp *
+    10^exp when exp < 0), then rounded once to ``context``."""
+    man, exp = x.man_exp
+    if exp >= 0:
+        return context.create_decimal(man << exp)
+    return context.scaleb(Decimal(man * 5**-exp), exp)
+
+
+def _to_mpf(x: Decimal, context: Context) -> mpmath.mpf:
+    """``x``, of at most the digits of ``context``, as an mpf of one decimal
+    digit more, so that the conversion loses none of them."""
+    n, d = x.as_integer_ratio()
+    with mpmath.workdps(context.prec + 1):
+        return mpmath.mpf(n) / d
+
+
+def _products(spectrum: Spectrum, bits: int) -> Tuple[Decimal, ...]:
+    """The product of 4 sin^2(pi j / D) over each term's R numerators j, in
+    the decimal context of ``bits``, evaluating each distinct numerator's
+    sine once: read from the sine table at ``bits``, then rounded once.
+
+    With R such roundings and R - 1 in ``math.prod``, each Delta is within
+    2R eps <= R 2^-bits of the exact product of the table's sines, relative:
+    2R - 1 to first order, and one eps for the second-order terms.
     """
     D = spectrum.denominator
     terms = spectrum.terms
-    order = sorted(range(len(terms)), key=lambda k: terms[k][2])
+    context = _context(bits)
     with mpmath.workprec(bits):
-        sines = {}
-        for _, _, numerators in terms:
-            for j in numerators:
-                if j not in sines:
-                    sines[j] = four_sin_sq(Fraction(j, D))._mpf_
-    folds = _prefix_folds(
-        [terms[k][2] for k in order],
-        fone,
-        lambda d, _, j: mpf_mul(d, sines[j], bits, round_nearest),
-    )
-    out = [None] * len(terms)
-    for k, d in zip(order, folds):
-        out[k] = mpmath.mp.make_mpf(d)
-    return tuple(out)
+        sines = {
+            j: _to_decimal(four_sin_sq(Fraction(j, D)), context)
+            for j in set().union(*(numerators for _, _, numerators in terms))
+        }
+    with localcontext(context):
+        return tuple(math.prod(map(sines.__getitem__, js)) for _, _, js in terms)
 
 
 def _kernel(
     spectrum: Spectrum, deltas, T: int, genus: int, gamma_order: int, bits: int
 ) -> mpmath.mpf:
-    """|Gamma| * sum of count * m^(1-2g) * (T/Delta)^(g-1) over the spectrum,
-    at ``bits``, with ``deltas`` the Delta of each term at ``bits``."""
-    rnd = round_nearest
-    powers = {}  # m -> m^(1-2g); orbit sizes take few values
-    total = fzero
-    for (count, m, _), d in zip(spectrum.terms, deltas):
-        power = powers.get(m)
-        if power is None:
-            power = powers[m] = mpf_pow_int(from_int(m, bits, rnd), 1 - 2 * genus, bits, rnd)
-        if genus:
-            ratio = mpf_pow_int(mpf_rdiv_int(T, d._mpf_, bits, rnd), genus - 1, bits, rnd)
-        else:  # the power is Delta/T; inverting T/Delta would round twice
-            ratio = mpf_div(d._mpf_, from_int(T), bits, rnd)
-        term = mpf_mul(mpf_mul_int(power, count, bits, rnd), ratio, bits, rnd)
-        total = mpf_add(total, term, bits, rnd)
-    return mpmath.mp.make_mpf(mpf_mul_int(total, gamma_order, bits, rnd))
+    """|Gamma| * sum of count * m^(1-2g) * (T/Delta)^(g-1) over the N terms
+    of the spectrum, in the decimal context of ``bits``, from the Delta of
+    each term at ``bits``; returned as an mpf that holds all P digits.
+
+    Each operation is within eps, and a power with an integer exponent,
+    taken with extra digits, within 2 eps.  The error of T/Delta, 2R eps,
+    grows |g - 1|-fold in the power (at g = 0 the ratio is Delta / T); with
+    m^(1-2g), two products, the sum of positive terms and |Gamma|, the
+    result is within (2R |g - 1| + N + 7) eps of the exact kernel of the
+    products of the table's sines, relative: one eps less to first order,
+    and one eps for the second-order terms.  A binary kernel at ``bits`` has
+    the looser first-order bound ((R + 1) |g - 1| + N + 4) 2^-bits.
+    """
+    with localcontext(_context(bits)) as context:
+        T = Decimal(T)
+        powers = {}  # m -> m^(1-2g); orbit sizes take few values
+        total = Decimal(0)
+        for (count, m, _), d in zip(spectrum.terms, deltas):
+            power = powers.get(m)
+            if power is None:
+                power = powers[m] = Decimal(m) ** (1 - 2 * genus)
+            # at g = 0 the power is Delta/T; inverting T/Delta would round twice
+            ratio = (T / d) ** (genus - 1) if genus else d / T
+            total += count * power * ratio
+        total *= gamma_order
+    return _to_mpf(total, context)
 
 
 def torus_order_oracle_certified(
@@ -463,6 +475,9 @@ def verlinde_product_quotient(
     """
     _check_genus(genus)
     factors = tuple(factors)
+    if len(factors) == 1:  # the one-factor product is the group's own quotient
+        (rs, level), = factors
+        return verlinde_quotient(rs, level, spec, genus, precision, label)
     if label is None:
         label = "SO(4)" if spec is CenterSpec.SO4_DIAGONAL else " x ".join(
             str(rs.group_type) for rs, _ in factors

@@ -1,13 +1,19 @@
 """Arbitrary-precision evaluation and integer certification.
 
 All trigonometric sums in this package are known in advance to be integers;
-they are evaluated in binary floating point at a caller-chosen precision
-(default 192 bits) and rounded, and the rounding residual is kept as an
-audit trail.  A rounding is accepted only when the residual is within the
-integrality tolerance and the working precision has HEADROOM_BITS to spare
-beyond the value's bit length (below that, the float may not resolve the
-integer at all); otherwise the precision is doubled, up to three times,
-before giving up.
+they are evaluated at a caller-chosen precision of ``bits`` (default 192)
+and rounded, and the rounding residual is kept as an audit trail.  The
+engine's products and sums (:mod:`verlinde.formula`) are decimal arithmetic
+at P = ceil(bits log10 2) + 1 digits, each operation correctly rounded
+within 10^(1-P) / 2 <= 2^-(bits+1), relative; their stated error bounds are
+in ``formula._products`` and ``formula._kernel``.  The sines, the
+certification below and the SO oracle stay on mpmath.
+
+A rounding is accepted only when the residual is within the integrality
+tolerance and the working precision has HEADROOM_BITS to spare beyond the
+value's bit length (below that, the float may not resolve the integer at
+all); otherwise the precision is doubled, up to three times, before giving
+up.
 
 Every sum is a product of factors 4 sin^2(pi x) whose arguments x come
 from a small set per root system and level (fewer than 2(l+h) values mod 1),
@@ -120,6 +126,8 @@ def certify_integer(
 ) -> Tuple[mpmath.mpf, int, float, int]:
     """Evaluate ``compute(bits)`` and round, escalating precision on failure.
 
+    ``compute(bits)`` may carry more than ``bits`` bits (the engine's holds
+    every digit of its decimal sum): the residual is the evaluation error.
     Returns ``(raw, value, residual, bits_used)``.  ``compute`` must be a
     pure function of the precision; it is re-invoked at doubled precision
     until the result is within :func:`integrality_tolerance` of an integer

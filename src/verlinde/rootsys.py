@@ -41,10 +41,6 @@ def vec_add(v: Vector, w: Vector) -> Vector:
     return tuple(a + b for a, b in zip(v, w))
 
 
-def vec_sub(v: Vector, w: Vector) -> Vector:
-    return tuple(a - b for a, b in zip(v, w))
-
-
 def vec_neg(v: Vector) -> Vector:
     return tuple(-a for a in v)
 
@@ -256,15 +252,6 @@ def coroot_pairing(rs: RootSystem, lam: Vector, alpha: Vector) -> Fraction:
     if not rs.is_root(alpha):
         raise ValueError(f"{alpha} is not a root of {rs.group_type}")
     return 2 * inner(rs, lam, alpha) / inner(rs, alpha, alpha)
-
-
-def is_dominant(rs: RootSystem, lam: Vector) -> bool:
-    return all(coroot_pairing(rs, lam, a) >= 0 for a in rs.simple_roots)
-
-
-def level_of(rs: RootSystem, lam: Vector) -> Fraction:
-    """(lam | theta); a weight lies at level l when this is <= l."""
-    return inner(rs, lam, rs.theta)
 
 
 def marks(rs: RootSystem, lam: Vector) -> Tuple[int, ...]:

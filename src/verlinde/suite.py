@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass
+from decimal import Decimal
 from typing import Dict, List, Sequence, Tuple
 
 from .formula import (
@@ -30,7 +31,7 @@ from .so_oracle import n_so_oracle
 class SuiteEntry:
     check_name: str
     parameters: Dict[str, object]
-    expected: str  # decimal string
+    expected: str  # decimal string, through Decimal: str() refuses 4,301 digits
     computed: str
     residual: float
     passed: bool
@@ -112,7 +113,7 @@ def _outcome(compute) -> Tuple[str, float, bool]:
     An integrality failure is an outcome like any other, not an error."""
     try:
         value, residual = compute()
-        return str(value), residual, True
+        return str(Decimal(value)), residual, True
     except IntegralityError as err:
         return f"uncertified({err.raw_value})", err.residual, False
 
@@ -125,7 +126,9 @@ def _timed_entry(check_name, parameters, expected_value, compute) -> SuiteEntry:
     start = time.perf_counter()
     computed, residual, certified = _outcome(compute)
     elapsed_ms = (time.perf_counter() - start) * 1e3
-    expected = computed if expected_value is None else str(expected_value)
+    if isinstance(expected_value, int):
+        expected_value = str(Decimal(expected_value))
+    expected = computed if expected_value is None else expected_value
     return SuiteEntry(
         check_name=check_name,
         parameters=dict(parameters),

@@ -33,7 +33,6 @@ from .rootsys import (
     Vector,
     marks,
     vec_add,
-    vec_sub,
     weight_from_marks,
 )
 
@@ -190,16 +189,6 @@ def u_coords(rs: RootSystem, lam: Vector) -> UCoordinates:
     return UCoordinates(u=vec_add(lam, rs.rho), t=t)
 
 
-def weight_from_u(rs: RootSystem, u: Sequence[Fraction]) -> Vector:
-    """Inverse of :func:`u_coords`; validates the result is dominant integral."""
-    if rs.family not in ("B", "D"):
-        raise ValueError(f"u-coordinates are defined for types B and D, not {rs.family}")
-    lam = vec_sub(tuple(Fraction(x) for x in u), rs.rho)
-    if any(n < 0 for n in marks(rs, lam)):
-        raise ValueError(f"u-coordinates {u} do not give a dominant weight")
-    return lam
-
-
 def _as_factors(factors) -> Tuple[Factor, ...]:
     """``factors`` as a tuple of ``(rs, level)``; a bare ``(rs, level)`` is
     one factor."""
@@ -240,12 +229,6 @@ def _trivial_on_center(spec: CenterSpec, factors: Sequence[Factor]):
         positions += [start + i % rs.rank for i in charged[rs.family]]
         start += rs.rank
     return lambda n: sum(n[i] for i in positions) % 2 == 0
-
-
-def is_quotient_weight(spec: CenterSpec, rs: RootSystem, lam: Vector) -> bool:
-    """Whether the character lambda is trivial on the center subgroup."""
-    # the character does not depend on the level
-    return _trivial_on_center(spec, ((rs, 0),))(marks(rs, lam))
 
 
 def restrict_to_quotient(P: LevelWeightSet, spec: CenterSpec) -> LevelWeightSet:

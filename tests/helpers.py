@@ -1,15 +1,49 @@
 """Exact-arithmetic helpers used as independent oracles in the tests."""
 
 import math
+from decimal import Decimal
 from fractions import Fraction
 
 import mpmath
 
+from verlinde.numeric import four_sin_sq
+from verlinde.rootsys import coroot_pairing, inner, marks
 from verlinde.weights import (
     CenterSpec,
+    _trivial_on_center,
     orbit_decompose,
     restrict_to_quotient,
 )
+
+
+def vec_sub(v, w):
+    return tuple(a - b for a, b in zip(v, w))
+
+
+def is_dominant(rs, lam):
+    return all(coroot_pairing(rs, lam, a) >= 0 for a in rs.simple_roots)
+
+
+def level_of(rs, lam):
+    """(lam | theta); a weight lies at level l when this is <= l."""
+    return inner(rs, lam, rs.theta)
+
+
+def weight_from_u(rs, u):
+    """Inverse of :func:`verlinde.weights.u_coords`; validates the result is
+    dominant integral."""
+    if rs.family not in ("B", "D"):
+        raise ValueError(f"u-coordinates are defined for types B and D, not {rs.family}")
+    lam = vec_sub(tuple(Fraction(x) for x in u), rs.rho)
+    if any(n < 0 for n in marks(rs, lam)):
+        raise ValueError(f"u-coordinates {u} do not give a dominant weight")
+    return lam
+
+
+def is_quotient_weight(spec, rs, lam):
+    """Whether the character lambda is trivial on the center subgroup."""
+    # the character does not depend on the level
+    return _trivial_on_center(spec, ((rs, 0),))(marks(rs, lam))
 
 
 def solve_exact(basis, target):
@@ -112,6 +146,17 @@ def reference_terms(P, spec):
     return D, tuple((c, size, js) for (size, js), c in counts.items())
 
 
+def reference_products(spectrum, bits):
+    """The Delta of each term of ``spectrum``: the product of the sine
+    table's values at ``bits`` (the sines that ``formula._products`` reads),
+    multiplied out in mpf at bits + 64."""
+    D = spectrum.denominator
+    with mpmath.workprec(bits):
+        sines = {j: four_sin_sq(Fraction(j, D)) for _, _, js in spectrum.terms for j in js}
+    with mpmath.workprec(bits + 64):
+        return [mpmath.fprod(sines[j] for j in js) for _, _, js in spectrum.terms]
+
+
 def reference_kernel(spectrum, deltas, T, genus, gamma_order, bits):
     """``formula._kernel`` in mpf operator form: |Gamma| * sum of
     count * m^(1-2g) * (T/Delta)^(g-1) over the spectrum, at ``bits``."""
@@ -121,3 +166,37 @@ def reference_kernel(spectrum, deltas, T, genus, gamma_order, bits):
             ratio = (T / d) ** (genus - 1) if genus else d / T
             total += count * mpmath.mpf(m) ** (1 - 2 * genus) * ratio
         return gamma_order * total
+
+
+def decimal_eps(bits):
+    """eps = 10^(1-P) / 2, the rounding error of the P = ceil(bits log10 2) + 1
+    digits of the float layer at ``bits``; ceil(bits log10 2) is the least k
+    with 10^k >= 2^bits."""
+    k = bits * 3 // 10
+    while 10**k < 2**bits:
+        k += 1
+    return Fraction(1, 2 * 10**k)
+
+
+def float_layer_bounds(spectrum, genus, bits):
+    """The relative error bounds stated by ``formula._products`` and
+    ``formula._kernel`` at ``bits``: 2R eps for each Delta and
+    (2R |g - 1| + N + 7) eps for the kernel, with R numerators per term and
+    N terms."""
+    eps = decimal_eps(bits)
+    R, N = len(spectrum.terms[0][2]), len(spectrum.terms)
+    return 2 * R * eps, (2 * R * abs(genus - 1) + N + 7) * eps
+
+
+def as_fraction(x):
+    """The exact value of a Decimal or an mpf."""
+    if isinstance(x, Decimal):
+        return Fraction(x)
+    sign, man, exp, _ = x._mpf_
+    return (-1) ** sign * man * Fraction(2) ** exp
+
+
+def relative_error(got, want):
+    """|got - want| / |want|, exactly."""
+    want = as_fraction(want)
+    return abs(as_fraction(got) - want) / abs(want)

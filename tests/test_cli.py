@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import time
+from decimal import Decimal
 
 import pytest
 
@@ -135,6 +136,14 @@ def test_compute_value_beyond_float_range(capsys):
                         "--genus", "300", "--precision", "1200")
     assert code == 0
     assert json.loads(out)["value"] == str(12**300)
+
+
+def test_compute_value_of_more_than_4300_digits(capsys):
+    # 12**4000 has 4,317 digits, past the limit of int-to-str conversion
+    code, out = run_cli(capsys, "compute", "--group", "so", "--r", "12",
+                        "--genus", "4000", "--precision", "14400")
+    assert code == 0
+    assert json.loads(out)["value"] == str(Decimal(12**4000))
 
 
 def test_parser_keeps_no_state_between_calls(capsys):

@@ -8,15 +8,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from verlinde.formula import (
+    _exact,
+    _kernel,
+    _products,
     n_so,
     n_sp,
     torus_order,
     torus_order_oracle_certified,
     verlinde_sc,
 )
-from verlinde.rootsys import MIN_RANK, root_system
+from verlinde.rootsys import MIN_RANK, GroupType, root_system
 from verlinde.so_oracle import n_so_oracle
-from verlinde.weights import enumerate_level_weights
+from verlinde.weights import CenterSpec, enumerate_level_weights
+
+from helpers import float_layer_bounds, reference_kernel, reference_products, relative_error
 
 SMALL = settings(max_examples=25, deadline=None)
 
@@ -57,3 +62,38 @@ def test_sp_level_rank_symmetry(r, s, genus):
 @given(r=st.integers(5, 14), genus=st.integers(1, 8))
 def test_engine_equals_oracle(r, genus):
     assert n_so(r, genus).value == n_so_oracle(r, genus).value == r**genus
+
+
+SO_QUOTIENT = {"A": CenterSpec.SO3, "B": CenterSpec.SO_ODD, "D": CenterSpec.SO_EVEN}
+
+
+@st.composite
+def sum_keys(draw):
+    """The key of a Verlinde sum: a group of any family with Gamma = 1, an
+    SO quotient (SO(3), SO(2s+1), SO(2s)), or the SO(4) product."""
+    kind = draw(st.sampled_from(("simple", "quotient", "so4")))
+    if kind == "so4":
+        a = draw(st.integers(0, 4))
+        b = draw(st.sampled_from(range(a % 2, 5, 2)))
+        return ((GroupType("A", 1), a), (GroupType("A", 1), b)), CenterSpec.SO4_DIAGONAL
+    family, rank = draw(groups("ABCD" if kind == "simple" else "ABD", max_rank=4))
+    level = draw(st.integers(0, 4))
+    if kind == "simple":
+        return ((GroupType(family, rank), level),), CenterSpec.TRIVIAL
+    if family == "A":  # SO(3): A1 at an even level
+        rank, level = 1, 2 * (level // 2)
+    return ((GroupType(family, rank), level),), SO_QUOTIENT[family]
+
+
+@SMALL
+@given(key=sum_keys(), genus=st.integers(0, 60), bits=st.sampled_from((64, 192, 640)))
+def test_float_layer_is_within_its_stated_bounds(key, genus, bits):
+    spectrum, T = _exact(key)
+    gamma_order = 1 if key[1] is CenterSpec.TRIVIAL else 2
+    delta_bound, kernel_bound = float_layer_bounds(spectrum, genus, bits)
+    deltas = _products(spectrum, bits)
+    reference = reference_products(spectrum, bits)
+    assert max(map(relative_error, deltas, reference)) <= delta_bound
+    got = _kernel(spectrum, deltas, T, genus, gamma_order, bits)
+    want = reference_kernel(spectrum, reference, T, genus, gamma_order, bits + 64)
+    assert relative_error(got, want) <= kernel_bound

@@ -7,8 +7,6 @@ from verlinde.rootsys import (
     build_root_system,
     coroot_pairing,
     inner,
-    is_dominant,
-    level_of,
     marks,
     root_system,
     vec_add,
@@ -16,7 +14,7 @@ from verlinde.rootsys import (
     weight_from_marks,
 )
 
-from helpers import reflection_closure, solve_exact
+from helpers import is_dominant, level_of, reflection_closure, solve_exact
 
 ALL_TYPES = (
     [("A", s) for s in range(1, 9)]

@@ -1,4 +1,5 @@
 import json
+from decimal import Decimal
 
 import pytest
 
@@ -163,3 +164,12 @@ def test_unitarity_bounds_validation():
         run_unitarity(("A",), 0, 1)
     with pytest.raises(ValueError, match="unknown famil"):
         run_unitarity(("A", "E"), 6, 1)
+
+
+def test_values_of_more_than_4300_digits_are_reported():
+    # past the limit of int-to-str conversion, as in run_so_identity(12, 4000)
+    value = 12**4000
+    entry = _timed_entry("so-identity", {"r": 12, "genus": 4000}, value,
+                         lambda: (value, 0.0))
+    assert entry.passed
+    assert entry.computed == entry.expected == str(Decimal(value))

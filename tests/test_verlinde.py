@@ -20,7 +20,6 @@ from verlinde.formula import (
     verlinde_quotient,
     verlinde_sc,
 )
-from verlinde.numeric import four_sin_sq
 from verlinde.rootsys import MIN_RANK, root_system, weight_from_marks
 from verlinde.weights import (
     CenterSpec,
@@ -31,7 +30,13 @@ from verlinde.weights import (
     restrict_to_quotient,
 )
 
-from helpers import reference_kernel, reference_terms
+from helpers import (
+    float_layer_bounds,
+    reference_kernel,
+    reference_products,
+    reference_terms,
+    relative_error,
+)
 
 A1 = root_system("A", 1)
 
@@ -196,33 +201,37 @@ def test_exact_pass_equals_the_per_weight_reference(family, rank, level, spec):
 
 @pytest.mark.parametrize("family,rank,level,spec", _exact_pass_cases())
 def test_deltas_equal_the_left_fold_in_numerator_order(family, rank, level, spec):
+    """Each Delta, the product of its term's sines in numerator order, lies
+    within the stated 2R eps of the product of the same table sines at
+    bits + 64, relative; that bound is no looser than the R roundings of a
+    binary left fold at ``bits``."""
     spectrum = _terms(_weight_set(family, rank, level), spec)
-    D = spectrum.denominator
+    R = len(spectrum.terms[0][2])
     for bits in (64, 192, 640):
-        naive = []
-        with mpmath.workprec(bits):
-            for _, _, numerators in spectrum.terms:
-                d = mpmath.mpf(1)
-                for j in numerators:
-                    d *= four_sin_sq(Fraction(j, D))
-                naive.append(d)
+        bound, _ = float_layer_bounds(spectrum, 0, bits)
+        assert bound <= Fraction(R, 2**bits)
         deltas = _products(spectrum, bits)
-        assert len(deltas) == len(naive)
-        assert all(a == b for a, b in zip(deltas, naive))
+        reference = reference_products(spectrum, bits)
+        assert len(deltas) == len(reference)
+        assert max(map(relative_error, deltas, reference)) <= bound, bits
 
 
 @pytest.mark.parametrize("family,rank,level,spec", _exact_pass_cases())
 def test_kernel_equals_the_operator_form_reference(family, rank, level, spec):
+    """The kernel lies within its stated (2R |g-1| + N + 7) eps of the mpf
+    operator form at bits + 64 over the reference Deltas, relative."""
     key = (tuple((rs.group_type, lvl) for rs, lvl in _factors(family, rank, level)), spec)
     spectrum, T = _exact(key)  # the spectrum and T that the engine sums
     assert spectrum == _terms(_weight_set(family, rank, level), spec)
     gamma_order = 1 if spec is CenterSpec.TRIVIAL else 2
     for bits in (64, 192, 640):
         deltas = _products(spectrum, bits)
+        reference = reference_products(spectrum, bits)
         for genus in (0, 1, 2, 7):
             got = _kernel(spectrum, deltas, T, genus, gamma_order, bits)
-            want = reference_kernel(spectrum, deltas, T, genus, gamma_order, bits)
-            assert got == want, (bits, genus)
+            want = reference_kernel(spectrum, reference, T, genus, gamma_order, bits + 64)
+            _, bound = float_layer_bounds(spectrum, genus, bits)
+            assert relative_error(got, want) <= bound, (bits, genus)
 
 
 # --- torus orders ------------------------------------------------------------
@@ -407,6 +416,16 @@ def test_product_levels_recorded_as_tuple():
     res = verlinde_product_quotient(((A1, 2), (A1, 2)), CenterSpec.SO4_DIAGONAL, 2)
     assert res.level == (2, 2)
     assert res.group_label == "SO(4)"
+
+
+def test_one_factor_product_is_the_quotient():
+    b3 = root_system("B", 3)
+    for rs, level, spec in ((A1, 4, CenterSpec.SO3), (A1, 3, CenterSpec.TRIVIAL),
+                            (b3, 2, CenterSpec.SO_ODD)):
+        res = verlinde_product_quotient(((rs, level),), spec, 2)
+        assert res == verlinde_quotient(rs, level, spec, 2)
+        assert res.level == level
+    assert verlinde_product_quotient(((A1, 4),), CenterSpec.SO3, 2).group_label == "SO(3)"
 
 
 def test_product_rejects_bad_factors():

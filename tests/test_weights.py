@@ -6,12 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from verlinde.rootsys import (
-    is_dominant,
-    level_of,
     marks,
     root_system,
     vec_scale,
-    vec_sub,
     weight_from_marks,
 )
 from verlinde.weights import (
@@ -20,12 +17,12 @@ from verlinde.weights import (
     center_act_marks,
     enumerate_level_weights,
     enumerate_product_weights,
-    is_quotient_weight,
     orbit_decompose,
     restrict_to_quotient,
     u_coords,
-    weight_from_u,
 )
+
+from helpers import is_dominant, is_quotient_weight, level_of, vec_sub, weight_from_u
 
 A1 = root_system("A", 1)
 
