@@ -31,18 +31,17 @@ The exact pass, ``_terms``, is integer arithmetic on the weight lattice.  A
 weight with marks n has sine arguments j / D with integer numerators
 ``j = sum_i (n_i + 1) M[a][i]`` from the root system's pairing matrix
 ``M[a][i] = 2 (alpha | omega_i)``, and D = 2(l+h) (for a product, the lcm of
-its factors' D).  Since 4 sin^2(pi x) is even and 1-periodic, each j is
-reduced to min(j mod D, D - j mod D).  Delta is invariant under the center
-and the diagram automorphisms, so many weights share their multiset of
-numerators: the terms are merged into a spectrum of distinct
-(orbit size, sorted numerators) with a count each.
+its factors' D).  For a weight in P_l each j lies in 1..D-1, and as
+4 sin^2(pi x) = 4 sin^2(pi (1 - x)), it is reduced to min(j, D - j).
+Delta is invariant under the center and the diagram automorphisms, so many
+weights share their multiset of numerators: the terms are merged into a
+spectrum of distinct (orbit size, sorted numerators) with a count each.
 
-The exact pass folds over the mark tuples, which come in lexicographic
-order, through one prefix-fold helper (``_prefix_folds``): from rho (the sum
-of the pairing columns) each step adds n_i times column i (each multiple
-built once per call), and the fold of the prefix a tuple shares with the
-tuple before it is reused, so a weight costs one vector add per mark that
-differs from its predecessor's, not one dot product per root.
+The exact pass is one recursion over the mark tuples in lexicographic
+order: each node adds its pairing column once to its parent's numerators,
+starting from rho (the sum of the columns), so a weight costs one vector
+add, not one dot product per root.  A leaf that is the least member of its
+Gamma-orbit merges into the spectrum at once; P_l is never stored.
 
 The float layer (``_products``, ``_kernel`` and :func:`delta`) is decimal
 arithmetic under a local :class:`decimal.Context` of P = ceil(bits log10 2)
@@ -97,9 +96,10 @@ from .rootsys import (
 )
 from .weights import (
     CenterSpec,
-    enumerate_product_weights,
-    orbit_decompose,
-    restrict_to_quotient,
+    _mark_bounds,
+    _orbit_size,
+    _trivial_on_center,
+    _within_levels,
 )
 
 __all__ = [
@@ -160,15 +160,20 @@ def delta(
 ) -> mpmath.mpf:
     """Delta(lambda): the positive-root product of 4 sin^2 factors.
 
-    Strictly positive for every weight in P_l; a zero factor means the
-    weight is outside the level-l alcove and raises ``ValueError``.
-    The sine arguments are computed exactly, from the marks of ``lam``,
-    before any floating point enters; the product is that of the float
-    layer (``_products``) at ``precision``, returned as an mpf that holds
-    all of its digits.
+    Strictly positive for every weight in P_l; a weight outside P_l (a
+    negative mark, or a level above l) raises ``ValueError``.  The sine
+    arguments are computed exactly, from the marks of ``lam``, before any
+    floating point enters, as in ``_terms``; the product is that of the
+    float layer (``_products``) at ``precision``, returned as an mpf that
+    holds all of its digits.
     """
-    spectrum = _spectrum(((rs, level),), [(1, marks(rs, lam))])
+    n = marks(rs, lam)
+    if not _within_levels(((rs, level),), n):
+        raise ValueError(f"{lam} is not a level-{level} weight")
     check_precision(precision)
+    D = 2 * (level + rs.dual_coxeter)
+    js = [sum((x + 1) * m for x, m in zip(n, row)) for row in rs.pairing_matrix]
+    spectrum = Spectrum(D, ((1, 1, tuple(sorted(min(j, D - j) for j in js))),))
     return _to_mpf(_products(spectrum, precision)[0], _context(precision))
 
 
@@ -179,50 +184,17 @@ def torus_order(rs: RootSystem, level: int) -> int:
     return (level + rs.dual_coxeter) ** rs.rank * rs.center_order * rs.nu
 
 
-def _prefix_folds(tuples, start, step) -> list:
-    """The left fold ``step(step(start, 0, t[0]), 1, t[1])``, and so on to
-    the end of ``t``, of each tuple ``t`` of ``tuples``, in order; the fold
-    of the prefix that a tuple shares with the tuple before it is reused,
-    not recomputed."""
-    folds = [start]  # folds[i]: the fold of the previous tuple's first i items
-    previous = ()
-    out = []
-    for t in tuples:
-        shared = 0
-        for a, b in zip(previous, t):
-            if a != b:
-                break
-            shared += 1
-        del folds[shared + 1:]
-        acc = folds[-1]
-        for i in range(shared, len(t)):
-            acc = step(acc, i, t[i])
-            folds.append(acc)
-        out.append(acc)
-        previous = t
-    return out
-
-
-def _terms(P, spec: CenterSpec) -> Spectrum:
+def _terms(factors, spec: CenterSpec) -> Spectrum:
     """The exact pass: the merged spectrum of the Gamma-orbits of the
-    Gamma-trivial weights of the full level weight set ``P``."""
-    if spec is CenterSpec.TRIVIAL:
-        reps = [(1, n) for n in P.marks]
-    else:
-        orbits = orbit_decompose(restrict_to_quotient(P, spec), spec).orbits
-        reps = [(o.size, o.marks) for o in orbits]
-    return _spectrum(P.factors, reps)
+    Gamma-trivial weights of ``factors``, pairs ``(rs, level)``.
 
-
-def _spectrum(factors, reps) -> Spectrum:
-    """The merged spectrum of ``reps``, pairs of (orbit size, marks) with
-    the marks of all ``factors`` concatenated.
-
-    The numerators over D of marks n are ``sum_i (n_i + 1) c_i``, with c_i
-    column i of its factor's pairing matrix scaled by D / (2(l+h)), placed
-    at that factor's roots.  They are prefix folds from rho = sum_i c_i,
-    each step adding n_i c_i, and are then reduced mod D to min(j, D - j).
+    Column i of a factor's pairing matrix, scaled by D / (2(l+h)), sits at
+    that factor's roots.  The walk visits the flat mark tuples in the order
+    of ``enumerate_product_weights`` and keeps a leaf if it is Gamma-trivial
+    and the least member of its orbit (``_orbit_size``).
     """
+    comarks, budgets = _mark_bounds(factors)
+    trivial = _trivial_on_center(spec, factors)
     shifted = [2 * (lvl + rs.dual_coxeter) for rs, lvl in factors]
     D = math.lcm(*shifted)
     roots = sum(len(rs.pairing_matrix) for rs, _ in factors)
@@ -235,39 +207,29 @@ def _spectrum(factors, reps) -> Spectrum:
             column[offset:offset + len(M)] = [D // d * row[i] for row in M]
             columns.append(column)
         offset += len(M)
-    rho = [sum(c) for c in zip(*columns)]
-    multiples = {}  # (i, n) -> n * columns[i]: a mark value recurs across weights
-
-    def step(acc, i, n):
-        if not n:
-            return acc
-        c = multiples.get((i, n))
-        if c is None:
-            c = multiples[i, n] = [n * x for x in columns[i]]
-        return list(map(add, acc, c))
-
-    reduced = _Reduced(D).__getitem__
+    reduced = [min(j, D - j) for j in range(D)].__getitem__
+    size = len(columns)
+    path = [0] * size  # path[i]: the mark chosen at depth i of the walk
     counts = {}
-    for (m, _), js in zip(reps, _prefix_folds([n for _, n in reps], rho, step)):
-        key = (m, tuple(sorted(map(reduced, js))))
-        counts[key] = counts.get(key, 0) + 1
+
+    def walk(i, remaining, js):
+        if i == size:
+            n = tuple(path)
+            m = trivial(n) and _orbit_size(spec, factors, trivial, n)
+            if m:
+                key = (m, tuple(sorted(map(reduced, js))))
+                counts[key] = counts.get(key, 0) + 1
+            return
+        remaining = budgets.get(i, remaining)
+        column, comark = columns[i], comarks[i]
+        for n in range(remaining // comark + 1):
+            if n:
+                js = list(map(add, js, column))
+            path[i] = n
+            walk(i + 1, remaining - n * comark, js)
+
+    walk(0, 0, [sum(c) for c in zip(*columns)])
     return Spectrum(D, tuple((c, m, js) for (m, js), c in counts.items()))
-
-
-class _Reduced(dict):
-    """``min(j mod D, -j mod D)`` for each integer j, memoized.
-
-    The numerators of a weight in P_l lie in 1..D-1; a weight outside the
-    alcove (only :func:`delta` takes one) may give any integer.
-    """
-
-    def __init__(self, D: int):
-        super().__init__((j, min(j, D - j)) for j in range(D))
-        self.D = D
-
-    def __missing__(self, j: int) -> int:
-        value = self[j] = min(j % self.D, -j % self.D)
-        return value
 
 
 def _exact(key) -> Tuple[Spectrum, int]:
@@ -288,8 +250,7 @@ def _spectrum_of(key) -> Spectrum:
     """The spectrum of ``key`` (see :func:`_exact`), built once per key and
     process."""
     factors, spec = key
-    P = enumerate_product_weights([(build_root_system(gt), lvl) for gt, lvl in factors])
-    return _terms(P, spec)
+    return _terms(tuple((build_root_system(gt), lvl) for gt, lvl in factors), spec)
 
 
 @lru_cache(maxsize=DELTA_CACHE_SIZE)

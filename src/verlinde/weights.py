@@ -4,15 +4,16 @@ A weight set belongs to a product of simply connected factors, each with
 its own level; a simple group is the one-factor case.  A weight is stored
 as one flat tuple of marks (coefficients in the fundamental-weight basis),
 the factors' marks in turn.  ``enumerate_product_weights`` lists the
-tuples with (lambda | theta) <= l in every factor, in lexicographic order;
-a set's ``weights`` attribute is the vector view, built only when asked for.
+tuples with (lambda | theta) <= l in every factor, in lexicographic order,
+for the ``weights`` command and the tests; the exact pass
+(``formula._terms``) walks them without storing them (``_mark_bounds``).
 
 One table, ``_ACTS_ON``, states which factors each order-2 center subgroup
 acts on.  ``restrict_to_quotient`` keeps the weights whose character is
-trivial on the subgroup (a parity test on a few marks of each factor) and
-``orbit_decompose`` groups them into orbits under the induced involution.
-On every factor it is the same affine diagram automorphism, which swaps
-the affine mark n_0 and n_1 (:func:`center_act_marks`).
+trivial on the subgroup (a parity test on a few marks of each factor), and
+``orbit_decompose`` the least member of each orbit (``_orbit_size``, as the
+exact pass does) under the involution that on every factor swaps the
+affine mark n_0 and n_1 (:func:`center_act_marks`).
 
 Types B and D also carry the coordinate view used throughout: writing
 lambda + rho = sum u_i e_i, the u_i form a strictly decreasing sequence of
@@ -136,6 +137,22 @@ def _parts(factors: Sequence[Factor], n: Marks):
         start += rs.rank
 
 
+def _mark_bounds(factors: Sequence[Factor]):
+    """The comark of each flat mark of ``factors``, and the level of each
+    factor by the position of its first mark: the bounds of every recursion
+    over the flat mark tuples.  Refuses an empty list and a negative level."""
+    if not factors:
+        raise ValueError("need at least one factor")
+    comarks = []
+    budgets = {}  # position of a factor's first mark -> its level
+    for rs, level in factors:
+        if level < 0:
+            raise ValueError(f"level must be >= 0, got {level}")
+        budgets[len(comarks)] = level
+        comarks += rs.comarks
+    return comarks, budgets
+
+
 def enumerate_product_weights(factors: Sequence[Factor]) -> LevelWeightSet:
     """All weights of a product of ``factors``, with (lambda | theta) <= l
     in each factor ``(rs, l)``.
@@ -147,15 +164,7 @@ def enumerate_product_weights(factors: Sequence[Factor]) -> LevelWeightSet:
     by construction.
     """
     factors = tuple(factors)
-    if not factors:
-        raise ValueError("need at least one factor")
-    comarks = []
-    budgets = {}  # position of a factor's first mark -> its level
-    for rs, level in factors:
-        if level < 0:
-            raise ValueError(f"level must be >= 0, got {level}")
-        budgets[len(comarks)] = level
-        comarks += rs.comarks
+    comarks, budgets = _mark_bounds(factors)
     size = len(comarks)
     tuples = []
 
@@ -242,6 +251,12 @@ def _affine_mark(rs: RootSystem, level: int, n: Marks) -> int:
     return level - sum(c * x for c, x in zip(rs.comarks, n))
 
 
+def _within_levels(factors: Sequence[Factor], n: Marks) -> bool:
+    """Whether the flat marks n are those of a weight within the levels of
+    ``factors``: no mark, and no factor's affine mark, is negative."""
+    return min(n) >= 0 and all(_affine_mark(*p) >= 0 for p in _parts(factors, n))
+
+
 def center_act_marks(spec: CenterSpec, n: Marks, factors) -> Marks:
     """The order-2 center generator on flat marks: on each factor, the
     diagram automorphism of its affine Dynkin diagram that swaps n_0 and
@@ -278,29 +293,37 @@ def center_act(spec: CenterSpec, w, factors):
     n = sum((marks(rs, lam) for (rs, _), lam in zip(factors, parts)), ())
     if not trivial(n):
         raise ValueError(f"{w} is not trivial on the center subgroup {spec.value}")
-    if min(n) < 0 or any(_affine_mark(*p) < 0 for p in _parts(factors, n)):
+    if not _within_levels(factors, n):
         levels = ", ".join(str(level) for _, level in factors)
         raise ValueError(f"{w} is not a level-{levels} weight")
     return LevelWeightSet(factors, ()).weight(center_act_marks(spec, n, factors))
+
+
+def _orbit_size(spec: CenterSpec, factors, trivial, n: Marks) -> int:
+    """The orbit size of the Gamma-trivial level weight n if n is its
+    orbit's lexicographically least member, else 0: 1 if n is its own
+    image, 2 if n < image.  ``trivial`` is the test of
+    :func:`_trivial_on_center`; an image that it refuses, or outside the
+    levels, raises ``AssertionError``."""
+    image = center_act_marks(spec, n, factors)
+    if image != n and not (trivial(image) and _within_levels(factors, image)):
+        raise AssertionError(f"center action left the level set: {n} -> {image}")
+    return 0 if image < n else 1 if image == n else 2
 
 
 def orbit_decompose(Pprime: LevelWeightSet, spec: CenterSpec) -> OrbitSet:
     """Group a restricted level set into center orbits.
 
     Representatives are the members with lexicographically minimal mark
-    tuples; orbits are listed in representative order.  Orbit sizes are 1
-    (fixed point) or 2.
+    tuples (:func:`_orbit_size`); orbits are listed in representative order.
     """
     factors = Pprime.factors
     trivial = _trivial_on_center(spec, factors)
-    members = set(Pprime.marks)
     orbits = []
     for n in sorted(Pprime.marks):
         if not trivial(n):
             raise ValueError(f"{n} is not trivial on the center subgroup {spec.value}")
-        image = center_act_marks(spec, n, factors)
-        if image not in members:
-            raise AssertionError(f"center action left the level set: {n} -> {image}")
-        if n <= image:
-            orbits.append(Orbit(marks=n, size=1 if image == n else 2, weight_set=Pprime))
+        size = _orbit_size(spec, factors, trivial, n)
+        if size:
+            orbits.append(Orbit(marks=n, size=size, weight_set=Pprime))
     return OrbitSet(orbits=tuple(orbits))

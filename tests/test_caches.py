@@ -4,6 +4,7 @@ and the SO oracle's own cache.
 Every test starts from empty caches, so that test order does not matter.
 """
 
+import tracemalloc
 from fractions import Fraction
 
 import mpmath
@@ -28,7 +29,7 @@ from verlinde.rootsys import (
     build_root_system,
     root_system,
 )
-from verlinde.weights import CenterSpec, enumerate_level_weights
+from verlinde.weights import CenterSpec
 
 
 def clear_caches():
@@ -69,16 +70,15 @@ def test_root_systems_are_shared():
 def test_a_further_genus_reuses_the_spectrum_and_deltas(monkeypatch):
     first = n_sp(2, 3, 5)
     sines = counter(monkeypatch, "four_sin_sq")
-    enumerations = counter(monkeypatch, "enumerate_product_weights")
+    exact_passes = counter(monkeypatch, "_terms")
     later = n_sp(2, 3, 9)
     assert later.precision_bits == first.precision_bits == 192
     assert later.value == 8285150897373184
-    assert sines == [] and enumerations == []
+    assert sines == [] and exact_passes == []
 
 
 def test_torus_pass_and_verlinde_pass_share_one_sine_per_numerator(monkeypatch):
-    P = enumerate_level_weights(root_system("C", 6), 6)
-    spectrum = _terms(P, CenterSpec.TRIVIAL)
+    spectrum = _terms(((root_system("C", 6), 6),), CenterSpec.TRIVIAL)
     numerators = {j for _, _, js in spectrum.terms for j in js}
     formula._spectrum_of.cache_clear()
     sines = counter(monkeypatch, "four_sin_sq")
@@ -90,9 +90,26 @@ def test_torus_pass_and_verlinde_pass_share_one_sine_per_numerator(monkeypatch):
 def test_torus_oracle_reads_the_spectrum_of_n_sp(monkeypatch):
     n_sp(3, 2, 2)
     sines = counter(monkeypatch, "four_sin_sq")
-    enumerations = counter(monkeypatch, "enumerate_product_weights")
+    exact_passes = counter(monkeypatch, "_terms")
     assert torus_order_oracle_certified(root_system("C", 3), 2)[0] == 1728
-    assert sines == [] and enumerations == []
+    assert sines == [] and exact_passes == []
+
+
+def test_exact_pass_memory_follows_the_spectrum():
+    """A cold spectrum of A8 at level 8, 12,870 weights merged into 698
+    terms, peaks under 2 MB of traced memory: the exact pass keeps the
+    spectrum, not a copy of P_l."""
+    gt = GroupType("A", 8)
+    build_root_system(gt)
+    tracemalloc.start()
+    try:
+        spectrum = formula._spectrum_of((((gt, 8),), CenterSpec.TRIVIAL))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(count for count, _, _ in spectrum.terms) == 12870
+    assert len(spectrum.terms) == 698
+    assert peak < 2 * 2**20
 
 
 def _calls():

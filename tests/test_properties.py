@@ -11,17 +11,29 @@ from verlinde.formula import (
     _exact,
     _kernel,
     _products,
+    _terms,
     n_so,
     n_sp,
     torus_order,
     torus_order_oracle_certified,
     verlinde_sc,
 )
-from verlinde.rootsys import MIN_RANK, GroupType, root_system
+from verlinde.rootsys import MIN_RANK, GroupType, build_root_system, root_system
 from verlinde.so_oracle import n_so_oracle
-from verlinde.weights import CenterSpec, enumerate_level_weights
+from verlinde.weights import (
+    CenterSpec,
+    enumerate_level_weights,
+    enumerate_product_weights,
+    restrict_to_quotient,
+)
 
-from helpers import float_layer_bounds, reference_kernel, reference_products, relative_error
+from helpers import (
+    float_layer_bounds,
+    reference_kernel,
+    reference_products,
+    reference_terms,
+    relative_error,
+)
 
 SMALL = settings(max_examples=25, deadline=None)
 
@@ -97,3 +109,28 @@ def test_float_layer_is_within_its_stated_bounds(key, genus, bits):
     got = _kernel(spectrum, deltas, T, genus, gamma_order, bits)
     want = reference_kernel(spectrum, reference, T, genus, gamma_order, bits + 64)
     assert relative_error(got, want) <= kernel_bound
+
+
+@st.composite
+def product_keys(draw):
+    """The key of a product of two or three factors of any family, each of
+    rank <= 3 and level <= 3, with Gamma = 1."""
+    factors = tuple(
+        (GroupType(*draw(groups(max_rank=3))), draw(st.integers(0, 3)))
+        for _ in range(draw(st.integers(2, 3)))
+    )
+    return factors, CenterSpec.TRIVIAL
+
+
+@SMALL
+@given(key=st.one_of(sum_keys(), product_keys()))
+def test_exact_pass_equals_the_per_weight_reference(key):
+    """The walk of the exact pass gives the spectrum (terms, order and
+    counts) of the per-weight reference over the full enumeration, and its
+    orbits cover the Gamma-trivial weights."""
+    factors = tuple((build_root_system(gt), level) for gt, level in key[0])
+    spec = key[1]
+    P = enumerate_product_weights(factors)
+    spectrum = _terms(factors, spec)
+    assert spectrum == reference_terms(P, spec)
+    assert sum(count * m for count, m, _ in spectrum.terms) == len(restrict_to_quotient(P, spec))

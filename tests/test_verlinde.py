@@ -4,6 +4,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 
+import verlinde.weights as weights
 from verlinde.formula import (
     DYNKIN_INDEX,
     _exact,
@@ -60,8 +61,16 @@ def test_delta_a1_level_two():
 
 
 def test_delta_rejects_weights_outside_the_alcove():
-    with pytest.raises(ValueError, match="zero trigonometric factor"):
-        delta(A1, 2, a1_weight(3))
+    """(3,) lies on an alcove wall, where a sine vanishes; no sine vanishes
+    at the others ((5,) has the Delta of (1,)), so only the marks show
+    that they lie outside P_l."""
+    for family, rank, level, n in [
+        ("A", 1, 2, (3,)), ("A", 1, 2, (5,)), ("A", 1, 2, (-2,)),
+        ("A", 2, 2, (3, 1)), ("A", 2, 2, (-2, 1)),
+    ]:
+        rs = root_system(family, rank)
+        with pytest.raises(ValueError, match=f"not a level-{level} weight"):
+            delta(rs, level, weight_from_marks(rs, n))
 
 
 def test_delta_positive_on_all_level_weights():
@@ -107,7 +116,7 @@ def test_spectrum_counts_cover_the_quotient_weights(family, rank, level, spec):
     rs = root_system(family, rank)
     P = enumerate_level_weights(rs, level)
     kept = restrict_to_quotient(P, spec)
-    spectrum = _terms(P, spec)
+    spectrum = _terms(P.factors, spec)
     assert sum(count * m for count, m, _ in spectrum.terms) == len(kept)
     orbits = orbit_decompose(kept, spec)
     assert sum(count for count, _, _ in spectrum.terms) == len(orbits)
@@ -126,7 +135,7 @@ def test_product_spectrum_counts_cover_the_quotient_weights(levels, spec):
     factors = tuple((A1, lvl) for lvl in levels)
     P = enumerate_product_weights(factors)
     kept = restrict_to_quotient(P, spec)
-    spectrum = _terms(P, spec)
+    spectrum = _terms(P.factors, spec)
     assert sum(count * m for count, m, _ in spectrum.terms) == len(kept)
     assert spectrum.denominator == math.lcm(*(2 * (lvl + 2) for lvl in levels))
 
@@ -137,10 +146,22 @@ def test_product_spectrum_counts_cover_the_quotient_weights(levels, spec):
 )
 def test_spectrum_merges_weights_with_equal_delta(family, rank, level, weights, distinct):
     rs = root_system(family, rank)
-    spectrum = _terms(enumerate_level_weights(rs, level), CenterSpec.TRIVIAL)
+    spectrum = _terms(((rs, level),), CenterSpec.TRIVIAL)
     assert sum(count for count, _, _ in spectrum.terms) == weights
     assert len(spectrum.terms) == distinct
     assert verlinde_sc(rs, level, 2).term_count == weights
+
+
+def test_an_action_that_leaves_the_level_set_is_caught(monkeypatch):
+    """orbit_decompose and the exact pass both check each image: here a
+    broken action that raises the last mark of D4 by 2 leaves level 2."""
+    rs = root_system("D", 4)
+    kept = restrict_to_quotient(enumerate_level_weights(rs, 2), CenterSpec.SO_EVEN)
+    monkeypatch.setattr(weights, "center_act_marks", lambda spec, n, f: n[:-1] + (n[-1] + 2,))
+    with pytest.raises(AssertionError, match="left the level set"):
+        orbit_decompose(kept, CenterSpec.SO_EVEN)
+    with pytest.raises(AssertionError, match="left the level set"):
+        _terms(((rs, 2),), CenterSpec.SO_EVEN)
 
 
 def _exact_pass_cases():
@@ -196,7 +217,7 @@ def _weight_set(family, rank, level):
 @pytest.mark.parametrize("family,rank,level,spec", _exact_pass_cases())
 def test_exact_pass_equals_the_per_weight_reference(family, rank, level, spec):
     P = _weight_set(family, rank, level)
-    assert _terms(P, spec) == reference_terms(P, spec)
+    assert _terms(P.factors, spec) == reference_terms(P, spec)
 
 
 @pytest.mark.parametrize("family,rank,level,spec", _exact_pass_cases())
@@ -205,7 +226,7 @@ def test_deltas_equal_the_left_fold_in_numerator_order(family, rank, level, spec
     within the stated 2R eps of the product of the same table sines at
     bits + 64, relative; that bound is no looser than the R roundings of a
     binary left fold at ``bits``."""
-    spectrum = _terms(_weight_set(family, rank, level), spec)
+    spectrum = _terms(_factors(family, rank, level), spec)
     R = len(spectrum.terms[0][2])
     for bits in (64, 192, 640):
         bound, _ = float_layer_bounds(spectrum, 0, bits)
@@ -222,7 +243,7 @@ def test_kernel_equals_the_operator_form_reference(family, rank, level, spec):
     operator form at bits + 64 over the reference Deltas, relative."""
     key = (tuple((rs.group_type, lvl) for rs, lvl in _factors(family, rank, level)), spec)
     spectrum, T = _exact(key)  # the spectrum and T that the engine sums
-    assert spectrum == _terms(_weight_set(family, rank, level), spec)
+    assert spectrum == _terms(_factors(family, rank, level), spec)
     gamma_order = 1 if spec is CenterSpec.TRIVIAL else 2
     for bits in (64, 192, 640):
         deltas = _products(spectrum, bits)
