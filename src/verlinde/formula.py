@@ -41,7 +41,10 @@ The exact pass is one recursion over the mark tuples in lexicographic
 order: each node adds its pairing column once to its parent's numerators,
 starting from rho (the sum of the columns), so a weight costs one vector
 add, not one dot product per root.  A leaf that is the least member of its
-Gamma-orbit merges into the spectrum at once; P_l is never stored.
+Gamma-orbit merges into the spectrum at once; P_l is never stored.  For a
+simply connected group the walk visits only the least member of each center
+orbit, on which Delta is constant, and counts it with its orbit size (for
+type A the necklaces, about |P_l| / (s+1) weights).
 
 The float layer (``_products``, ``_kernel`` and :func:`delta`) is decimal
 arithmetic under a local :class:`decimal.Context` of P = ceil(bits log10 2)
@@ -73,8 +76,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, localcontext
-from functools import lru_cache
+from functools import lru_cache, partial
 from fractions import Fraction
+from itertools import chain
 from operator import add
 from typing import NamedTuple, Optional, Sequence, Tuple
 
@@ -99,6 +103,7 @@ from .weights import (
     _mark_bounds,
     _orbit_size,
     _trivial_on_center,
+    _walk_rule,
     _within_levels,
 )
 
@@ -191,7 +196,11 @@ def _terms(factors, spec: CenterSpec) -> Spectrum:
     Column i of a factor's pairing matrix, scaled by D / (2(l+h)), sits at
     that factor's roots.  The walk visits the flat mark tuples in the order
     of ``enumerate_product_weights`` and keeps a leaf if it is Gamma-trivial
-    and the least member of its orbit (``_orbit_size``).
+    and the least member of its orbit (``_orbit_size``).  Under the trivial
+    spec each factor's rule (``weights._walk_rule``) limits the walk to the
+    least members of its center orbits, and a leaf counts the product of
+    their sizes: the terms, their order and their counts are those of the
+    walk over all of P_l.
     """
     comarks, budgets = _mark_bounds(factors)
     trivial = _trivial_on_center(spec, factors)
@@ -208,27 +217,47 @@ def _terms(factors, spec: CenterSpec) -> Spectrum:
             columns.append(column)
         offset += len(M)
     reduced = [min(j, D - j) for j in range(D)].__getitem__
-    size = len(columns)
-    path = [0] * size  # path[i]: the mark chosen at depth i of the walk
+    parts = []  # each factor's marks
+    plan = []  # by depth: (the factor's marks, mark, step, cost per unit, column)
+    closes = {}  # depth after a factor's last mark -> that factor's close
+    for rs, _ in factors:
+        reserve, step, close = _walk_rule(spec, rs)
+        b = [0] * rs.rank
+        for j in range(rs.rank):
+            cost = comarks[len(plan)] + (reserve if j == 0 else 0)
+            plan.append((b, j, step, cost, columns[len(plan)]))
+        parts.append(b)
+        closes[len(plan)] = partial(close, b)
+    size = len(plan)
     counts = {}
 
-    def walk(i, remaining, js):
+    def walk(i, remaining, js, p, weight):
+        if i in closes:
+            weight *= closes[i](remaining, p)
+            if not weight:
+                return
         if i == size:
-            n = tuple(path)
-            m = trivial(n) and _orbit_size(spec, factors, trivial, n)
+            m = 1
+            if spec is not CenterSpec.TRIVIAL:
+                n = tuple(chain.from_iterable(parts))
+                m = trivial(n) and _orbit_size(spec, factors, trivial, n)
             if m:
                 key = (m, tuple(sorted(map(reduced, js))))
-                counts[key] = counts.get(key, 0) + 1
+                counts[key] = counts.get(key, 0) + weight
             return
-        remaining = budgets.get(i, remaining)
-        column, comark = columns[i], comarks[i]
-        for n in range(remaining // comark + 1):
-            if n:
+        if i in budgets:
+            remaining, p = budgets[i], 1
+        b, j, step, cost, column = plan[i]
+        low, at_low, above = step(b, j, p)
+        for n in range(low, remaining // cost + 1):
+            if n > low:
                 js = list(map(add, js, column))
-            path[i] = n
-            walk(i + 1, remaining - n * comark, js)
+            elif n:
+                js = [x + n * c for x, c in zip(js, column)]
+            b[j] = n
+            walk(i + 1, remaining - n * cost, js, above if n > low else at_low, weight)
 
-    walk(0, 0, [sum(c) for c in zip(*columns)])
+    walk(0, 0, [sum(c) for c in zip(*columns)], 1, 1)
     return Spectrum(D, tuple((c, m, js) for (m, js), c in counts.items()))
 
 

@@ -23,7 +23,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import compress, repeat
+from math import gcd
 from numbers import Rational
+from operator import add, floordiv, mod, mul, sub
 from typing import Tuple
 
 Vector = Tuple[Rational, ...]
@@ -206,20 +209,25 @@ def _twice_pairings(
     """``2 (v | w) = num (v . d w) / den`` for each integer vector v (rows)
     and each fundamental weight w, given as its integer multiple ``d w``.
 
-    A row is summed from the weight columns over the nonzero coordinates of
-    v, which are at most two for a root.
+    A row is summed from the weight columns, scaled by ``num`` once, over
+    the nonzero coordinates of v, which are at most two for a root.
     """
-    columns = tuple(zip(*scaled))  # columns[c][i] = d (omega_i)_c
+    g = gcd(num, den)
+    columns = tuple(tuple(num // g * y for y in column) for column in zip(*scaled))
+    dens = (den // g,) * len(scaled)
     rows = []
     for v in vectors:
-        dots = [0] * len(scaled)
-        for c, x in enumerate(v):
-            if x:
-                dots = [t + x * y for t, y in zip(dots, columns[c])]
-        twice = [num * t for t in dots]
-        if any(t % den for t in twice):
-            raise AssertionError(f"2 (v | w) is not an integer in {group_type}")
-        rows.append(tuple([t // den for t in twice]))
+        twice = repeat(0, len(scaled))
+        for c in compress(range(len(v)), v):
+            x = v[c]
+            column = columns[c] if abs(x) == 1 else map(mul, columns[c], repeat(abs(x)))
+            twice = map(add if x > 0 else sub, twice, column)
+        twice = tuple(twice)
+        if den > g:
+            if any(map(mod, twice, dens)):
+                raise AssertionError(f"2 (v | w) is not an integer in {group_type}")
+            twice = tuple(map(floordiv, twice, dens))
+        rows.append(twice)
     return tuple(rows)
 
 

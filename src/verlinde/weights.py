@@ -12,8 +12,11 @@ One table, ``_ACTS_ON``, states which factors each order-2 center subgroup
 acts on.  ``restrict_to_quotient`` keeps the weights whose character is
 trivial on the subgroup (a parity test on a few marks of each factor), and
 ``orbit_decompose`` the least member of each orbit (``_orbit_size``, as the
-exact pass does) under the involution that on every factor swaps the
-affine mark n_0 and n_1 (:func:`center_act_marks`).
+exact pass does for these quotients) under the involution that on every
+factor swaps the affine mark n_0 and n_1 (:func:`center_act_marks`).
+
+A second table, ``_LEAST_MEMBERS``, gives the rule per family by which the
+exact pass of a simply connected group visits one weight per center orbit.
 
 Types B and D also carry the coordinate view used throughout: writing
 lambda + rho = sum u_i e_i, the u_i form a strictly decreasing sequence of
@@ -309,6 +312,69 @@ def _orbit_size(spec: CenterSpec, factors, trivial, n: Marks) -> int:
     if image != n and not (trivial(image) and _within_levels(factors, image)):
         raise AssertionError(f"center action left the level set: {n} -> {image}")
     return 0 if image < n else 1 if image == n else 2
+
+
+# The rules by which the exact pass (``formula._terms``) walks a factor under
+# CenterSpec.TRIVIAL: in lexicographic order, it visits only the least member
+# n of each orbit of a center group H, which acts by automorphisms of the
+# affine Dynkin diagram and so leaves Delta fixed, and counts n |H.n| times.
+# A rule reads b, the factor's marks (b[j] = n_(j+1)), and p, a state that is
+# 1 at the factor's first mark.  ``step`` gives the least value of mark j, the
+# state at that value and the state above it; ``close`` gives |H.n|, or 0 if
+# n is not least, from ``rest``: n_0, less n_1 under a reserve.
+def _free(b, j, p):
+    return 0, p, p
+
+
+def _necklace_step(b, j, p):
+    return (b[j - p] if j else 0), p, j + 1
+
+
+def _necklace_close(b, rest, p):
+    s = len(b)
+    if rest < b[s - p]:
+        return 0
+    if rest > b[s - p]:
+        p = s + 1
+    return 0 if (s + 1) % p else p
+
+
+def _mirror_step(b, j, p):
+    s = len(b)
+    if j != s - 2 or s < 3:
+        return 0, p, p
+    inner = next((x - y for x, y in zip(b[1:(s - 1) // 2], b[s - 3::-1]) if x != y), 0)
+    return b[0] + (inner > 0), 0 if inner else p, 0
+
+
+# Family -> (reserve, step, close).
+# A: H = Z_(s+1) rotates (n_1, ..., n_s, n_0).  The least members are the
+#    necklaces, walked as prenecklaces (Ruskey, Savage and Wang, "Generating
+#    necklaces", J. Algorithms 13, 1992), and |H.n| is the period p.
+# B: H swaps n_0 and n_1.  Reserving n_1 of the budget for n_0 (each unit of
+#    n_1 costs its comark + 1) keeps n_1 <= n_0.
+# C: H reverses the affine marks, n_i <-> n_(s-i).  The pairs (n_k, n_(s-k))
+#    decide in turn, k = 1, 2, ..., then (n_s, n_0).  The walk meets
+#    n_(s-1) after the inner pairs (k >= 2), so it starts n_(s-1) at n_1, or
+#    at n_1 + 1 if they put n above its image; p stays 1 while all pairs tie.
+# D: H is the SO_EVEN generator, n_0 <-> n_1 with n_(s-1) <-> n_s, reserved
+#    as for B; an order-2 subgroup of the center.
+_LEAST_MEMBERS = {
+    "A": (0, _necklace_step, _necklace_close),
+    "B": (1, _free, lambda b, rest, p: 2 if rest else 1),
+    "C": (0, _mirror_step,
+          lambda b, rest, p: 2 if not p or b[-1] < rest else int(b[-1] == rest)),
+    "D": (1, _free, lambda b, rest, p: 2 if rest or b[-2] < b[-1] else int(b[-2] == b[-1])),
+}
+
+
+def _walk_rule(spec: CenterSpec, rs: RootSystem):
+    """The rule of the exact pass for a factor ``rs``: its family's entry of
+    ``_LEAST_MEMBERS`` under the trivial spec, else every member, each of
+    which the walk tests with :func:`_orbit_size`."""
+    if spec is CenterSpec.TRIVIAL:
+        return _LEAST_MEMBERS[rs.family]
+    return 0, _free, lambda b, rest, p: 1
 
 
 def orbit_decompose(Pprime: LevelWeightSet, spec: CenterSpec) -> OrbitSet:

@@ -220,6 +220,28 @@ def test_exact_pass_equals_the_per_weight_reference(family, rank, level, spec):
     assert _terms(P.factors, spec) == reference_terms(P, spec)
 
 
+@pytest.mark.parametrize(
+    "factors",
+    [(("A", 5, 6),), (("A", 3, 4),), (("C", 4, 4),), (("C", 5, 4),), (("B", 4, 4),),
+     (("D", 5, 4),), (("D", 6, 4),), (("A", 2, 3), ("C", 2, 2))],
+    ids=lambda factors: "x".join(f"{f}{r}-{level}" for f, r, level in factors),
+)
+def test_center_orbits_of_every_size_count_every_weight(factors):
+    """Under the trivial spec the walk visits one member of each center
+    orbit.  On keys whose orbits take every size of their rule (periods 1,
+    2, 3 and 6 for A5 at level 6, palindromes with n_s = n_0 for C4 and C5,
+    ties of both pairs for D, and a product), the spectrum is the per-weight
+    reference, and its counts add up to |P_l|: binomial(l + s, s) for A and
+    C."""
+    factors = tuple((root_system(f, r), level) for f, r, level in factors)
+    P = enumerate_product_weights(factors)
+    spectrum = _terms(factors, CenterSpec.TRIVIAL)
+    assert spectrum == reference_terms(P, CenterSpec.TRIVIAL)
+    assert sum(count * m for count, m, _ in spectrum.terms) == len(P)
+    if all(rs.family in "AC" for rs, _ in factors):
+        assert len(P) == math.prod(math.comb(lvl + rs.rank, rs.rank) for rs, lvl in factors)
+
+
 @pytest.mark.parametrize("family,rank,level,spec", _exact_pass_cases())
 def test_deltas_equal_the_left_fold_in_numerator_order(family, rank, level, spec):
     """Each Delta, the product of its term's sines in numerator order, lies
