@@ -209,8 +209,9 @@ def _twice_pairings(
     """``2 (v | w) = num (v . d w) / den`` for each integer vector v (rows)
     and each fundamental weight w, given as its integer multiple ``d w``.
 
-    A row is summed from the weight columns, scaled by ``num`` once, over
-    the nonzero coordinates of v, which are at most two for a root.
+    A row is summed from the weight columns, scaled once by num / g with g
+    = gcd(num, den), over the nonzero coordinates of v, which are at most
+    two for a root, and divided by den / g when that is above 1.
     """
     g = gcd(num, den)
     columns = tuple(tuple(num // g * y for y in column) for column in zip(*scaled))

@@ -4,6 +4,7 @@ import pytest
 
 from verlinde.rootsys import (
     GroupType,
+    _twice_pairings,
     build_root_system,
     coroot_pairing,
     inner,
@@ -135,6 +136,15 @@ def test_pairing_matrix_is_twice_the_inner_product(family, rank):
         assert row == tuple(2 * inner(rs, alpha, w) for w in rs.fundamental_weights)
     assert all(type(c) is int and c > 0 for c in rs.comarks)
     assert rs.comarks == tuple(level_of(rs, w) for w in rs.fundamental_weights)
+
+
+def test_a_pairing_that_is_not_an_integer_is_refused():
+    """2 (v | w) = num (v . d w) / den must be an integer: here v . d w = 1
+    and num / den = 1 / 2, and with coefficient 2 the row is 1."""
+    a1 = GroupType("A", 1)
+    with pytest.raises(AssertionError, match="not an integer in A1"):
+        _twice_pairings(a1, ((1, 0),), ((1, -1),), 1, 2)
+    assert _twice_pairings(a1, ((2, 0),), ((1, -1),), 1, 2) == ((1,),)
 
 
 @pytest.mark.parametrize("family,rank", [("B", 2), ("B", 4), ("D", 3), ("D", 5)])
