@@ -39,12 +39,12 @@ spectrum of distinct (orbit size, sorted numerators) with a count each.
 
 The exact pass is one recursion over the mark tuples in lexicographic
 order: each node adds its pairing column once to its parent's numerators,
-starting from rho (the sum of the columns), so a weight costs one vector
-add, not one dot product per root.  A leaf that is the least member of its
-Gamma-orbit merges into the spectrum at once; P_l is never stored.  For a
-simply connected group the walk visits only the least member of each center
-orbit, on which Delta is constant, and counts it with its orbit size (for
-type A the necklaces, about |P_l| / (s+1) weights).
+starting from rho (the pairing rows' sums), so a weight costs one vector
+add, not one dot product per root.  Under every spec the walk visits only
+the least member of each center orbit, on which Delta is constant (for type
+A the necklaces, about |P_l| / (s+1) weights), and merges it into the
+spectrum at once; P_l is never stored.  A simply connected group counts it
+with its orbit size, a quotient once, with its Gamma-orbit size as m.
 
 The float layer (``_products``, ``_kernel`` and :func:`delta`) is decimal
 arithmetic under a local :class:`decimal.Context` of P = ceil(bits log10 2)
@@ -99,11 +99,10 @@ from .rootsys import (
     root_system,
 )
 from .weights import (
+    _LEAST_MEMBERS,
     CenterSpec,
     _mark_bounds,
-    _orbit_size,
     _trivial_on_center,
-    _walk_rule,
     _within_levels,
 )
 
@@ -195,12 +194,11 @@ def _terms(factors, spec: CenterSpec) -> Spectrum:
 
     Column i of a factor's pairing matrix, scaled by D / (2(l+h)), sits at
     that factor's roots.  The walk visits the flat mark tuples in the order
-    of ``enumerate_product_weights`` and keeps a leaf if it is Gamma-trivial
-    and the least member of its orbit (``_orbit_size``).  Under the trivial
-    spec each factor's rule (``weights._walk_rule``) limits the walk to the
-    least members of its center orbits, and a leaf counts the product of
-    their sizes: the terms, their order and their counts are those of the
-    walk over all of P_l.
+    of ``enumerate_product_weights``, only the least members of the center
+    orbits of each factor (``weights._LEAST_MEMBERS``).  A leaf counts the
+    product of their sizes under the trivial spec; under a quotient, a
+    Gamma-trivial leaf counts once, with its Gamma-orbit size m: the terms,
+    their order and their counts are those of the walk over all of P_l.
     """
     comarks, budgets = _mark_bounds(factors)
     trivial = _trivial_on_center(spec, factors)
@@ -208,20 +206,21 @@ def _terms(factors, spec: CenterSpec) -> Spectrum:
     D = math.lcm(*shifted)
     roots = sum(len(rs.pairing_matrix) for rs, _ in factors)
     columns = []
-    offset = 0
+    rho = []
     for (rs, _), d in zip(factors, shifted):
         M = rs.pairing_matrix
+        offset = len(rho)
         for i in range(rs.rank):
             column = [0] * roots
             column[offset:offset + len(M)] = [D // d * row[i] for row in M]
             columns.append(column)
-        offset += len(M)
+        rho += [D // d * sum(row) for row in M]
     reduced = [min(j, D - j) for j in range(D)].__getitem__
     parts = []  # each factor's marks
     plan = []  # by depth: (the factor's marks, mark, step, cost per unit, column)
     closes = {}  # depth after a factor's last mark -> that factor's close
     for rs, _ in factors:
-        reserve, step, close = _walk_rule(spec, rs)
+        reserve, step, close = _LEAST_MEMBERS[rs.family]
         b = [0] * rs.rank
         for j in range(rs.rank):
             cost = comarks[len(plan)] + (reserve if j == 0 else 0)
@@ -229,21 +228,22 @@ def _terms(factors, spec: CenterSpec) -> Spectrum:
         parts.append(b)
         closes[len(plan)] = partial(close, b)
     size = len(plan)
+    quotient = spec is not CenterSpec.TRIVIAL
     counts = {}
 
     def walk(i, remaining, js, p, weight):
-        if i in closes:
+        if i in closes and (weight == 1 or not quotient):  # see _LEAST_MEMBERS
             weight *= closes[i](remaining, p)
             if not weight:
                 return
         if i == size:
             m = 1
-            if spec is not CenterSpec.TRIVIAL:
-                n = tuple(chain.from_iterable(parts))
-                m = trivial(n) and _orbit_size(spec, factors, trivial, n)
-            if m:
-                key = (m, tuple(sorted(map(reduced, js))))
-                counts[key] = counts.get(key, 0) + weight
+            if quotient:
+                if not trivial(tuple(chain.from_iterable(parts))):
+                    return
+                m, weight = weight, 1
+            key = (m, tuple(sorted(map(reduced, js))))
+            counts[key] = counts.get(key, 0) + weight
             return
         if i in budgets:
             remaining, p = budgets[i], 1
@@ -257,7 +257,8 @@ def _terms(factors, spec: CenterSpec) -> Spectrum:
             b[j] = n
             walk(i + 1, remaining - n * cost, js, above if n > low else at_low, weight)
 
-    walk(0, 0, [sum(c) for c in zip(*columns)], 1, 1)
+    walk(0, 0, rho, 1, 1)
+    del walk  # the closure refers to itself; free it and its state now
     return Spectrum(D, tuple((c, m, js) for (m, js), c in counts.items()))
 
 

@@ -11,12 +11,12 @@ for the ``weights`` command and the tests; the exact pass
 One table, ``_ACTS_ON``, states which factors each order-2 center subgroup
 acts on.  ``restrict_to_quotient`` keeps the weights whose character is
 trivial on the subgroup (a parity test on a few marks of each factor), and
-``orbit_decompose`` the least member of each orbit (``_orbit_size``, as the
-exact pass does for these quotients) under the involution that on every
-factor swaps the affine mark n_0 and n_1 (:func:`center_act_marks`).
+``orbit_decompose`` the least member of each orbit (``_orbit_size``) under
+the involution that on every factor swaps the affine mark n_0 and n_1
+(:func:`center_act_marks`), for the ``weights`` command and the tests.
 
 A second table, ``_LEAST_MEMBERS``, gives the rule per family by which the
-exact pass of a simply connected group visits one weight per center orbit.
+exact pass visits one weight per center orbit, under every center spec.
 
 Types B and D also carry the coordinate view used throughout: writing
 lambda + rho = sum u_i e_i, the u_i form a strictly decreasing sequence of
@@ -305,23 +305,28 @@ def center_act(spec: CenterSpec, w, factors):
 def _orbit_size(spec: CenterSpec, factors, trivial, n: Marks) -> int:
     """The orbit size of the Gamma-trivial level weight n if n is its
     orbit's lexicographically least member, else 0: 1 if n is its own
-    image, 2 if n < image.  ``trivial`` is the test of
-    :func:`_trivial_on_center`; an image that it refuses, or outside the
-    levels, raises ``AssertionError``."""
+    image, 2 if n < image; the rule of :func:`orbit_decompose`, not of the
+    exact pass.  ``trivial`` is the test of :func:`_trivial_on_center`; an
+    image that it refuses, or outside the levels, raises ``AssertionError``."""
     image = center_act_marks(spec, n, factors)
     if image != n and not (trivial(image) and _within_levels(factors, image)):
         raise AssertionError(f"center action left the level set: {n} -> {image}")
     return 0 if image < n else 1 if image == n else 2
 
 
-# The rules by which the exact pass (``formula._terms``) walks a factor under
-# CenterSpec.TRIVIAL: in lexicographic order, it visits only the least member
-# n of each orbit of a center group H, which acts by automorphisms of the
-# affine Dynkin diagram and so leaves Delta fixed, and counts n |H.n| times.
-# A rule reads b, the factor's marks (b[j] = n_(j+1)), and p, a state that is
-# 1 at the factor's first mark.  ``step`` gives the least value of mark j, the
-# state at that value and the state above it; ``close`` gives |H.n|, or 0 if
-# n is not least, from ``rest``: n_0, less n_1 under a reserve.
+# The rules by which the exact pass (``formula._terms``) walks a factor: in
+# lexicographic order, it visits only the least member n of each orbit of a
+# center group H, which acts by automorphisms of the affine Dynkin diagram and
+# so leaves Delta fixed.  A rule reads b, the factor's marks (b[j] = n_(j+1)),
+# and p, a state that is 1 at the factor's first mark.  ``step`` gives the
+# least value of mark j, the state at that value and the state above it;
+# ``close`` gives |H.n|, or 0 if n is not least, from ``rest``: n_0, less n_1
+# under a reserve.  Under the trivial spec a leaf counts the product of the
+# closes.  Every Gamma of ``_ACTS_ON`` is an H (B: SO_ODD, D: SO_EVEN, A1:
+# SO3) or the diagonal of two A1 groups (SO4_DIAGONAL), whose orbit size is
+# the first close that is not 1: that needs every factor after the first to
+# walk freely under a diagonal spec, as A1 does (its step never raises a
+# least value).
 def _free(b, j, p):
     return 0, p, p
 
@@ -366,15 +371,6 @@ _LEAST_MEMBERS = {
           lambda b, rest, p: 2 if not p or b[-1] < rest else int(b[-1] == rest)),
     "D": (1, _free, lambda b, rest, p: 2 if rest or b[-2] < b[-1] else int(b[-2] == b[-1])),
 }
-
-
-def _walk_rule(spec: CenterSpec, rs: RootSystem):
-    """The rule of the exact pass for a factor ``rs``: its family's entry of
-    ``_LEAST_MEMBERS`` under the trivial spec, else every member, each of
-    which the walk tests with :func:`_orbit_size`."""
-    if spec is CenterSpec.TRIVIAL:
-        return _LEAST_MEMBERS[rs.family]
-    return 0, _free, lambda b, rest, p: 1
 
 
 def orbit_decompose(Pprime: LevelWeightSet, spec: CenterSpec) -> OrbitSet:

@@ -4,6 +4,7 @@ and the SO oracle's own cache.
 Every test starts from empty caches, so that test order does not matter.
 """
 
+import gc
 import tracemalloc
 from fractions import Fraction
 
@@ -110,6 +111,26 @@ def test_exact_pass_memory_follows_the_spectrum():
     assert sum(count for count, _, _ in spectrum.terms) == 12870
     assert len(spectrum.terms) == 698
     assert peak < 2 * 2**20
+
+
+@pytest.mark.parametrize("spec,factors", [
+    (CenterSpec.TRIVIAL, (("A", 6, 6),)),
+    (CenterSpec.SO_EVEN, (("D", 4, 4),)),
+    (CenterSpec.SO4_DIAGONAL, (("A", 1, 3), ("A", 1, 5))),
+], ids=["A6-6-trivial", "D4-4-so-even", "A1xA1-3,5-so4-diagonal"])
+def test_the_exact_pass_leaves_no_reference_cycle(spec, factors):
+    """With the cyclic collector off, nothing that ``_terms`` allocated is
+    left for it to find: the walk and the state it closes over (the merge
+    dict, the plan, the columns) are freed when the call returns."""
+    factors = tuple((root_system(f, r), level) for f, r, level in factors)
+    gc.collect()
+    gc.disable()
+    try:
+        _terms(factors, spec)
+        unreachable = gc.collect()
+    finally:
+        gc.enable()
+    assert unreachable == 0
 
 
 def _calls():
