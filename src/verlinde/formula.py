@@ -52,8 +52,7 @@ arithmetic under a local :class:`decimal.Context` of P = ceil(bits log10 2)
 (Cowlishaw, *General Decimal Arithmetic Specification*) within
 eps = 10^(1-P) / 2 <= 2^-(bits+1), relative: at least as accurate as an mpf
 operation at ``bits``.  ``_products`` and ``_kernel`` state their error
-bounds.  The sines (from the sine table of
-:func:`verlinde.numeric.four_sin_sq`) and the certification stay on mpmath.
+bounds.  The sines are mpmath's; certification rounds the kernel's Decimal.
 
 Only the exponent depends on the genus, so the rest is built once per
 process and reused by every later call, each piece by a pure function
@@ -169,7 +168,7 @@ def delta(
     arguments are computed exactly, from the marks of ``lam``, before any
     floating point enters, as in ``_terms``; the product is that of the
     float layer (``_products``) at ``precision``, returned as an mpf that
-    holds all of its digits.
+    holds all of its digits: the float layer's one conversion to mpmath.
     """
     n = marks(rs, lam)
     if not _within_levels(((rs, level),), n):
@@ -308,7 +307,7 @@ def _to_decimal(x: mpmath.mpf, context: Context) -> Decimal:
 
 def _to_mpf(x: Decimal, context: Context) -> mpmath.mpf:
     """``x``, of at most the digits of ``context``, as an mpf of one decimal
-    digit more, so that the conversion loses none of them."""
+    digit more, so that :func:`delta` returns all of them."""
     n, d = x.as_integer_ratio()
     with mpmath.workdps(context.prec + 1):
         return mpmath.mpf(n) / d
@@ -337,10 +336,10 @@ def _products(spectrum: Spectrum, bits: int) -> Tuple[Decimal, ...]:
 
 def _kernel(
     spectrum: Spectrum, deltas, T: int, genus: int, gamma_order: int, bits: int
-) -> mpmath.mpf:
+) -> Decimal:
     """|Gamma| * sum of count * m^(1-2g) * (T/Delta)^(g-1) over the N terms
     of the spectrum, in the decimal context of ``bits``, from the Delta of
-    each term at ``bits``; returned as an mpf that holds all P digits.
+    each term at ``bits``: a Decimal of P digits, which certification rounds.
 
     Each operation is within eps, and a power with an integer exponent,
     taken with extra digits, within 2 eps.  The error of T/Delta, 2R eps,
@@ -351,7 +350,7 @@ def _kernel(
     and one eps for the second-order terms.  A binary kernel at ``bits`` has
     the looser first-order bound ((R + 1) |g - 1| + N + 4) 2^-bits.
     """
-    with localcontext(_context(bits)) as context:
+    with localcontext(_context(bits)):
         T = Decimal(T)
         powers = {}  # m -> m^(1-2g); orbit sizes take few values
         total = Decimal(0)
@@ -362,8 +361,7 @@ def _kernel(
             # at g = 0 the power is Delta/T; inverting T/Delta would round twice
             ratio = (T / d) ** (genus - 1) if genus else d / T
             total += count * power * ratio
-        total *= gamma_order
-    return _to_mpf(total, context)
+        return total * gamma_order
 
 
 def torus_order_oracle_certified(
@@ -375,7 +373,7 @@ def torus_order_oracle_certified(
     check_precision(precision)  # a refused request enumerates nothing
     key = (((rs.group_type, level),), CenterSpec.TRIVIAL)
     spectrum = _spectrum_of(key)
-    _, value, residual, _ = certify_integer(
+    value, residual, _ = certify_integer(
         lambda bits: _kernel(spectrum, _deltas(key, bits), 1, 0, 1, bits), precision
     )
     return value, residual
@@ -393,7 +391,7 @@ def _verlinde(factors, spec, genus, precision, label, level) -> VerlindeResult:
     key = (tuple((rs.group_type, lvl) for rs, lvl in factors), spec)
     spectrum, T = _exact(key)
     gamma_order = 1 if spec is CenterSpec.TRIVIAL else 2
-    _, value, residual, bits = certify_integer(
+    value, residual, bits = certify_integer(
         lambda b: _kernel(spectrum, _deltas(key, b), T, genus, gamma_order, b),
         precision,
     )

@@ -6,8 +6,8 @@ and rounded, and the rounding residual is kept as an audit trail.  The
 engine's products and sums (:mod:`verlinde.formula`) are decimal arithmetic
 at P = ceil(bits log10 2) + 1 digits, each operation correctly rounded
 within 10^(1-P) / 2 <= 2^-(bits+1), relative; their stated error bounds are
-in ``formula._products`` and ``formula._kernel``.  The sines, the
-certification below and the SO oracle stay on mpmath.
+in ``formula._products`` and ``formula._kernel``.  The sines and the SO
+oracle stay on mpmath; certification rounds either's number exactly.
 
 A rounding is accepted only when the residual is within the integrality
 tolerance and the working precision has HEADROOM_BITS to spare beyond the
@@ -27,11 +27,13 @@ precision is never served at another.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from decimal import MAX_EMAX, Context, Decimal
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Tuple, Union
 
 import mpmath
+from mpmath.libmp import to_rational
 
 DEFAULT_PRECISION = 192
 MIN_PRECISION = 64
@@ -55,14 +57,11 @@ SINE_TABLE_SIZE = 4096
 class IntegralityError(ArithmeticError):
     """A sum failed to certify as an integer at the maximum precision."""
 
-    def __init__(self, raw_value: str, residual: float, precision_bits: int):
+    def __init__(self, raw_value: str, residual: float, precision_bits: int, reason: str):
         self.raw_value = raw_value
         self.residual = residual
         self.precision_bits = precision_bits
-        super().__init__(
-            f"value {raw_value} is not within tolerance of an integer "
-            f"(residual {residual:.3e} at {precision_bits} bits)"
-        )
+        super().__init__(f"{raw_value}: {reason} ({precision_bits} bits, residual {residual:.3e})")
 
 
 @dataclass(frozen=True)
@@ -122,27 +121,28 @@ def _sine_table(numerator: int, denominator: int, prec: int) -> mpmath.mpf:
 
 
 def certify_integer(
-    compute: Callable[[int], mpmath.mpf], precision: int
-) -> Tuple[mpmath.mpf, int, float, int]:
-    """Evaluate ``compute(bits)`` and round, escalating precision on failure.
+    compute: Callable[[int], Union[Decimal, mpmath.mpf]], precision: int
+) -> Tuple[int, float, int]:
+    """Round ``compute(bits)``, a Decimal or an mpf, doubling ``bits`` from
+    ``precision`` while the rounding is refused (see above).
 
-    ``compute(bits)`` may carry more than ``bits`` bits (the engine's holds
-    every digit of its decimal sum): the residual is the evaluation error.
-    Returns ``(raw, value, residual, bits_used)``.  ``compute`` must be a
-    pure function of the precision; it is re-invoked at doubled precision
-    until the result is within :func:`integrality_tolerance` of an integer
-    with ``HEADROOM_BITS`` of precision beyond its bit length, and
-    :class:`IntegralityError` is raised after three doublings fail.
+    The number is rounded as its exact ratio n / d, so neither the caller's
+    decimal context nor mpmath's precision enters; the residual is the float
+    of its distance from the integer.  Returns ``(value, residual,
+    bits_used)``; ``compute`` must be a pure function of the precision.
+    After three doublings :class:`IntegralityError` names the failed check.
     """
-    bits = check_precision(precision)
-    for attempt in range(MAX_ESCALATIONS + 1):
+    base = check_precision(precision)
+    for bits in (base << k for k in range(MAX_ESCALATIONS + 1)):
         raw = compute(bits)
-        with mpmath.workprec(bits):
-            value = int(mpmath.nint(raw))
-            residual = float(abs(raw - value))
-        headroom = bits - abs(value).bit_length()
-        if residual < integrality_tolerance(value) and headroom >= HEADROOM_BITS:
-            return raw, value, residual, bits
-        if attempt < MAX_ESCALATIONS:
-            bits *= 2
-    raise IntegralityError(mpmath.nstr(raw, 30), residual, bits)
+        n, d = raw.as_integer_ratio() if isinstance(raw, Decimal) else to_rational(raw._mpf_)
+        value = (2 * n + d) // (2 * d)  # n / d, rounded half up
+        residual = abs(n - value * d) / d  # correctly rounded
+        if residual >= integrality_tolerance(value):
+            failed = "residual over tolerance"
+        elif bits - abs(value).bit_length() < HEADROOM_BITS:
+            failed = f"headroom below HEADROOM_BITS = {HEADROOM_BITS} bits"
+        else:
+            return value, residual, bits
+    raw_value = f"{Context(prec=30, Emax=MAX_EMAX).divide(n, d):g}"
+    raise IntegralityError(raw_value, residual, bits, failed)

@@ -207,7 +207,7 @@ def n_so_oracle(r: int, genus: int, precision: int = DEFAULT_PRECISION) -> Verli
                 total += mpmath.mpf(size) ** (1 - 2 * genus) * (torus / d) ** (genus - 1)
             return 2 * total
 
-    _, value, residual, bits = certify_integer(compute, precision)
+    value, residual, bits = certify_integer(compute, precision)
     return VerlindeResult(
         value=value,
         residual=residual,

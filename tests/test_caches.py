@@ -4,8 +4,10 @@ and the SO oracle's own cache.
 Every test starts from empty caches, so that test order does not matter.
 """
 
+import decimal
 import gc
 import tracemalloc
+from contextlib import contextmanager
 from fractions import Fraction
 
 import mpmath
@@ -154,6 +156,40 @@ def test_warm_results_equal_cold_results():
         call(g, p)
     warm = [outcome(call(g, p)) for call, g, p in reversed(cases)]
     assert warm[::-1] == cold
+
+
+def _context_cases():
+    return [
+        lambda: n_so(12, 5),
+        lambda: n_so(12, 60),  # escalates
+        lambda: n_so(4, 10),
+        lambda: n_sp(2, 3, 30, 320),
+        lambda: verlinde_sc(root_system("A", 2), 6, 40, 768),
+        lambda: torus_order_oracle_certified(root_system("C", 3), 4),
+        lambda: so_oracle.n_so_oracle(12, 5),
+        lambda: so_oracle.n_so_oracle(12, 60),  # escalates
+    ]
+
+
+@contextmanager
+def hostile_decimal_context():
+    with decimal.localcontext() as context:
+        context.prec = 5
+        context.traps[decimal.Inexact] = context.traps[decimal.Rounded] = True
+        yield
+
+
+@pytest.mark.parametrize("context", [hostile_decimal_context, lambda: mpmath.workprec(10)],
+                         ids=["decimal-prec-5-trapping", "mpmath-prec-10"])
+def test_a_callers_contexts_change_nothing(context):
+    """Cold and warm, every result is the one computed in the default
+    contexts, whatever decimal context or mpmath precision the caller set."""
+    want = [call() for call in _context_cases()]
+    clear_caches()
+    with context():
+        got = [call() for call in _context_cases()]
+        got += [call() for call in _context_cases()]
+    assert got == want + want
 
 
 def test_caches_stay_within_their_bounds():

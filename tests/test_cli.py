@@ -256,7 +256,7 @@ def test_certification_failure_exits_1_with_diagnostics(capsys, monkeypatch):
     from verlinde.numeric import IntegralityError
 
     def broken(*args, **kwargs):
-        raise IntegralityError("42.5", 0.5, 1536)
+        raise IntegralityError("42.5", 0.5, 1536, "residual over tolerance")
 
     monkeypatch.setattr(cli, "n_so", broken)
     code, out = run_cli(capsys, "compute", "--group", "so", "--r", "7",
@@ -268,12 +268,30 @@ def test_certification_failure_exits_1_with_diagnostics(capsys, monkeypatch):
     assert float(record["residual"]) == 0.5
 
 
+def test_a_value_without_headroom_exits_1_in_30_digits(capsys):
+    """SO(12) at genus 500 is 1,793 bits: 1,536 bits leave it no headroom,
+    though its residual is 0."""
+    from verlinde.formula import n_so
+    from verlinde.numeric import IntegralityError
+
+    code, out = run_cli(capsys, "compute", "--group", "so", "--r", "12",
+                        "--genus", "500")
+    assert code == 1
+    record = json.loads(out)
+    assert sorted(record) == ["error", "precision_bits", "raw_value", "residual"]
+    assert record["precision_bits"] == 1536
+    assert float(record["residual"]) == 0.0
+    assert record["raw_value"] == f"{Decimal(12**500):.29e}"  # 30 significant digits
+    with pytest.raises(IntegralityError, match="headroom below HEADROOM_BITS"):
+        n_so(12, 500)
+
+
 def test_compare_oracle_certification_failure_exits_1(capsys, monkeypatch):
     from verlinde import cli
     from verlinde.numeric import IntegralityError
 
     def broken(*args, **kwargs):
-        raise IntegralityError("48.5", 0.5, 1536)
+        raise IntegralityError("48.5", 0.5, 1536, "residual over tolerance")
 
     monkeypatch.setattr(cli, "n_so_oracle", broken)
     code, out = run_cli(capsys, "compare-oracle", "--r", "7", "--genus", "2")

@@ -1,3 +1,4 @@
+from decimal import Decimal
 from fractions import Fraction
 
 import mpmath
@@ -11,6 +12,10 @@ from verlinde.numeric import (
     four_sin_sq,
     integrality_tolerance,
 )
+
+from helpers import as_fraction
+
+NUMBERS = (mpmath.mpf, Decimal)  # what the SO oracle and the engine sum in
 
 
 def test_four_sin_sq_known_values():
@@ -62,49 +67,92 @@ def test_check_precision_upper_bound():
 
 
 def test_escalations_may_pass_the_precision_cap():
-    def compute(bits):
-        return mpmath.mpf(7) + (mpmath.mpf("0.25") if bits == MAX_PRECISION else 0)
+    for number in NUMBERS:
+        def compute(bits):
+            return number(7) + (number("0.25") if bits == MAX_PRECISION else 0)
 
-    raw, value, residual, bits = certify_integer(compute, MAX_PRECISION)
-    assert (value, bits, residual) == (7, 2 * MAX_PRECISION, 0.0)
-    with pytest.raises(ValueError, match=f"<= {MAX_PRECISION}"):
-        certify_integer(compute, MAX_PRECISION + 1)
+        value, residual, bits = certify_integer(compute, MAX_PRECISION)
+        assert (value, bits, residual) == (7, 2 * MAX_PRECISION, 0.0)
+        with pytest.raises(ValueError, match=f"<= {MAX_PRECISION}"):
+            certify_integer(compute, MAX_PRECISION + 1)
 
 
 def test_certify_accepts_clean_integer():
-    raw, value, residual, bits = certify_integer(
-        lambda p: mpmath.mpf(12), 192
-    )
-    assert (value, bits) == (12, 192)
-    assert residual == 0.0
+    for number in NUMBERS:
+        value, residual, bits = certify_integer(
+            lambda p: number(12), 192
+        )
+        assert (value, bits) == (12, 192)
+        assert residual == 0.0
 
 
 def test_certify_escalates_precision():
-    def compute(bits):
-        return mpmath.mpf(7) + (mpmath.mpf("0.25") if bits == 192 else mpmath.mpf("1e-40"))
+    for number in NUMBERS:
+        def compute(bits):
+            return number(7) + (number("0.25") if bits == 192 else number("1e-40"))
 
-    raw, value, residual, bits = certify_integer(compute, 192)
-    assert value == 7
-    assert bits == 384
-    assert residual < 1e-30
+        value, residual, bits = certify_integer(compute, 192)
+        assert value == 7
+        assert bits == 384
+        assert residual < 1e-30
 
 
 def test_certify_escalates_until_the_value_has_headroom():
-    # 2^200 is an exact float, but 192 bits leave no room beyond its 201
-    raw, value, residual, bits = certify_integer(lambda p: mpmath.mpf(2**200), 192)
-    assert value == 2**200
-    assert bits == 384
+    for number in NUMBERS:
+        # 2^200 is an exact float, but 192 bits leave no room beyond its 201
+        value, residual, bits = certify_integer(lambda p: number(2**200), 192)
+        assert value == 2**200
+        assert bits == 384
 
 
 def test_certify_gives_up_after_three_doublings():
-    calls = []
+    for number in NUMBERS:
+        calls = []
 
-    def compute(bits):
-        calls.append(bits)
-        return mpmath.mpf("0.5")
+        def compute(bits):
+            calls.append(bits)
+            return number("0.5")
 
-    with pytest.raises(IntegralityError) as info:
-        certify_integer(compute, 192)
-    assert calls == [192, 384, 768, 1536]
-    assert info.value.precision_bits == 1536
-    assert info.value.residual == 0.5
+        with pytest.raises(IntegralityError) as info:
+            certify_integer(compute, 192)
+        assert calls == [192, 384, 768, 1536]
+        assert info.value.precision_bits == 1536
+        assert info.value.residual == 0.5
+
+
+def exactly(number, text):
+    """``text`` as a ``number``, without rounding (mpf at 4096 bits)."""
+    with mpmath.workprec(4096):
+        return number(text)
+
+
+@pytest.mark.parametrize("number", NUMBERS)
+@pytest.mark.parametrize("fraction,rounded", [("25", 0), ("75", 1)])
+def test_certify_rounds_past_the_float_range_exactly(number, fraction, rounded):
+    whole = 3**700  # 1110 bits: float(whole) overflows
+    raw = exactly(number, f"{whole}.{fraction}")
+    value, residual, bits = certify_integer(lambda p: raw, 1200)
+    assert (value, residual, bits) == (whole + rounded, 0.25, 1200)
+
+
+@pytest.mark.parametrize("number", NUMBERS)
+@pytest.mark.parametrize("text", ["7.000000000000000000000000000000000000000123",
+                                  "6.9999999999999999999999999999999999999999997",
+                                  "123456789012345678901234567.0000000001"])
+def test_the_residual_is_the_exact_distance(number, text):
+    raw = exactly(number, text)
+    value, residual, _ = certify_integer(lambda p: raw, 192)
+    assert value == round(as_fraction(raw))
+    assert residual == float(abs(as_fraction(raw) - value))
+
+
+@pytest.mark.parametrize("number", NUMBERS)
+def test_the_error_names_the_failed_condition_in_30_digits(number):
+    with pytest.raises(IntegralityError, match="residual over tolerance") as info:
+        certify_integer(lambda p: exactly(number, "0.5"), 192)
+    assert info.value.raw_value == "0.5"
+    # 2^2000 is an integer, but no precision up to 1536 bits has headroom for it
+    with pytest.raises(IntegralityError, match="headroom below HEADROOM_BITS") as info:
+        certify_integer(lambda p: exactly(number, str(2**2000)), 192)
+    assert info.value.raw_value == "1.14813069527425452423283320118e+602"
+    assert (info.value.residual, info.value.precision_bits) == (0.0, 1536)

@@ -1,9 +1,11 @@
 import math
+from decimal import Decimal
 from fractions import Fraction
 
 import mpmath
 import pytest
 
+import verlinde.formula as formula
 import verlinde.weights as weights
 from verlinde.formula import (
     DYNKIN_INDEX,
@@ -276,6 +278,29 @@ def test_kernel_equals_the_operator_form_reference(family, rank, level, spec):
             want = reference_kernel(spectrum, reference, T, genus, gamma_order, bits + 64)
             _, bound = float_layer_bounds(spectrum, genus, bits)
             assert relative_error(got, want) <= bound, (bits, genus)
+
+
+
+@pytest.mark.parametrize("call", [
+    lambda: n_so(12, 12),  # 1.1e-44 from the Decimal sum itself
+    lambda: n_so(12, 60),  # escalates to 384 bits
+    lambda: n_so(7, 5),
+    lambda: n_so(4, 10),
+    lambda: n_sp(2, 3, 30, 320),
+], ids=["so12-g12", "so12-g60", "so7-g5", "so4-g10", "sp4-l3-g30"])
+def test_the_residual_is_the_distance_of_the_kernel_sum(monkeypatch, call):
+    """The kernel hands certification its Decimal, and the residual is the
+    float of that Decimal's exact distance from the value."""
+    sums = []
+
+    def recorded(*args):
+        sums.append(_kernel(*args))
+        return sums[-1]
+
+    monkeypatch.setattr(formula, "_kernel", recorded)
+    res = call()
+    assert isinstance(sums[-1], Decimal)
+    assert res.residual == float(abs(Fraction(sums[-1]) - res.value))
 
 
 # --- torus orders ------------------------------------------------------------
