@@ -2,7 +2,10 @@
 
 Subcommands: ``compute`` (one certified number), ``weights`` (level weight
 and orbit listings), ``suite`` (the batch identity checks) and
-``compare-oracle`` (the two independent SO paths side by side).  Values
+``compare-oracle`` (the two independent SO paths side by side).  An argv
+that starts with a command name is parsed by that command's own subparser,
+in one argparse pass; every other argv goes through the full parser, so
+usage, help and errors read as argparse's two-level parse writes them.  Values
 are emitted as decimal strings since they outgrow 64-bit integers quickly;
 they are formatted through :class:`decimal.Decimal`, as ``str`` refuses an
 int of more than 4,300 digits.
@@ -19,6 +22,7 @@ import json
 import sys
 from decimal import Decimal
 from functools import cache
+from gettext import gettext
 from typing import Optional, Sequence
 
 from .formula import n_so, n_sp, verlinde_sc
@@ -168,14 +172,24 @@ def _cmd_compare_oracle(args) -> int:
 @cache
 def build_parser() -> argparse.ArgumentParser:
     """The ``verlinde`` argument parser, built once per process: parsing
-    leaves it unchanged, and building it costs more than a small command."""
+    leaves it unchanged, and building it costs more than a small command.
+
+    Its ``commands`` attribute maps each command name to that command's
+    subparser, which parses an argv led by the name in one pass; the full
+    parser takes every other argv."""
     parser = argparse.ArgumentParser(
         prog="verlinde",
         description="Certified Verlinde dimension numbers for classical groups.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = {name: sub.add_parser(name, help=text) for name, text in (
+        ("compute", "compute one certified dimension"),
+        ("weights", "list level weights (and orbits)"),
+        ("suite", "run the batch identity checks"),
+        ("compare-oracle", "engine vs sequence oracle for SO(r)"),
+    )}
 
-    p = sub.add_parser("compute", help="compute one certified dimension")
+    p = parser.commands["compute"]
     p.add_argument("--group", choices=("so", "sp", "sc"), required=True)
     p.add_argument("--r", type=int, help="r of SO(r), or r of Sp(2r)")
     p.add_argument("--level", type=int, help="level (groups sp and sc)")
@@ -185,7 +199,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--precision", type=int, default=DEFAULT_PRECISION)
     p.add_argument("--format", choices=("json", "csv", "md"), default="json")
 
-    p = sub.add_parser("weights", help="list level weights (and orbits)")
+    p = parser.commands["weights"]
     p.add_argument("--type", choices=("A", "B", "C", "D"), required=True)
     p.add_argument("--rank", type=int, required=True)
     p.add_argument("--level", type=int, required=True)
@@ -193,7 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="restrict to the SO-type center quotient and show orbits")
     p.add_argument("--format", choices=("json", "md"), default="md")
 
-    p = sub.add_parser("suite", help="run the batch identity checks")
+    p = parser.commands["suite"]
     p.add_argument("--r-max", type=int, default=12)
     p.add_argument("--genus-max", type=int, default=5)
     p.add_argument("--sp-max", type=int, default=4)
@@ -203,7 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--precision", type=int, default=DEFAULT_PRECISION)
     p.add_argument("--format", choices=("json", "md"), default="md")
 
-    p = sub.add_parser("compare-oracle", help="engine vs sequence oracle for SO(r)")
+    p = parser.commands["compare-oracle"]
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--genus", type=int, required=True)
     p.add_argument("--precision", type=int, default=DEFAULT_PRECISION)
@@ -219,15 +233,29 @@ _COMMANDS = {
 }
 
 
+def _parse(argv: Sequence[str]) -> argparse.Namespace:
+    """The namespace of ``argv``, as ``build_parser().parse_args(argv)``
+    gives it, with one argparse pass when ``argv[0]`` names a command.
+    Leftover arguments are refused by the full parser, as in its own
+    two-level parse."""
+    parser = build_parser()
+    command = parser.commands.get(argv[0]) if argv else None
+    if command is None:
+        return parser.parse_args(argv)
+    args, extras = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+    if extras:
+        parser.error(gettext("unrecognized arguments: %s") % " ".join(extras))
+    return args
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """Run one command: a ``ValueError`` is a bad argument (exit 2), an
     ``IntegralityError`` a failed certification (exit 1, JSON diagnostic)."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else argv)
     try:
         return _COMMANDS[args.command](args)
     except ValueError as err:
-        parser.error(str(err))
+        build_parser().error(str(err))
     except IntegralityError as err:
         _emit_record(
             {

@@ -209,11 +209,12 @@ def _terms(factors, spec: CenterSpec) -> Spectrum:
     for (rs, _), d in zip(factors, shifted):
         M = rs.pairing_matrix
         offset = len(rho)
-        for i in range(rs.rank):
+        scale = D // d
+        for col in zip(*M):
             column = [0] * roots
-            column[offset:offset + len(M)] = [D // d * row[i] for row in M]
+            column[offset:offset + len(M)] = col if scale == 1 else [scale * x for x in col]
             columns.append(column)
-        rho += [D // d * sum(row) for row in M]
+        rho += [scale * sum(row) for row in M]
     reduced = [min(j, D - j) for j in range(D)].__getitem__
     parts = []  # each factor's marks
     plan = []  # by depth: (the factor's marks, mark, step, cost per unit, column)

@@ -6,7 +6,7 @@ from decimal import Decimal
 
 import pytest
 
-from verlinde.cli import build_parser, main
+from verlinde.cli import _parse, build_parser, main
 from verlinde.numeric import MAX_PRECISION
 
 
@@ -162,16 +162,94 @@ def test_parser_keeps_no_state_between_calls(capsys):
         ["compute", "--group", "so", "--genus", "2"],  # argparse error
         ["compute", "--group", "so", "--r", "2", "--genus", "2"],  # ValueError
         ["weights", "--type", "A", "--rank", "1", "--level", "2"],
+        sp + ["--bogus"],  # unrecognized argument
+        sp + ["--", "x"],
     ]
     fresh = {}
     for argv in argvs:
         build_parser.cache_clear()
         fresh[tuple(argv)] = outcome(argv)
-    assert [fresh[tuple(a)][0] for a in argvs] == [0, 0, 2, 2, 0]
+    assert [fresh[tuple(a)][0] for a in argvs] == [0, 0, 2, 2, 0, 2, 2]
     build_parser.cache_clear()
     for argv in argvs + argvs[::-1] + argvs:
         assert outcome(argv) == fresh[tuple(argv)]
     assert build_parser() is build_parser()
+
+
+SO5 = ["compute", "--group", "so", "--r", "5", "--genus", "2"]
+PARSE_MATRIX = [
+    SO5,
+    ["compute", "--group", "sc", "--type", "A", "--rank", "2", "--level", "3",
+     "--genus", "2", "--precision", "256", "--format", "md"],
+    ["weights", "--type", "A", "--rank", "1", "--level", "4", "--quotient", "so"],
+    ["suite", "--r-max", "3", "--unitarity-level-max", "1", "--format", "json"],
+    ["compare-oracle", "--r", "4", "--genus", "2"],
+    ["-h"],
+    ["--help"],
+    ["compute", "-h"],
+    ["compare-oracle", "--help"],
+    ["-h", "compute"],
+    [],
+    ["frobnicate"],
+    ["Compute", "--group", "so"],
+    ["--group", "so", "compute"],  # an option before the command
+    ["--"] + SO5,
+    ["compute", "--group", "so", "--r", "5"],  # missing required option
+    ["compute"],
+    ["compute", "--group", "xx", "--r", "5", "--genus", "2"],  # bad choice
+    ["weights", "--type", "E", "--rank", "1", "--level", "1"],
+    ["compute", "--group", "so", "--r", "five", "--genus", "2"],  # bad int
+    SO5 + ["--bogus"],
+    SO5 + ["--bogus", "3"],
+    SO5 + ["stray"],
+    ["compute", "--format", "md", "stray", "--group", "so", "--genus", "2", "--r", "4",
+     "--more"],
+    SO5 + ["--", "x"],
+    SO5 + ["--"],
+    ["compute", "--group=so", "--r=5", "--genus=2"],
+    ["compute", "--gro", "so", "--r", "5", "--genus", "2"],  # abbreviation
+    ["compute", "--he"],
+    SO5 + ["--genus", "3"],  # repeated option
+]
+
+
+@pytest.mark.parametrize("argv", PARSE_MATRIX, ids=lambda argv: " ".join(argv) or "<none>")
+def test_one_pass_parse_matches_the_two_level_parse(capsys, argv):
+    """``_parse`` gives the namespace, or the exit code and output, of
+    argparse's own two-level parse of the same argv."""
+    def outcome(parse):
+        try:
+            result = vars(parse(argv))
+        except SystemExit as exc:
+            result = exc.code
+        captured = capsys.readouterr()
+        return result, captured.out, captured.err
+
+    assert outcome(_parse) == outcome(build_parser().parse_args)
+
+
+def test_a_command_argv_skips_the_full_parser(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the full parser ran")
+
+    monkeypatch.setattr(build_parser(), "parse_args", refuse)
+    assert _parse(SO5).command == "compute"
+    with pytest.raises(AssertionError):
+        _parse(["-h", "compute"])
+
+
+def test_console_script_reads_sys_argv(capsys, monkeypatch):
+    monkeypatch.setattr("sys.argv", ["verlinde"] + SO5)
+    assert main() == 0
+    assert json.loads(capsys.readouterr().out)["value"] == "25"
+
+
+def test_console_script_without_arguments_exit_2(capsys, monkeypatch):
+    monkeypatch.setattr("sys.argv", ["verlinde"])
+    with pytest.raises(SystemExit) as info:
+        main()
+    assert info.value.code == 2
+    assert "required: command" in capsys.readouterr().err
 
 
 def test_unknown_command_exit_2(capsys):
