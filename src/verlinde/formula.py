@@ -52,7 +52,9 @@ arithmetic under a local :class:`decimal.Context` of P = ceil(bits log10 2)
 (Cowlishaw, *General Decimal Arithmetic Specification*) within
 eps = 10^(1-P) / 2 <= 2^-(bits+1), relative: at least as accurate as an mpf
 operation at ``bits``.  ``_products`` and ``_kernel`` state their error
-bounds.  The sines are mpmath's; certification rounds the kernel's Decimal.
+bounds.  The sines are read from ``numeric._sine_table``, whose values are
+within eps + 2^-(bits+7) of the exact sines; certification rounds the
+kernel's Decimal.
 
 Only the exponent depends on the genus, so the rest is built once per
 process and reused by every later call, each piece by a pure function
@@ -61,7 +63,7 @@ memoized with :func:`functools.lru_cache`:
 * the spectrum, keyed by the (GroupType, level) of each factor and the
   center subgroup (``_spectrum_of``);
 * the Delta of each spectrum term, keyed by that key and the working
-  precision (``_deltas``), evaluating each distinct numerator's sine once.
+  precision (``_deltas``), from one sine table per (D, working precision).
 
 ``_kernel``, the one floating-point loop, then only raises T / Delta to the
 power g - 1, multiplies and adds, with m^(1-2g) computed once per distinct
@@ -74,21 +76,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, localcontext
+from decimal import Decimal, localcontext
 from functools import lru_cache, partial
-from fractions import Fraction
 from itertools import chain
 from operator import add
-from typing import NamedTuple, Optional, Sequence, Tuple
-
-import mpmath
+from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence, Tuple
 
 from .numeric import (
     DEFAULT_PRECISION,
     VerlindeResult,
+    _context,
+    _sine_table,
     certify_integer,
     check_precision,
-    four_sin_sq,
+    to_mpf,
 )
 from .rootsys import (
     RootSystem,
@@ -119,6 +120,9 @@ __all__ = [
     "n_sp",
     "theta_dim",
 ]
+
+if TYPE_CHECKING:
+    import mpmath
 
 
 class Spectrum(NamedTuple):
@@ -168,7 +172,7 @@ def delta(
     arguments are computed exactly, from the marks of ``lam``, before any
     floating point enters, as in ``_terms``; the product is that of the
     float layer (``_products``) at ``precision``, returned as an mpf that
-    holds all of its digits: the float layer's one conversion to mpmath.
+    holds all of its digits (``numeric.to_mpf``).
     """
     n = marks(rs, lam)
     if not _within_levels(((rs, level),), n):
@@ -177,7 +181,7 @@ def delta(
     D = 2 * (level + rs.dual_coxeter)
     js = [sum((x + 1) * m for x, m in zip(n, row)) for row in rs.pairing_matrix]
     spectrum = Spectrum(D, ((1, 1, tuple(sorted(min(j, D - j) for j in js))),))
-    return _to_mpf(_products(spectrum, precision)[0], _context(precision))
+    return to_mpf(_products(spectrum, precision)[0])
 
 
 def torus_order(rs: RootSystem, level: int) -> int:
@@ -290,49 +294,20 @@ def _deltas(key, bits: int) -> Tuple[Decimal, ...]:
     return _products(_spectrum_of(key), bits)
 
 
-def _context(bits: int) -> Context:
-    """The decimal context of the float layer at ``bits``: P = ceil(bits
-    log10 2) + 1 digits, so eps = 10^(1-P) / 2 <= 2^-(bits+1), rounding half
-    to even, and exponents that no certifiable value reaches."""
-    return Context(prec=math.ceil(bits * math.log10(2)) + 1, Emax=MAX_EMAX, Emin=MIN_EMIN)
-
-
-def _to_decimal(x: mpmath.mpf, context: Context) -> Decimal:
-    """The positive mpf ``x`` = man * 2^exp, exactly (as man * 5^-exp *
-    10^exp when exp < 0), then rounded once to ``context``."""
-    man, exp = x.man_exp
-    if exp >= 0:
-        return context.create_decimal(man << exp)
-    return context.scaleb(Decimal(man * 5**-exp), exp)
-
-
-def _to_mpf(x: Decimal, context: Context) -> mpmath.mpf:
-    """``x``, of at most the digits of ``context``, as an mpf of one decimal
-    digit more, so that :func:`delta` returns all of them."""
-    n, d = x.as_integer_ratio()
-    with mpmath.workdps(context.prec + 1):
-        return mpmath.mpf(n) / d
-
-
 def _products(spectrum: Spectrum, bits: int) -> Tuple[Decimal, ...]:
     """The product of 4 sin^2(pi j / D) over each term's R numerators j, in
-    the decimal context of ``bits``, evaluating each distinct numerator's
-    sine once: read from the sine table at ``bits``, then rounded once.
+    the decimal context of ``bits``, each read from the sine table of
+    (D, bits).
 
-    With R such roundings and R - 1 in ``math.prod``, each Delta is within
-    2R eps <= R 2^-bits of the exact product of the table's sines, relative:
-    2R - 1 to first order, and one eps for the second-order terms.
+    The table's values are rounded once into this context.  With those R
+    roundings and R - 1 in ``math.prod``, each Delta is within 2R eps <=
+    R 2^-bits of the exact product of the table's unrounded values, and
+    within R eps of the exact product of its rounded ones, relative: R - 1
+    to first order, and one eps for the second-order terms.
     """
-    D = spectrum.denominator
-    terms = spectrum.terms
-    context = _context(bits)
-    with mpmath.workprec(bits):
-        sines = {
-            j: _to_decimal(four_sin_sq(Fraction(j, D)), context)
-            for j in set().union(*(numerators for _, _, numerators in terms))
-        }
-    with localcontext(context):
-        return tuple(math.prod(map(sines.__getitem__, js)) for _, _, js in terms)
+    sines = list(_sine_table(spectrum.denominator, bits))  # a list indexes faster
+    with localcontext(_context(bits)):
+        return tuple(math.prod(map(sines.__getitem__, js)) for _, _, js in spectrum.terms)
 
 
 def _kernel(

@@ -3,11 +3,13 @@
 All trigonometric sums in this package are known in advance to be integers;
 they are evaluated at a caller-chosen precision of ``bits`` (default 192)
 and rounded, and the rounding residual is kept as an audit trail.  The
-engine's products and sums (:mod:`verlinde.formula`) are decimal arithmetic
-at P = ceil(bits log10 2) + 1 digits, each operation correctly rounded
-within 10^(1-P) / 2 <= 2^-(bits+1), relative; their stated error bounds are
-in ``formula._products`` and ``formula._kernel``.  The sines and the SO
-oracle stay on mpmath; certification rounds either's number exactly.
+float layer, the engine's products and sums (:mod:`verlinde.formula`) and
+the SO oracle's, is decimal arithmetic under :func:`_context`: P =
+ceil(bits log10 2) + 1 digits, each operation correctly rounded within
+eps = 10^(1-P) / 2 <= 2^-(bits+1), relative.  The error bounds are stated
+where the arithmetic is: the sines in :func:`_sine_table`, the engine's
+products and sum in ``formula._products`` and ``formula._kernel``, the
+oracle's in ``so_oracle``.  Certification rounds the Decimal sum exactly.
 
 A rounding is accepted only when the residual is within the integrality
 tolerance and the working precision has HEADROOM_BITS to spare beyond the
@@ -15,43 +17,48 @@ value's bit length (below that, the float may not resolve the integer at
 all); otherwise the precision is doubled, up to three times, before giving
 up.
 
-Every sum is a product of factors 4 sin^2(pi x) whose arguments x come
-from a small set per root system and level (fewer than 2(l+h) values mod 1),
-so :func:`four_sin_sq` keeps a per-process sine table: a bounded LRU keyed
-by the argument reduced mod 1 and the working precision.  mpmath's
-``sinpi`` is a deterministic function of those two, so a value read from
-the table is bit-identical to a fresh one, and a value computed at one
-precision is never served at another.
+Every sum is a product of factors 4 sin^2(pi j / D), with D = 2(l+h) (or
+the lcm of a product's) and j <= D/2, so the sines come in tables: one per
+(D, bits), all of 4 sin^2(pi j / D) for j = 0..D/2, built by integer
+fixed-point arithmetic (see :func:`_sine_table`) and kept in a bounded LRU.
+The engine indexes a table by its numerators; :func:`four_sin_sq` serves an
+exact rational argument from the table of its reduced denominator.  Nothing
+here imports mpmath: :func:`to_mpf` does, when it is called.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from decimal import MAX_EMAX, Context, Decimal
+from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Tuple, Union
+from typing import TYPE_CHECKING, Callable, Tuple, Union
 
-import mpmath
-from mpmath.libmp import to_rational
+if TYPE_CHECKING:
+    import mpmath
 
 DEFAULT_PRECISION = 192
 MIN_PRECISION = 64
-# The largest precision a caller may request.  With mpmath's pure-Python
-# backend the time of a sum grows about fourfold per doubling of the
-# precision: n_so(5, 2) takes 0.23 s at 2^14 bits, 3.5 s at 2^16, 50 s at
-# 2^18 and 13 min at 2^20, and a larger group evaluates more distinct sines.
-# The cap bounds only the request: certification may still double it three
-# times, to 2^19 bits.  2^16 bits resolve values up to 2^65504.
+# The largest precision a caller may request.  The time of a sum grows about
+# fourfold per doubling of the precision: the sum of n_so(5, 2), its sine
+# table included, takes 0.09 s at 2^14 bits, 1.5 s at 2^16 and 32 s at 2^18
+# (one cold process each, Python 3.11 on a shared 2-vCPU VM), and a larger
+# group reads a longer table.  The cap bounds only the request:
+# certification may still double it three times, to 2^19 bits.  2^16 bits
+# resolve values up to 2^65504.
 MAX_PRECISION = 2**16
 MAX_ESCALATIONS = 3
 HEADROOM_BITS = 32
-# Entries of the sine table (see ``four_sin_sq``).  One root system and
-# level needs fewer than 2(l+h) arguments per precision, and the default
-# suite reads fewer than 100 (argument, precision) pairs; the bound leaves
-# room for sweeps over many levels and precisions while capping the table
-# at about 2 MB.
-SINE_TABLE_SIZE = 4096
+# Sine tables kept per process, one per (D, bits) (see ``_sine_table``).
+# The default suite reads 20 and the suite of the CI's console step 118; a
+# genus sweep reads one per D and precision.  A table holds D/2 + 1 values
+# of P digits, about 8P/19 + 110 bytes each: 128 tables of D <= 400 take at
+# most 3 MB at the default 192 bits.  The bound grows with P: 50 MB at
+# 14,400 bits.
+SINE_TABLE_SIZE = 128
+# pi at each working precision of the tables (see ``_pi``).
+PI_CACHE_SIZE = 16
 
 
 class IntegralityError(ArithmeticError):
@@ -98,44 +105,143 @@ def integrality_tolerance(value: int) -> float:
     return min(max(1e-9 * abs(value), 1e-30), 0.4)
 
 
-def four_sin_sq(x: Fraction) -> mpmath.mpf:
-    """4 sin^2(pi x) for exact rational x, at the ambient working precision.
+def four_sin_sq(x: Fraction, bits: int) -> Decimal:
+    """4 sin^2(pi x) for exact rational x, from the sine table at ``bits``.
 
-    The argument is reduced mod 1 exactly before any floating point; an
-    integer argument would give a zero factor and is rejected.  Values are
-    read from the sine table, keyed by the reduced argument (as its
-    numerator and denominator in lowest terms) and ``mpmath.mp.prec``.
+    The argument is reduced mod 1 exactly, then folded into [0, 1/2] by
+    4 sin^2(pi x) = 4 sin^2(pi (1 - x)); an integer argument would give a
+    zero factor and is rejected.  The value is that of
+    ``_sine_table(D, bits)`` at the folded numerator, D being the
+    denominator of x in lowest terms.
     """
-    numerator = x.numerator % x.denominator
-    if numerator == 0:
+    D = x.denominator
+    j = x.numerator % D
+    if j == 0:
         raise ValueError(f"zero trigonometric factor: sin(pi * {x}) = 0")
-    return _sine_table(numerator, x.denominator, mpmath.mp.prec)
+    return _sine_table(D, bits)[min(j, D - j)]
+
+
+def _context(bits: int) -> Context:
+    """The decimal context of the float layer at ``bits``: P = ceil(bits
+    log10 2) + 1 digits, so eps = 10^(1-P) / 2 <= 2^-(bits+1), rounding half
+    to even, and exponents that no certifiable value reaches."""
+    return Context(prec=math.ceil(bits * math.log10(2)) + 1, Emax=MAX_EMAX, Emin=MIN_EMIN)
+
+
+@lru_cache(maxsize=PI_CACHE_SIZE)
+def _pi(w: int) -> int:
+    """pi 2^w within 2, by Machin's formula pi = 16 atan(1/5) - 4 atan(1/239).
+
+    Each series is summed at w + g bits, g = bit_length(w) + 5, until its
+    power of 1/n floors to 0.  A power is within 1.05 units of 2^-(w+g) and
+    a term within 2.05; at most (w+g)/4.6 + 1 terms of the first series and
+    (w+g)/15.8 + 1 of the second are nonzero, and each tail is under 1.05
+    units.  So pi is within 7.7 (w+g) + 62 < 2^g units before the final
+    shift, which adds under one unit of 2^-w.
+    """
+    g = w.bit_length() + 5
+    scale = 1 << (w + g)
+
+    def atan_inv(n: int) -> int:
+        power, total, i = scale // n, 0, 0
+        while power:
+            term = power // (2 * i + 1)
+            total += -term if i & 1 else term
+            power //= n * n
+            i += 1
+        return total
+
+    return (16 * atan_inv(5) - 4 * atan_inv(239)) >> g
 
 
 @lru_cache(maxsize=SINE_TABLE_SIZE)
-def _sine_table(numerator: int, denominator: int, prec: int) -> mpmath.mpf:
-    """4 sin^2(pi numerator / denominator), computed at ``prec`` bits (the
-    ambient precision of the caller of ``four_sin_sq``)."""
-    y = mpmath.sinpi(mpmath.mpf(numerator) / denominator)
-    return 4 * y * y
+def _sine_table(denominator: int, bits: int) -> Tuple[Decimal, ...]:
+    """4 sin^2(pi j / D) for j = 0..D // 2, D = ``denominator`` >= 2, each
+    within eps + 2^-(bits+7) of its exact value, relative, in the context of
+    ``bits`` (:func:`_context`); j = 0 gives 0.
+
+    The table is built in fixed point, integers that stand for multiples of
+    u = 2^-w, and every product is floored back to that scale, off by less
+    than u.  With k = max(3, isqrt(bits / 3)) halvings and x = pi / (D 2^k):
+
+    * x~ = ``_pi(w)`` // (D 2^k) is within 2u of x, and x~ < 2^(1-k) <= 1/4.
+    * cos x~ and sin x~ are summed from their Taylor series in x~^2 until
+      the cosine's term floors to 0, at the latest at the N-th term,
+      N = ceil(w / (2(k - 1))).  Each term falls short of its exact
+      value by under 2.1u, and each tail is under 2.1u, so both are within
+      2.1 (N + 1) u, and e^(i x~) is within (3N + 5) u of e^(ix), with the
+      2u of x~.
+    * Each of the k doublings z -> z^2 at most doubles the error of z and
+      adds sqrt(2) u for its two floors: e = e^(i pi / D) is within
+      2^k (3N + 7) u.
+    * Each of the j - 1 < D/2 rotations z_j = z_(j-1) e adds the error of e
+      and sqrt(2) u: z_j is within (D/2) 2^k (3N + 8) u.
+    * 4 Im(z_j)^2 is then within 8 times that, plus one floor: within
+      4 D 2^k (3N + 9) u, or D^3 2^k (N + 3) u relative, as
+      4 sin^2(pi j / D) >= 16 / D^2 for 1 <= j <= D/2.
+
+    The second-order terms (products of two errors) are covered by the
+    rounded-up constants.  Choosing w = a + bit_length(2a) with a = bits + 8
+    + k + bit_length(D^3) makes w >= a + bit_length(N + 3) (as N + 3 <= w
+    <= 2a), so the fixed-point values are within 2^-(bits+8), relative.
+    Each is then rounded once into the context, which adds eps, and
+    normalized: the exact values 1, 2, 3 and 4 keep one digit, which makes
+    the products that read them cheaper.
+    """
+    D = denominator
+    k = max(3, math.isqrt(bits // 3))
+    a = bits + 8 + k + (D**3).bit_length()
+    w = a + (2 * a).bit_length()
+    one = 1 << w
+    x = _pi(w) // (D << k)
+    x2 = x * x >> w
+    c, s = one, x
+    tc, ts, n = one, x, 1
+    while tc:
+        tc = (tc * x2 >> w) // ((2 * n - 1) * 2 * n)
+        ts = (ts * x2 >> w) // (2 * n * (2 * n + 1))
+        if n & 1:
+            c, s = c - tc, s - ts
+        else:
+            c, s = c + tc, s + ts
+        n += 1
+    for _ in range(k):
+        c, s = (c * c - s * s) >> w, c * s >> (w - 1)
+    context = _context(bits)
+    scale = Decimal(one)
+    values = [Decimal(0)]
+    re, im = c, s
+    for _ in range(D // 2):
+        values.append(context.divide(Decimal(im * im >> (w - 2)), scale).normalize(context))
+        re, im = (re * c - im * s) >> w, (re * s + im * c) >> w
+    return tuple(values)
+
+
+def to_mpf(x: Decimal) -> mpmath.mpf:
+    """``x`` as an mpf of one decimal digit more than ``x`` has, so that it
+    holds all of them.  mpmath is imported here, not with this module."""
+    import mpmath
+
+    n, d = x.as_integer_ratio()
+    with mpmath.workdps(len(x.as_tuple().digits) + 1):
+        return mpmath.mpf(n) / d
 
 
 def certify_integer(
-    compute: Callable[[int], Union[Decimal, mpmath.mpf]], precision: int
+    compute: Callable[[int], Decimal], precision: int
 ) -> Tuple[int, float, int]:
-    """Round ``compute(bits)``, a Decimal or an mpf, doubling ``bits`` from
+    """Round ``compute(bits)``, a Decimal, doubling ``bits`` from
     ``precision`` while the rounding is refused (see above).
 
-    The number is rounded as its exact ratio n / d, so neither the caller's
-    decimal context nor mpmath's precision enters; the residual is the float
-    of its distance from the integer.  Returns ``(value, residual,
-    bits_used)``; ``compute`` must be a pure function of the precision.
-    After three doublings :class:`IntegralityError` names the failed check.
+    The number is rounded as its exact ratio n / d, so the caller's decimal
+    context does not enter; the residual is the float of its distance from
+    the integer.  Returns ``(value, residual, bits_used)``; ``compute`` must
+    be a pure function of the precision.  After three doublings
+    :class:`IntegralityError` names the failed check.
     """
     base = check_precision(precision)
     for bits in (base << k for k in range(MAX_ESCALATIONS + 1)):
-        raw = compute(bits)
-        n, d = raw.as_integer_ratio() if isinstance(raw, Decimal) else to_rational(raw._mpf_)
+        n, d = compute(bits).as_integer_ratio()
         value = (2 * n + d) // (2 * d)  # n / d, rounded half up
         residual = abs(n - value * d) / d  # correctly rounded
         if residual >= integrality_tolerance(value):

@@ -5,12 +5,26 @@ decreasing sequences u_1 > ... > u_s (integers for SO(2s), half-integers
 for SO(2s+1)) bounded by the shifted level k, and the torus-to-Delta
 ratios come from pairwise sine products over the sequence.  Enumeration
 and products are done directly on these sequences, sharing nothing with
-the root-system engine beyond the numeric helpers, among them the sine
-table behind ``four_sin_sq``.  The table holds only values of
-4 sin^2(pi x) keyed by the exact argument and precision, which either path
-would compute identically on its own; the arguments, their enumeration and
-the products stay separate, so agreement between the two paths is still a
-meaningful cross-check.
+the root-system engine beyond the numeric helpers: the decimal context of
+the float layer, certification, and the sine tables behind
+``four_sin_sq``.  A table holds only values of 4 sin^2(pi j / D), keyed by
+D and the precision, which either path would compute identically on its
+own; the arguments, their enumeration, the products and the sum stay
+separate, so agreement between the two paths is still a meaningful
+cross-check.
+
+The products and the sum are decimal arithmetic in the context of ``bits``
+(``numeric._context``), each operation within eps = 10^(1-P) / 2 <=
+2^-(bits+1), relative.  A sequence's Delta is the product of its M sines
+(M = s(s-1) for D_s, s^2 for B_s): with M - 1 roundings, within M eps of
+the exact product of the table's values (M - 1 to first order, one eps for
+the second-order terms).  In the sum of 2 m^(1-2g) (T/Delta)^(g-1) over
+the N sequence representatives, T/Delta is within (M + 1) eps, its power
+(taken with extra digits, within 2 eps) within (M + 1) |g - 1| + 2, and
+with m^(1-2g), the product, the sum of positive terms and the doubling,
+the result is within ((M + 1) |g - 1| + N + 7) eps of the exact sum over
+the table's values, relative: one eps less to first order, and one eps for
+the second-order terms.
 
 Only the exponent depends on the genus, so the oracle keeps the rest, the
 orbit size and Delta of each sequence representative, in its own bounded
@@ -20,20 +34,25 @@ engine's caches of spectra and Delta.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from functools import lru_cache
-from typing import List, Tuple
-
-import mpmath
+from typing import TYPE_CHECKING, List, Tuple
 
 from .numeric import (
     DEFAULT_PRECISION,
     VerlindeResult,
+    _context,
     certify_integer,
     check_precision,
     four_sin_sq,
+    to_mpf,
 )
+
+if TYPE_CHECKING:
+    import mpmath
 
 _DUAL_COXETER = {"B": lambda s: 2 * s - 1, "D": lambda s: 2 * s - 2}
 _MIN_RANK = {"B": 2, "D": 3}
@@ -148,16 +167,14 @@ def _pair_product(u: USet) -> List[Fraction]:
     return args
 
 
-def _delta(u: USet, bits: int) -> mpmath.mpf:
-    """The product of 4 sin^2 over the sine arguments of ``u``, at ``bits``."""
+def _delta(u: USet, bits: int) -> Decimal:
+    """The product of 4 sin^2 over the sine arguments of ``u``, in the
+    decimal context of ``bits``."""
     args = _pair_product(u)
     if u.family == "B":
         args += [Fraction(x, u.k) for x in u.values]
-    with mpmath.workprec(bits):
-        total = mpmath.mpf(1)
-        for x in args:
-            total *= four_sin_sq(x)
-        return total
+    with localcontext(_context(bits)):
+        return math.prod(four_sin_sq(x, bits) for x in args)
 
 
 def uset_delta_d(u: USet, precision: int = DEFAULT_PRECISION) -> mpmath.mpf:
@@ -165,7 +182,7 @@ def uset_delta_d(u: USet, precision: int = DEFAULT_PRECISION) -> mpmath.mpf:
     4 sin^2(pi (u_i - u_j)/k) * 4 sin^2(pi (u_i + u_j)/k)."""
     if u.family != "D":
         raise ValueError(f"expected a family-D sequence, got {u.family}")
-    return _delta(u, check_precision(precision))
+    return to_mpf(_delta(u, check_precision(precision)))
 
 
 def uset_delta_b(u: USet, precision: int = DEFAULT_PRECISION) -> mpmath.mpf:
@@ -173,7 +190,7 @@ def uset_delta_b(u: USet, precision: int = DEFAULT_PRECISION) -> mpmath.mpf:
     factor prod_i 4 sin^2(pi u_i / k)."""
     if u.family != "B":
         raise ValueError(f"expected a family-B sequence, got {u.family}")
-    return _delta(u, check_precision(precision))
+    return to_mpf(_delta(u, check_precision(precision)))
 
 
 def uset_delta(u: USet, precision: int = DEFAULT_PRECISION) -> mpmath.mpf:
@@ -181,7 +198,7 @@ def uset_delta(u: USet, precision: int = DEFAULT_PRECISION) -> mpmath.mpf:
 
 
 @lru_cache(maxsize=ORACLE_CACHE_SIZE)
-def _level_two_terms(r: int, bits: int) -> Tuple[Tuple[int, mpmath.mpf], ...]:
+def _level_two_terms(r: int, bits: int) -> Tuple[Tuple[int, Decimal], ...]:
     """``(orbit size, Delta at bits)`` of each sequence representative of
     SO(r) at level 2: everything in the oracle's sum but the genus."""
     family = "D" if r % 2 == 0 else "B"
@@ -200,11 +217,11 @@ def n_so_oracle(r: int, genus: int, precision: int = DEFAULT_PRECISION) -> Verli
         raise ValueError(f"genus must be >= 1, got {genus}")
     torus = 4 * r ** (r // 2)
 
-    def compute(bits: int) -> mpmath.mpf:
-        with mpmath.workprec(bits):
-            total = mpmath.mpf(0)
+    def compute(bits: int) -> Decimal:
+        with localcontext(_context(bits)):
+            total = Decimal(0)
             for size, d in _level_two_terms(r, bits):
-                total += mpmath.mpf(size) ** (1 - 2 * genus) * (torus / d) ** (genus - 1)
+                total += Decimal(size) ** (1 - 2 * genus) * (torus / d) ** (genus - 1)
             return 2 * total
 
     value, residual, bits = certify_integer(compute, precision)

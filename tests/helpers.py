@@ -3,10 +3,11 @@
 import math
 from decimal import Decimal
 from fractions import Fraction
+from functools import lru_cache
 
 import mpmath
 
-from verlinde.numeric import four_sin_sq
+from verlinde.numeric import _sine_table
 from verlinde.rootsys import coroot_pairing, inner, marks
 from verlinde.weights import (
     CenterSpec,
@@ -149,11 +150,11 @@ def reference_terms(P, spec):
 def reference_products(spectrum, bits):
     """The Delta of each term of ``spectrum``: the product of the sine
     table's values at ``bits`` (the sines that ``formula._products`` reads),
-    multiplied out in mpf at bits + 64."""
-    D = spectrum.denominator
-    with mpmath.workprec(bits):
-        sines = {j: four_sin_sq(Fraction(j, D)) for _, _, js in spectrum.terms for j in js}
+    each converted to mpf and multiplied out at bits + 64."""
+    table = _sine_table(spectrum.denominator, bits)
     with mpmath.workprec(bits + 64):
+        sines = {j: mpmath.mpf(n) / d for j, (n, d) in
+                 ((j, table[j].as_integer_ratio()) for _, _, js in spectrum.terms for j in js)}
         return [mpmath.fprod(sines[j] for j in js) for _, _, js in spectrum.terms]
 
 
@@ -168,6 +169,7 @@ def reference_kernel(spectrum, deltas, T, genus, gamma_order, bits):
         return gamma_order * total
 
 
+@lru_cache(maxsize=None)
 def decimal_eps(bits):
     """eps = 10^(1-P) / 2, the rounding error of the P = ceil(bits log10 2) + 1
     digits of the float layer at ``bits``; ceil(bits log10 2) is the least k
@@ -189,11 +191,38 @@ def float_layer_bounds(spectrum, genus, bits):
 
 
 def as_fraction(x):
-    """The exact value of a Decimal or an mpf."""
-    if isinstance(x, Decimal):
+    """The exact value of a Decimal, a Fraction or an mpf."""
+    if isinstance(x, (Decimal, Fraction)):
         return Fraction(x)
     sign, man, exp, _ = x._mpf_
     return (-1) ** sign * man * Fraction(2) ** exp
+
+
+@lru_cache(maxsize=None)
+def _cospi_sinpi(z, bits):
+    with mpmath.workprec(bits + 64):
+        return mpmath.cospi_sinpi(mpmath.mpf(z.numerator) / z.denominator)
+
+
+def four_sin_sq_reference(x, bits):
+    """4 sin^2(pi x) for a Fraction ``x``, from mpmath's sinpi and cospi at
+    bits + 64, within 2^-(bits+60), relative.  Folded to y in (0, 1/2], it
+    is 4 sin^2(pi y) or, past y = 1/4, 4 cos^2(pi (1/2 - y)): the arguments
+    y and 1/2 - y share one evaluation."""
+    y = x % 1
+    y = min(y, 1 - y)
+    z = min(y, Fraction(1, 2) - y)
+    cos, sin = _cospi_sinpi(z, bits)
+    with mpmath.workprec(bits + 64):
+        return 4 * (sin if z == y else cos) ** 2
+
+
+def sine_within_its_bound(value, x, bits):
+    """Whether ``value``, a sine table's 4 sin^2(pi x) at ``bits``, is within
+    the stated eps + 2^-(bits+7) of the reference, relative, allowing for the
+    reference's own error."""
+    bound = decimal_eps(bits) + Fraction(1, 2 ** (bits + 7)) + Fraction(1, 2 ** (bits + 60))
+    return relative_error(value, four_sin_sq_reference(x, bits)) <= bound
 
 
 def relative_error(got, want):

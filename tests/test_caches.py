@@ -34,6 +34,8 @@ from verlinde.rootsys import (
 )
 from verlinde.weights import CenterSpec
 
+from helpers import sine_within_its_bound
+
 
 def clear_caches():
     build_root_system.cache_clear()
@@ -65,6 +67,10 @@ def outcome(res):
     return res.value, res.residual, res.precision_bits, res.term_count
 
 
+def table_misses():
+    return numeric._sine_table.cache_info().misses
+
+
 def test_root_systems_are_shared():
     assert root_system("D", 6) is root_system("D", 6)
     assert build_root_system(GroupType("D", 6)) is root_system("D", 6)
@@ -72,30 +78,32 @@ def test_root_systems_are_shared():
 
 def test_a_further_genus_reuses_the_spectrum_and_deltas(monkeypatch):
     first = n_sp(2, 3, 5)
-    sines = counter(monkeypatch, "four_sin_sq")
+    tables = table_misses()
     exact_passes = counter(monkeypatch, "_terms")
     later = n_sp(2, 3, 9)
     assert later.precision_bits == first.precision_bits == 192
     assert later.value == 8285150897373184
-    assert sines == [] and exact_passes == []
+    assert table_misses() == tables and exact_passes == []
 
 
 def test_torus_pass_and_verlinde_pass_share_one_sine_per_numerator(monkeypatch):
     spectrum = _terms(((root_system("C", 6), 6),), CenterSpec.TRIVIAL)
-    numerators = {j for _, _, js in spectrum.terms for j in js}
     formula._spectrum_of.cache_clear()
-    sines = counter(monkeypatch, "four_sin_sq")
+    tables = counter(monkeypatch, "_sine_table")
     res = n_sp(6, 6, 2)
     assert res.precision_bits == 192
-    assert len(sines) == len(set(sines)) == len(numerators)
+    assert torus_order_oracle_certified(root_system("C", 6), 6)[0] == torus_order(
+        root_system("C", 6), 6)
+    assert tables == [(spectrum.denominator, 192)]
+    assert table_misses() == 1
 
 
 def test_torus_oracle_reads_the_spectrum_of_n_sp(monkeypatch):
     n_sp(3, 2, 2)
-    sines = counter(monkeypatch, "four_sin_sq")
+    tables = table_misses()
     exact_passes = counter(monkeypatch, "_terms")
     assert torus_order_oracle_certified(root_system("C", 3), 2)[0] == 1728
-    assert sines == [] and exact_passes == []
+    assert table_misses() == tables and exact_passes == []
 
 
 def test_exact_pass_memory_follows_the_spectrum():
@@ -241,48 +249,37 @@ def test_a_cold_n_sp_certifies_once(monkeypatch):
     assert len(certifications) == 1
 
 
-def direct_four_sin_sq(x):
-    frac = x - (x.numerator // x.denominator)
-    y = mpmath.sinpi(mpmath.mpf(frac.numerator) / frac.denominator)
-    return 4 * y * y
-
-
 SINE_ARGUMENTS = [Fraction(1, 7), Fraction(-3, 10), Fraction(23, 12), Fraction(5, 2)]
 
 
 @pytest.mark.parametrize("bits", [64, 192, 640])
 def test_sine_table_equals_direct_evaluation(bits):
-    with mpmath.workprec(bits):
-        fresh = [numeric.four_sin_sq(x) for x in SINE_ARGUMENTS]
-        table = [numeric.four_sin_sq(x) for x in SINE_ARGUMENTS]
-        direct = [direct_four_sin_sq(x) for x in SINE_ARGUMENTS]
+    fresh = [numeric.four_sin_sq(x, bits) for x in SINE_ARGUMENTS]
+    table = [numeric.four_sin_sq(x, bits) for x in SINE_ARGUMENTS]
     assert numeric._sine_table.cache_info().hits == len(SINE_ARGUMENTS)
-    assert fresh == table == direct
+    assert fresh == table
+    assert all(map(sine_within_its_bound, fresh, SINE_ARGUMENTS, [bits] * 4))
 
 
 def test_a_table_value_is_never_served_at_another_precision():
     x = Fraction(2, 9)
-    with mpmath.workprec(64):
-        low = numeric.four_sin_sq(x)
-    with mpmath.workprec(192):
-        high = numeric.four_sin_sq(x)
-        assert high == direct_four_sin_sq(x)
+    low = numeric.four_sin_sq(x, 64)
+    high = numeric.four_sin_sq(x, 192)
+    assert sine_within_its_bound(high, x, 192)
     assert high != low
-    assert numeric._sine_table.cache_info().misses == 2
+    assert table_misses() == 2
 
 
 def test_sine_table_stays_within_its_bound():
-    D = numeric.SINE_TABLE_SIZE + 8
-    with mpmath.workprec(64):
-        for j in range(1, D):
-            numeric.four_sin_sq(Fraction(j, D))
+    for D in range(2, numeric.SINE_TABLE_SIZE + 10):
+        numeric._sine_table(D, 64)
     assert numeric._sine_table.cache_info().currsize == numeric.SINE_TABLE_SIZE
 
 
 def test_an_integer_argument_raises_and_is_not_stored():
     for x in (Fraction(0), Fraction(3), Fraction(-8, 4), 5):
         with pytest.raises(ValueError, match="zero trigonometric factor"):
-            numeric.four_sin_sq(x)
+            numeric.four_sin_sq(x, 64)
     assert numeric._sine_table.cache_info().currsize == 0
 
 
@@ -314,7 +311,8 @@ def test_oracle_cache_holds_each_delta_at_its_precision(bits):
         family = "D" if r % 2 == 0 else "B"
         usets = so_oracle.enumerate_usets(family, r // 2, 2)
         want = tuple((size, so_oracle.uset_delta(u, bits)) for u, size in usets)
-        assert so_oracle._level_two_terms(r, bits) == want
+        got = so_oracle._level_two_terms(r, bits)
+        assert tuple((size, numeric.to_mpf(d)) for size, d in got) == want
 
 
 def test_oracle_cache_stays_within_its_bound():

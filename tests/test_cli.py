@@ -1,11 +1,16 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+import textwrap
 import time
 from decimal import Decimal
 
 import pytest
 
+import verlinde
 from verlinde.cli import _parse, build_parser, main
 from verlinde.numeric import MAX_PRECISION
 
@@ -388,3 +393,38 @@ def test_suite_failure_exits_1(capsys, monkeypatch):
     monkeypatch.setattr(cli, "run_default_suite", lambda **kw: failing)
     code, out = run_cli(capsys, "suite")
     assert code == 1
+
+
+NO_MPMATH = textwrap.dedent("""
+    import contextlib, io, sys
+    from verlinde.cli import build_parser, main
+    build_parser()
+    assert "mpmath" not in sys.modules, "import"
+    argvs = [
+        ["compute", "--group", "so", "--r", "12", "--genus", "60"],
+        ["compute", "--group", "sp", "--r", "3", "--level", "4", "--genus", "3"],
+        ["compute", "--group", "sc", "--type", "A", "--rank", "2", "--level", "3",
+         "--genus", "2"],
+        ["suite", "--r-max", "6", "--genus-max", "2", "--sp-max", "2",
+         "--sp-genus-max", "2", "--unitarity-rank-max", "2", "--unitarity-level-max", "2"],
+        ["compare-oracle", "--r", "9", "--genus", "4"],
+        ["weights", "--type", "D", "--rank", "4", "--level", "2", "--quotient", "so"],
+    ]
+    for argv in argvs:
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(argv) == 0, argv
+        assert "mpmath" not in sys.modules, argv
+    from verlinde import delta, root_system
+    print(type(delta(root_system("A", 2), 3, (0, 0, 0))).__name__)
+""")
+
+
+def test_no_command_loads_mpmath():
+    """Importing the CLI, building its parser and running every command
+    leaves mpmath unloaded; ``delta`` still returns an mpf, loading it."""
+    src = os.path.dirname(os.path.dirname(verlinde.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", NO_MPMATH], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "mpf\n"

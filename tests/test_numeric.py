@@ -1,7 +1,6 @@
 from decimal import Decimal
 from fractions import Fraction
 
-import mpmath
 import pytest
 
 from verlinde.numeric import (
@@ -11,34 +10,41 @@ from verlinde.numeric import (
     check_precision,
     four_sin_sq,
     integrality_tolerance,
+    _sine_table,
 )
 
-from helpers import as_fraction
+from helpers import as_fraction, sine_within_its_bound
 
-NUMBERS = (mpmath.mpf, Decimal)  # what the SO oracle and the engine sum in
+NUMBERS = (Decimal,)  # what the engine and the SO oracle sum in
 
 
 def test_four_sin_sq_known_values():
-    with mpmath.workprec(96):
-        assert four_sin_sq(Fraction(1, 6)) == 1  # sin(pi/6) is exact in binary
-        assert four_sin_sq(Fraction(1, 2)) == 4
-        assert abs(four_sin_sq(Fraction(1, 4)) - 2) < mpmath.mpf("1e-25")
-        assert abs(four_sin_sq(Fraction(1, 3)) - 3) < mpmath.mpf("1e-25")
+    assert four_sin_sq(Fraction(1, 6), 96) == 1  # within 2^-96 of 1, so rounded to 1
+    assert four_sin_sq(Fraction(1, 2), 96) == 4
+    assert abs(four_sin_sq(Fraction(1, 4), 96) - 2) < Decimal("1e-25")
+    assert abs(four_sin_sq(Fraction(1, 3), 96) - 3) < Decimal("1e-25")
+
+
+@pytest.mark.parametrize("bits", [64, 192, 640, 3000, 14400])
+def test_every_table_value_is_within_its_stated_bound(bits):
+    for D in (2, 3, 12, 24, 26, 42, 200, 400):
+        table = _sine_table(D, bits)
+        assert len(table) == D // 2 + 1 and table[0] == 0
+        for j in range(1, D // 2 + 1):
+            assert sine_within_its_bound(table[j], Fraction(j, D), bits), (D, j)
 
 
 def test_four_sin_sq_reduces_mod_one():
-    with mpmath.workprec(96):
-        a = four_sin_sq(Fraction(1, 7))
-        b = four_sin_sq(Fraction(8, 7))
-        c = four_sin_sq(Fraction(-6, 7))
+    a = four_sin_sq(Fraction(1, 7), 96)
+    b = four_sin_sq(Fraction(8, 7), 96)
+    c = four_sin_sq(Fraction(-6, 7), 96)
     assert a == b == c
 
 
 def test_four_sin_sq_rejects_integers():
-    with mpmath.workprec(96):
-        for x in (Fraction(0), Fraction(3), Fraction(-2)):
-            with pytest.raises(ValueError, match="zero trigonometric factor"):
-                four_sin_sq(x)
+    for x in (Fraction(0), Fraction(3), Fraction(-2)):
+        with pytest.raises(ValueError, match="zero trigonometric factor"):
+            four_sin_sq(x, 96)
 
 
 def test_tolerance_of_values_beyond_float_range():
@@ -120,17 +126,11 @@ def test_certify_gives_up_after_three_doublings():
         assert info.value.residual == 0.5
 
 
-def exactly(number, text):
-    """``text`` as a ``number``, without rounding (mpf at 4096 bits)."""
-    with mpmath.workprec(4096):
-        return number(text)
-
-
 @pytest.mark.parametrize("number", NUMBERS)
 @pytest.mark.parametrize("fraction,rounded", [("25", 0), ("75", 1)])
 def test_certify_rounds_past_the_float_range_exactly(number, fraction, rounded):
     whole = 3**700  # 1110 bits: float(whole) overflows
-    raw = exactly(number, f"{whole}.{fraction}")
+    raw = number(f"{whole}.{fraction}")
     value, residual, bits = certify_integer(lambda p: raw, 1200)
     assert (value, residual, bits) == (whole + rounded, 0.25, 1200)
 
@@ -140,7 +140,7 @@ def test_certify_rounds_past_the_float_range_exactly(number, fraction, rounded):
                                   "6.9999999999999999999999999999999999999999997",
                                   "123456789012345678901234567.0000000001"])
 def test_the_residual_is_the_exact_distance(number, text):
-    raw = exactly(number, text)
+    raw = number(text)
     value, residual, _ = certify_integer(lambda p: raw, 192)
     assert value == round(as_fraction(raw))
     assert residual == float(abs(as_fraction(raw) - value))
@@ -149,10 +149,10 @@ def test_the_residual_is_the_exact_distance(number, text):
 @pytest.mark.parametrize("number", NUMBERS)
 def test_the_error_names_the_failed_condition_in_30_digits(number):
     with pytest.raises(IntegralityError, match="residual over tolerance") as info:
-        certify_integer(lambda p: exactly(number, "0.5"), 192)
+        certify_integer(lambda p: number("0.5"), 192)
     assert info.value.raw_value == "0.5"
     # 2^2000 is an integer, but no precision up to 1536 bits has headroom for it
     with pytest.raises(IntegralityError, match="headroom below HEADROOM_BITS") as info:
-        certify_integer(lambda p: exactly(number, str(2**2000)), 192)
+        certify_integer(lambda p: number(str(2**2000)), 192)
     assert info.value.raw_value == "1.14813069527425452423283320118e+602"
     assert (info.value.residual, info.value.precision_bits) == (0.0, 1536)

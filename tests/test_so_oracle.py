@@ -1,9 +1,12 @@
+import math
 from fractions import Fraction
 
 import mpmath
 import pytest
 
+import verlinde.so_oracle as so_oracle
 from verlinde.formula import delta, n_so
+from verlinde.numeric import certify_integer, four_sin_sq
 from verlinde.rootsys import root_system
 from verlinde.so_oracle import (
     USet,
@@ -20,6 +23,8 @@ from verlinde.weights import (
     restrict_to_quotient,
     u_coords,
 )
+
+from helpers import decimal_eps, relative_error
 
 TOL = mpmath.mpf("1e-20")
 
@@ -188,3 +193,35 @@ def test_oracle_result_metadata():
     assert res.level == 2
     assert res.term_count == 5  # s + 1 orbit representatives
     assert res.residual < 1e-20
+
+
+@pytest.mark.parametrize("r", [5, 6, 9, 12])
+def test_the_oracle_sum_is_within_its_stated_bound(monkeypatch, r):
+    """The oracle's Decimal sum lies within its stated ((M + 1) |g - 1| + N
+    + 7) eps of the exact sum over the table's values, relative, with M
+    sines per sequence and N sequences."""
+    sums = []
+
+    def recorded(compute, precision):
+        sums.append(compute(precision))
+        return certify_integer(compute, precision)
+
+    monkeypatch.setattr(so_oracle, "certify_integer", recorded)
+    family, s = ("D" if r % 2 == 0 else "B"), r // 2
+    usets = enumerate_usets(family, s, 2)
+    M, N, T = (s * (s - 1) if family == "D" else s * s), len(usets), 4 * r**s
+    for bits in (64, 192):
+        deltas = []
+        for u, _ in usets:
+            args = so_oracle._pair_product(u)
+            if family == "B":
+                args += [x / u.k for x in u.values]
+            assert len(args) == M
+            deltas.append(math.prod(Fraction(four_sin_sq(x, bits)) for x in args))
+        for genus in (1, 2, 7):
+            sums.clear()
+            n_so_oracle(r, genus, bits)
+            exact = 2 * sum(Fraction(m) ** (1 - 2 * genus) * (T / d) ** (genus - 1)
+                            for (_, m), d in zip(usets, deltas))
+            bound = ((M + 1) * abs(genus - 1) + N + 7) * decimal_eps(bits)
+            assert relative_error(sums[0], exact) <= bound, (bits, genus)
