@@ -153,8 +153,7 @@ def reference_products(spectrum, bits):
     each converted to mpf and multiplied out at bits + 64."""
     table = _sine_table(spectrum.denominator, bits)
     with mpmath.workprec(bits + 64):
-        sines = {j: mpmath.mpf(n) / d for j, (n, d) in
-                 ((j, table[j].as_integer_ratio()) for _, _, js in spectrum.terms for j in js)}
+        sines = [mpmath.mpf(n) / d for n, d in map(Decimal.as_integer_ratio, table)]
         return [mpmath.fprod(sines[j] for j in js) for _, _, js in spectrum.terms]
 
 
