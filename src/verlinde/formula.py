@@ -63,7 +63,8 @@ memoized with :func:`functools.lru_cache`:
 * the spectrum, keyed by the (GroupType, level) of each factor and the
   center subgroup (``_spectrum_of``);
 * the Delta of each spectrum term, keyed by that key and the working
-  precision (``_deltas``), from one sine table per (D, working precision).
+  precision (``_deltas``), from the sine tables of its factors, one per
+  (denominator, working precision) (``_products``).
 
 ``_kernel``, the one floating-point loop, then only raises T / Delta to the
 power g - 1, multiplies and adds, with m^(1-2g) computed once per distinct
@@ -75,7 +76,6 @@ one precision share one Delta tuple.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from functools import lru_cache, partial
 from itertools import chain
@@ -144,8 +144,7 @@ SPECTRUM_CACHE_SIZE = 32
 DELTA_CACHE_SIZE = 4 * SPECTRUM_CACHE_SIZE
 
 
-@dataclass(frozen=True)
-class DynkinIndices:
+class DynkinIndices(NamedTuple):
     """Dynkin indices of the standard representations, used to pick levels.
 
     The orthogonal entries are forced by the determinant-bundle bookkeeping
@@ -181,7 +180,7 @@ def delta(
     D = 2 * (level + rs.dual_coxeter)
     js = [sum((x + 1) * m for x, m in zip(n, row)) for row in rs.pairing_matrix]
     spectrum = Spectrum(D, ((1, 1, tuple(sorted(min(j, D - j) for j in js))),))
-    return to_mpf(_products(spectrum, precision)[0])
+    return to_mpf(_products(spectrum, ((rs, level),), precision)[0])
 
 
 def torus_order(rs: RootSystem, level: int) -> int:
@@ -291,21 +290,32 @@ def _spectrum_of(key) -> Spectrum:
 def _deltas(key, bits: int) -> Tuple[Decimal, ...]:
     """Delta at ``bits`` for each term of the spectrum of ``key``; built
     once per (key, bits) and process."""
-    return _products(_spectrum_of(key), bits)
+    factors = tuple((build_root_system(gt), lvl) for gt, lvl in key[0])
+    return _products(_spectrum_of(key), factors, bits)
 
 
-def _products(spectrum: Spectrum, bits: int) -> Tuple[Decimal, ...]:
+def _products(spectrum: Spectrum, factors, bits: int) -> Tuple[Decimal, ...]:
     """The product of 4 sin^2(pi j / D) over each term's R numerators j, in
-    the decimal context of ``bits``, each read from the sine table of
-    (D, bits).
+    the decimal context of ``bits``, for the spectrum of ``factors``, pairs
+    ``(rs, level)``.
 
-    The table's values are rounded once into this context.  With those R
+    Each sine is read from the table of one factor at ``bits``: a factor's
+    numerators are multiples of D / d, d = 2(l+h), so j / D = (j d / D) / d.
+    Types A and D are simply laced, so their pairings, and with them their
+    numerators, are even: their table is that of d / 2, read at j d / 2D.
+    A numerator of two factors is read from the later one's table.  Every
+    table is within the bound of ``_sine_table`` whatever its denominator,
+    and its values are rounded once into this context.  With those R
     roundings and R - 1 in ``math.prod``, each Delta is within 2R eps <=
-    R 2^-bits of the exact product of the table's unrounded values, and
-    within R eps of the exact product of its rounded ones, relative: R - 1
+    R 2^-bits of the exact product of the tables' unrounded values, and
+    within R eps of the exact product of their rounded ones, relative: R - 1
     to first order, and one eps for the second-order terms.
     """
-    sines = list(_sine_table(spectrum.denominator, bits))  # a list indexes faster
+    D = spectrum.denominator
+    sines = [None] * (D // 2 + 1)  # None where no factor has a numerator
+    for rs, level in factors:
+        n = (level + rs.dual_coxeter) * (1 if rs.family in "AD" else 2)  # its table's D
+        sines[::D // n] = _sine_table(n, bits)
     with localcontext(_context(bits)):
         return tuple(math.prod(map(sines.__getitem__, js)) for _, _, js in spectrum.terms)
 

@@ -21,19 +21,19 @@ Every sum is a product of factors 4 sin^2(pi j / D), with D = 2(l+h) (or
 the lcm of a product's) and j <= D/2, so the sines come in tables: one per
 (D, bits), all of 4 sin^2(pi j / D) for j = 0..D/2, built by integer
 fixed-point arithmetic (see :func:`_sine_table`) and kept in a bounded LRU.
-The engine indexes a table by its numerators; :func:`four_sin_sq` serves an
-exact rational argument from the table of its reduced denominator.  Nothing
-here imports mpmath: :func:`to_mpf` does, when it is called.
+The engine reads each factor's own table (see ``formula._products``);
+:func:`four_sin_sq` serves an exact rational argument from the table of its
+reduced denominator.  Nothing here imports mpmath: :func:`to_mpf` does,
+when it is called.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal
 from fractions import Fraction
 from functools import lru_cache
-from typing import TYPE_CHECKING, Callable, Tuple, Union
+from typing import TYPE_CHECKING, Callable, NamedTuple, Tuple, Union
 
 if TYPE_CHECKING:
     import mpmath
@@ -51,7 +51,7 @@ MAX_PRECISION = 2**16
 MAX_ESCALATIONS = 3
 HEADROOM_BITS = 32
 # Sine tables kept per process, one per (D, bits) (see ``_sine_table``).
-# The default suite reads 20 and the suite of the CI's console step 118; a
+# The default suite reads 21 and the suite of the CI's console step 98; a
 # genus sweep reads one per D and precision.  A table holds D/2 + 1 values
 # of P digits, about 8P/19 + 110 bytes each: 128 tables of D <= 400 take at
 # most 3 MB at the default 192 bits.  The bound grows with P: 50 MB at
@@ -71,8 +71,7 @@ class IntegralityError(ArithmeticError):
         super().__init__(f"{raw_value}: {reason} ({precision_bits} bits, residual {residual:.3e})")
 
 
-@dataclass(frozen=True)
-class VerlindeResult:
+class VerlindeResult(NamedTuple):
     """A certified integer plus the diagnostics of its evaluation."""
 
     value: int

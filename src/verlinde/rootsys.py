@@ -20,14 +20,13 @@ weights scaled by a common denominator to integer vectors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import compress, repeat
 from math import gcd
 from numbers import Rational
 from operator import add, floordiv, mod, mul, sub
-from typing import Tuple
+from typing import NamedTuple, Tuple
 
 Vector = Tuple[Rational, ...]
 
@@ -57,30 +56,35 @@ def zero_vector(dim: int) -> Vector:
     return (_ZERO,) * dim
 
 
-@dataclass(frozen=True)
-class GroupType:
-    """A classical family label plus rank (A >= 1, B >= 2, C >= 1, D >= 3)."""
-
+class _GroupTypeFields(NamedTuple):
     family: str
     rank: int
 
-    def __post_init__(self):
-        if self.family not in MIN_RANK:
+
+class GroupType(_GroupTypeFields):
+    """A classical family label plus rank (A >= 1, B >= 2, C >= 1, D >= 3),
+    checked on construction, and so when unpickled (pickle protocol 2 on)."""
+
+    __slots__ = ()
+
+    def __new__(cls, family: str, rank: int):
+        if family not in MIN_RANK:
+            raise ValueError(f"unknown family {family!r}; expected one of A, B, C, D")
+        if rank < MIN_RANK[family]:
             raise ValueError(
-                f"unknown family {self.family!r}; expected one of A, B, C, D"
+                f"type {family} requires rank >= {MIN_RANK[family]}, got {rank}"
             )
-        if self.rank < MIN_RANK[self.family]:
-            raise ValueError(
-                f"type {self.family} requires rank >= {MIN_RANK[self.family]},"
-                f" got {self.rank}"
-            )
+        return super().__new__(cls, family, rank)
+
+    @classmethod
+    def _make(cls, iterable):  # ``_replace`` builds through it: check as well
+        return cls(*iterable)
 
     def __str__(self) -> str:
         return f"{self.family}{self.rank}"
 
 
-@dataclass(frozen=True)
-class RootSystem:
+class RootSystem(NamedTuple):
     """Root data for one classical simply connected group.
 
     ``nu`` is the factor in the finite-torus order ``(l+h)^s * f * nu``:

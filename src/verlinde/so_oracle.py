@@ -35,11 +35,10 @@ engine's caches of spectra and Delta.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from functools import lru_cache
-from typing import TYPE_CHECKING, List, Tuple
+from typing import TYPE_CHECKING, List, NamedTuple, Tuple
 
 from .numeric import (
     DEFAULT_PRECISION,
@@ -62,30 +61,34 @@ _MIN_RANK = {"B": 2, "D": 3}
 ORACLE_CACHE_SIZE = 32
 
 
-@dataclass(frozen=True)
-class USet:
-    """A strictly decreasing coordinate sequence for one level weight.
-
-    Family D: integer entries, u_1 + u_2 < k and u_{s-1} + u_s > 0.
-    Family B: entries in Z + 1/2, u_s > 0 and u_1 + u_2 < k.
-    """
-
+class _USetFields(NamedTuple):
     family: str
     s: int
     k: int
     values: Tuple[Fraction, ...]
 
-    def __post_init__(self):
-        if self.family not in ("B", "D"):
-            raise ValueError(f"family must be B or D, got {self.family!r}")
-        if len(self.values) != self.s:
-            raise ValueError(f"expected {self.s} values, got {len(self.values)}")
-        u = self.values
+
+class USet(_USetFields):
+    """A strictly decreasing coordinate sequence for one level weight,
+    checked on construction, and so when unpickled (pickle protocol 2 on).
+
+    Family D: integer entries, u_1 + u_2 < k and u_{s-1} + u_s > 0.
+    Family B: entries in Z + 1/2, u_s > 0 and u_1 + u_2 < k.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, family: str, s: int, k: int, values: Tuple[Fraction, ...]):
+        if family not in ("B", "D"):
+            raise ValueError(f"family must be B or D, got {family!r}")
+        if len(values) != s:
+            raise ValueError(f"expected {s} values, got {len(values)}")
+        u = values
         if any(a <= b for a, b in zip(u, u[1:])):
             raise ValueError(f"values must be strictly decreasing: {u}")
-        if self.s >= 2 and u[0] + u[1] >= self.k:
-            raise ValueError(f"u_1 + u_2 must be < {self.k}: {u}")
-        if self.family == "D":
+        if s >= 2 and u[0] + u[1] >= k:
+            raise ValueError(f"u_1 + u_2 must be < {k}: {u}")
+        if family == "D":
             if any(x.denominator != 1 for x in u):
                 raise ValueError(f"family D needs integer values: {u}")
             if u[-2] + u[-1] <= 0:
@@ -95,6 +98,11 @@ class USet:
                 raise ValueError(f"family B needs half-odd-integer values: {u}")
             if u[-1] <= 0:
                 raise ValueError(f"u_s must be > 0: {u}")
+        return super().__new__(cls, family, s, k, values)
+
+    @classmethod
+    def _make(cls, iterable):  # ``_replace`` builds through it: check as well
+        return cls(*iterable)
 
 
 def enumerate_usets(family: str, rank: int, level: int) -> List[Tuple[USet, int]]:

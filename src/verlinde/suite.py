@@ -10,9 +10,8 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass
 from decimal import Decimal
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 from .formula import (
     DEFAULT_PRECISION,
@@ -27,8 +26,7 @@ from .rootsys import MIN_RANK, root_system
 from .so_oracle import n_so_oracle
 
 
-@dataclass(frozen=True)
-class SuiteEntry:
+class SuiteEntry(NamedTuple):
     check_name: str
     parameters: Dict[str, object]
     expected: str  # decimal string, through Decimal: str() refuses 4,301 digits
@@ -38,8 +36,7 @@ class SuiteEntry:
     elapsed_ms: float
 
 
-@dataclass(frozen=True)
-class SuiteReport:
+class SuiteReport(NamedTuple):
     entries: Tuple[SuiteEntry, ...]
 
     @property

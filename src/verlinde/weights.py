@@ -26,11 +26,9 @@ integrality condition on the u_i.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from functools import cached_property
-from typing import Sequence, Tuple
+from typing import NamedTuple, Sequence, Tuple
 
 from .rootsys import (
     RootSystem,
@@ -64,8 +62,7 @@ _ACTS_ON = {
 }
 
 
-@dataclass(frozen=True)
-class LevelWeightSet:
+class LevelWeightSet(NamedTuple):
     """The dominant weights of a product of ``factors``, pairs
     ``(rs, level)``, each factor's weight at level <= its own, in canonical
     order; a simple group is one factor.
@@ -73,7 +70,7 @@ class LevelWeightSet:
     A weight is stored as one flat mark tuple, the factors' marks in turn.
     ``weight`` turns marks into a vector (a tuple of vectors, one per
     factor, for a product), and ``weights`` is the vector view of the whole
-    set, built on first use.
+    set, built at each read.  ``len`` counts the weights.
     """
 
     factors: Tuple[Factor, ...]
@@ -89,7 +86,7 @@ class LevelWeightSet:
         vectors = tuple(weight_from_marks(rs, p) for rs, _, p in _parts(self.factors, n))
         return vectors[0] if len(vectors) == 1 else vectors
 
-    @cached_property
+    @property
     def weights(self) -> tuple:
         return tuple(map(self.weight, self.marks))
 
@@ -97,8 +94,7 @@ class LevelWeightSet:
         return len(self.marks)
 
 
-@dataclass(frozen=True)
-class UCoordinates:
+class UCoordinates(NamedTuple):
     """Coordinates of lambda + rho: u in the orthogonal basis, t in the
     fundamental-weight basis (every t_i >= 1 for dominant lambda)."""
 
@@ -106,23 +102,25 @@ class UCoordinates:
     t: Tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class Orbit:
+class Orbit(NamedTuple):
     """A center orbit: the marks of its lexicographically least member, and
     its size.  ``representative`` is that member as a vector (a tuple of
-    vectors for products)."""
+    vectors for products), from the weight set the orbit belongs to, which
+    the repr leaves out."""
 
     marks: Marks
     size: int
-    weight_set: LevelWeightSet = field(repr=False, compare=False)
+    weight_set: LevelWeightSet
 
     @property
     def representative(self):
         return self.weight_set.weight(self.marks)
 
+    def __repr__(self) -> str:
+        return f"Orbit(marks={self.marks!r}, size={self.size!r})"
 
-@dataclass(frozen=True)
-class OrbitSet:
+
+class OrbitSet(NamedTuple):
     orbits: Tuple[Orbit, ...]
 
     def total_size(self) -> int:

@@ -147,14 +147,24 @@ def reference_terms(P, spec):
     return D, tuple((c, size, js) for (size, js), c in counts.items())
 
 
-def reference_products(spectrum, bits):
-    """The Delta of each term of ``spectrum``: the product of the sine
-    table's values at ``bits`` (the sines that ``formula._products`` reads),
-    each converted to mpf and multiplied out at bits + 64."""
-    table = _sine_table(spectrum.denominator, bits)
+def reference_products(spectrum, factors, bits):
+    """The Delta of each term of the spectrum of ``factors``: the product of
+    the sine tables' values at ``bits`` (the sines that ``formula._products``
+    reads), each converted to mpf and multiplied out at bits + 64.
+
+    A numerator j / D is read at j d / D from the table of d = 2(l+h), or
+    of l + h for types A and D, of the last factor whose D / d divides j."""
+    D = spectrum.denominator
+    denominators = [(lvl + rs.dual_coxeter) * (1 if rs.family in "AD" else 2)
+                    for rs, lvl in reversed(factors)]
+
+    def sine(j):
+        d = next(d for d in denominators if j % (D // d) == 0)
+        n, q = _sine_table(d, bits)[j // (D // d)].as_integer_ratio()
+        return mpmath.mpf(n) / q
+
     with mpmath.workprec(bits + 64):
-        sines = [mpmath.mpf(n) / d for n, d in map(Decimal.as_integer_ratio, table)]
-        return [mpmath.fprod(sines[j] for j in js) for _, _, js in spectrum.terms]
+        return [mpmath.fprod(map(sine, js)) for _, _, js in spectrum.terms]
 
 
 def reference_kernel(spectrum, deltas, T, genus, gamma_order, bits):

@@ -22,6 +22,7 @@ from verlinde.formula import (
     n_sp,
     torus_order,
     torus_order_oracle_certified,
+    verlinde_product_quotient,
     verlinde_quotient,
     verlinde_sc,
 )
@@ -96,6 +97,32 @@ def test_torus_pass_and_verlinde_pass_share_one_sine_per_numerator(monkeypatch):
         root_system("C", 6), 6)
     assert tables == [(spectrum.denominator, 192)]
     assert table_misses() == 1
+
+
+@pytest.mark.parametrize("family,rank,level,table", [
+    ("A", 10, 3, 14), ("D", 6, 2, 12), ("B", 3, 2, 14), ("C", 3, 2, 12),
+])
+def test_a_simply_laced_spectrum_reads_the_table_of_half_its_denominator(
+        monkeypatch, family, rank, level, table):
+    """A and D read the table of D / 2 = l + h, B and C that of D."""
+    key = (((GroupType(family, rank), level),), CenterSpec.TRIVIAL)
+    D = formula._spectrum_of(key).denominator
+    tables = counter(monkeypatch, "_sine_table")
+    formula._deltas(key, 192)
+    assert tables == [(table, 192)]
+    assert D == (2 * table if family in "AD" else table)
+
+
+def test_a_product_reads_each_factors_table(monkeypatch):
+    """A1 x A1 at levels 299 and 300 has D = lcm(602, 604) = 181,804; its
+    Deltas read the tables of 301 and 302, not one of D."""
+    a1 = root_system("A", 1)
+    tables = counter(monkeypatch, "_sine_table")
+    res = verlinde_product_quotient(((a1, 299), (a1, 300)), CenterSpec.TRIVIAL, 2)
+    assert res.value == 20864513350100
+    key = (((a1.group_type, 299), (a1.group_type, 300)), CenterSpec.TRIVIAL)
+    assert formula._spectrum_of(key).denominator == 181804
+    assert tables == [(301, 192), (302, 192)]
 
 
 def test_torus_oracle_reads_the_spectrum_of_n_sp(monkeypatch):

@@ -397,9 +397,12 @@ def test_suite_failure_exits_1(capsys, monkeypatch):
 
 NO_MPMATH = textwrap.dedent("""
     import contextlib, io, sys
+    UNLOADED = ("mpmath", "dataclasses", "inspect")
+    def loaded():
+        return [name for name in UNLOADED if name in sys.modules]
     from verlinde.cli import build_parser, main
     build_parser()
-    assert "mpmath" not in sys.modules, "import"
+    assert not loaded(), ("import", loaded())
     argvs = [
         ["compute", "--group", "so", "--r", "12", "--genus", "60"],
         ["compute", "--group", "sp", "--r", "3", "--level", "4", "--genus", "3"],
@@ -413,7 +416,7 @@ NO_MPMATH = textwrap.dedent("""
     for argv in argvs:
         with contextlib.redirect_stdout(io.StringIO()):
             assert main(argv) == 0, argv
-        assert "mpmath" not in sys.modules, argv
+        assert not loaded(), (argv, loaded())
     from verlinde import delta, root_system
     print(type(delta(root_system("A", 2), 3, (0, 0, 0))).__name__)
 """)
@@ -421,7 +424,8 @@ NO_MPMATH = textwrap.dedent("""
 
 def test_no_command_loads_mpmath():
     """Importing the CLI, building its parser and running every command
-    leaves mpmath unloaded; ``delta`` still returns an mpf, loading it."""
+    leaves mpmath, dataclasses and inspect unloaded; ``delta`` still returns
+    an mpf, loading mpmath."""
     src = os.path.dirname(os.path.dirname(verlinde.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     done = subprocess.run([sys.executable, "-c", NO_MPMATH], env=env,

@@ -103,8 +103,9 @@ def test_float_layer_is_within_its_stated_bounds(key, genus, bits):
     spectrum, T = _exact(key)
     gamma_order = 1 if key[1] is CenterSpec.TRIVIAL else 2
     delta_bound, kernel_bound = float_layer_bounds(spectrum, genus, bits)
-    deltas = _products(spectrum, bits)
-    reference = reference_products(spectrum, bits)
+    factors = tuple((build_root_system(gt), lvl) for gt, lvl in key[0])
+    deltas = _products(spectrum, factors, bits)
+    reference = reference_products(spectrum, factors, bits)
     assert max(map(relative_error, deltas, reference)) <= delta_bound
     got = _kernel(spectrum, deltas, T, genus, gamma_order, bits)
     want = reference_kernel(spectrum, reference, T, genus, gamma_order, bits + 64)

@@ -1,0 +1,103 @@
+"""The package's records are NamedTuples: their pickling, validation,
+repr, length and hashing."""
+
+import pickle
+from fractions import Fraction
+
+import pytest
+
+from verlinde.formula import n_so
+from verlinde.rootsys import GroupType, root_system
+from verlinde.so_oracle import USet
+from verlinde.weights import (
+    CenterSpec,
+    Orbit,
+    OrbitSet,
+    enumerate_level_weights,
+    orbit_decompose,
+    restrict_to_quotient,
+)
+
+PROTOCOLS = range(2, pickle.HIGHEST_PROTOCOL + 1)
+
+
+@pytest.mark.parametrize("protocol", PROTOCOLS)
+@pytest.mark.parametrize("record", [
+    GroupType("D", 6),
+    USet("D", 3, 6, (Fraction(3), Fraction(1), Fraction(0))),
+    USet("B", 2, 5, (Fraction(5, 2), Fraction(1, 2))),
+    n_so(12, 3),
+    n_so(4, 2),  # a tuple of levels
+], ids=["GroupType", "USet-D", "USet-B", "VerlindeResult", "VerlindeResult-product"])
+def test_pickle_round_trip(record, protocol):
+    copy = pickle.loads(pickle.dumps(record, protocol))
+    assert copy == record and type(copy) is type(record)
+
+
+@pytest.mark.parametrize("protocol", PROTOCOLS)
+@pytest.mark.parametrize("cls,fields,message", [
+    (GroupType, ("D", 2), "type D requires rank >= 3, got 2"),
+    (GroupType, ("E", 6), "unknown family 'E'"),
+    (USet, ("D", 2, 6, (Fraction(1), Fraction(2))), "strictly decreasing"),
+])
+def test_unpickling_an_invalid_record_raises(cls, fields, message, protocol):
+    """Unpickling builds through ``__new__``, which checks the fields: a
+    record made around the check does not load."""
+    forged = tuple.__new__(cls, fields)
+    data = pickle.dumps(forged, protocol)
+    with pytest.raises(ValueError, match=message):
+        pickle.loads(data)
+
+
+def test_replace_checks_the_fields():
+    gt = GroupType("D", 6)
+    assert gt._replace(rank=4) == GroupType("D", 4)
+    with pytest.raises(ValueError, match="requires rank >= 3"):
+        gt._replace(rank=2)
+    u = USet("D", 3, 6, (Fraction(3), Fraction(1), Fraction(0)))
+    with pytest.raises(ValueError, match="must be < 4"):
+        u._replace(k=4)
+
+
+def test_group_type_hashes_as_its_fields():
+    assert hash(GroupType("D", 6)) == hash(GroupType("D", 6)) == hash(("D", 6))
+    assert GroupType("D", 6) is not GroupType("D", 6)
+    assert {GroupType("D", 6): 1}[GroupType(family="D", rank=6)] == 1
+
+
+def test_records_are_tuples():
+    """Equality with a plain tuple, iteration, indexing and ordering are
+    those of the fields as a tuple."""
+    gt = GroupType("A", 2)
+    assert gt == ("A", 2) and tuple(gt) == ("A", 2) and gt[1] == 2
+    assert GroupType("A", 2) < GroupType("A", 3) < GroupType("B", 2)
+    family, rank = GroupType("C", 4)
+    assert (family, rank) == ("C", 4)
+    res = n_so(12, 3)
+    assert res[:2] == (res.value, res.residual)
+
+
+def _so8_orbits():
+    P = enumerate_level_weights(root_system("D", 4), 2)
+    return P, orbit_decompose(restrict_to_quotient(P, CenterSpec.SO_EVEN), CenterSpec.SO_EVEN)
+
+
+def test_orbit_repr_leaves_out_its_weight_set():
+    _, orbits = _so8_orbits()
+    assert repr(orbits.orbits[0]) == "Orbit(marks=(0, 0, 0, 0), size=2)"
+    assert "factors" not in repr(orbits)
+
+
+def test_orbits_of_one_set_compare_by_their_fields():
+    P, orbits = _so8_orbits()
+    first = orbits.orbits[0]
+    assert first == Orbit(first.marks, first.size, first.weight_set)
+    assert first != Orbit(first.marks, first.size, P)  # another weight set
+
+
+def test_len_counts_weights_and_orbits():
+    P, orbits = _so8_orbits()
+    assert len(P) == len(P.marks) == 11
+    assert len(orbits) == len(orbits.orbits) == 5
+    assert orbits.total_size() == 7  # the 7 weights trivial on the center
+    assert len(OrbitSet(())) == 0

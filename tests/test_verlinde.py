@@ -251,13 +251,14 @@ def test_deltas_equal_the_left_fold_in_numerator_order(family, rank, level, spec
     within the stated 2R eps of the product of the same table sines at
     bits + 64, relative; that bound is no looser than the R roundings of a
     binary left fold at ``bits``."""
-    spectrum = _terms(_factors(family, rank, level), spec)
+    factors = _factors(family, rank, level)
+    spectrum = _terms(factors, spec)
     R = len(spectrum.terms[0][2])
     for bits in (64, 192, 640):
         bound, _ = float_layer_bounds(spectrum, 0, bits)
         assert bound <= Fraction(R, 2**bits)
-        deltas = _products(spectrum, bits)
-        reference = reference_products(spectrum, bits)
+        deltas = _products(spectrum, factors, bits)
+        reference = reference_products(spectrum, factors, bits)
         assert len(deltas) == len(reference)
         assert max(map(relative_error, deltas, reference)) <= bound, bits
 
@@ -266,13 +267,14 @@ def test_deltas_equal_the_left_fold_in_numerator_order(family, rank, level, spec
 def test_kernel_equals_the_operator_form_reference(family, rank, level, spec):
     """The kernel lies within its stated (2R |g-1| + N + 7) eps of the mpf
     operator form at bits + 64 over the reference Deltas, relative."""
-    key = (tuple((rs.group_type, lvl) for rs, lvl in _factors(family, rank, level)), spec)
+    factors = _factors(family, rank, level)
+    key = (tuple((rs.group_type, lvl) for rs, lvl in factors), spec)
     spectrum, T = _exact(key)  # the spectrum and T that the engine sums
-    assert spectrum == _terms(_factors(family, rank, level), spec)
+    assert spectrum == _terms(factors, spec)
     gamma_order = 1 if spec is CenterSpec.TRIVIAL else 2
     for bits in (64, 192, 640):
-        deltas = _products(spectrum, bits)
-        reference = reference_products(spectrum, bits)
+        deltas = _products(spectrum, factors, bits)
+        reference = reference_products(spectrum, factors, bits)
         for genus in (0, 1, 2, 7):
             got = _kernel(spectrum, deltas, T, genus, gamma_order, bits)
             want = reference_kernel(spectrum, reference, T, genus, gamma_order, bits + 64)
