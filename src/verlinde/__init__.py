@@ -11,6 +11,7 @@ from .formula import (
     DynkinIndices,
     VerlindeResult,
     delta,
+    level_weights,
     n_so,
     n_sp,
     theta_dim,
@@ -30,17 +31,7 @@ from .suite import (
     run_strange_duality_symmetry,
     run_unitarity,
 )
-from .weights import (
-    CenterSpec,
-    LevelWeightSet,
-    OrbitSet,
-    UCoordinates,
-    center_act,
-    enumerate_level_weights,
-    orbit_decompose,
-    restrict_to_quotient,
-    u_coords,
-)
+from .weights import CenterSpec, UCoordinates, u_coords
 
 __version__ = "0.1.0"
 
@@ -51,23 +42,18 @@ __all__ = [
     "DynkinIndices",
     "GroupType",
     "IntegralityError",
-    "LevelWeightSet",
-    "OrbitSet",
     "RootSystem",
     "SuiteReport",
     "UCoordinates",
     "USet",
     "VerlindeResult",
     "build_root_system",
-    "center_act",
     "delta",
-    "enumerate_level_weights",
     "enumerate_usets",
+    "level_weights",
     "n_so",
     "n_so_oracle",
     "n_sp",
-    "orbit_decompose",
-    "restrict_to_quotient",
     "root_system",
     "run_default_suite",
     "run_so_identity",

@@ -25,18 +25,12 @@ from functools import cache
 from gettext import gettext
 from typing import Optional, Sequence
 
-from .formula import n_so, n_sp, verlinde_sc
+from .formula import level_weights, n_so, n_sp, verlinde_sc
 from .numeric import DEFAULT_PRECISION, IntegralityError, VerlindeResult
-from .rootsys import GroupType, build_root_system
+from .rootsys import GroupType, build_root_system, weight_from_marks
 from .so_oracle import n_so_oracle
 from .suite import run_default_suite
-from .weights import (
-    CenterSpec,
-    enumerate_level_weights,
-    orbit_decompose,
-    restrict_to_quotient,
-    u_coords,
-)
+from .weights import CenterSpec, _mark_bounds, u_coords
 
 RECORD_FIELDS = (
     "group_label",
@@ -103,26 +97,23 @@ def _cmd_compute(args) -> int:
 
 def _cmd_weights(args) -> int:
     rs = build_root_system(GroupType(args.type, args.rank))
-    P = enumerate_level_weights(rs, args.level)
-    if args.quotient is None:
-        listing = [(n, None) for n in P.marks]
-    else:
+    spec = None
+    if args.quotient is not None:
+        _mark_bounds(((rs, args.level),))  # a negative level is refused first
         spec = _QUOTIENT_SPEC.get(args.type)
         if spec is None:
             raise ValueError(f"no SO-type center quotient for {args.type}{args.rank}")
-        orbits = orbit_decompose(restrict_to_quotient(P, spec), spec)
-        listing = [(o.marks, o.size) for o in orbits.orbits]
 
     rows = []
-    for n, orbit_size in listing:
-        lam = P.weight(n)
+    for n, orbit_size in level_weights(rs, args.level, spec):
+        lam = weight_from_marks(rs, n)
         row = {
             "marks": list(n),
             "coords": [str(c) for c in lam],
         }
         if rs.family in ("B", "D"):
             row["u"] = [str(x) for x in u_coords(rs, lam).u]
-        if orbit_size is not None:
+        if spec is not None:
             row["orbit_size"] = orbit_size
         rows.append(row)
 

@@ -38,13 +38,15 @@ weights share their multiset of numerators: the terms are merged into a
 spectrum of distinct (orbit size, sorted numerators) with a count each.
 
 The exact pass is one recursion over the mark tuples in lexicographic
-order: each node adds its pairing column once to its parent's numerators,
-starting from rho (the pairing rows' sums), so a weight costs one vector
-add, not one dot product per root.  Under every spec the walk visits only
-the least member of each center orbit, on which Delta is constant (for type
-A the necklaces, about |P_l| / (s+1) weights), and merges it into the
-spectrum at once; P_l is never stored.  A simply connected group counts it
-with its orbit size, a quotient once, with its Gamma-orbit size as m.
+order, ``_walk``, which also lists the weights of the ``weights`` command
+(``level_weights``): each node adds its pairing column once to its parent's
+numerators, starting from rho (the pairing rows' sums), so a weight costs
+one vector add, not one dot product per root.  Under every spec the walk
+visits only the least member of each center orbit, on which Delta is
+constant (for type A the necklaces, about |P_l| / (s+1) weights), and
+merges it into the spectrum at once; P_l is never stored.  A simply
+connected group counts it with its orbit size, a quotient once, with its
+Gamma-orbit size as m.
 
 The float layer (``_products``, ``_kernel`` and :func:`delta`) is decimal
 arithmetic under a local :class:`decimal.Context` of P = ceil(bits log10 2)
@@ -99,6 +101,7 @@ from .rootsys import (
     root_system,
 )
 from .weights import (
+    _EVERY_WEIGHT,
     _LEAST_MEMBERS,
     CenterSpec,
     _mark_bounds,
@@ -111,6 +114,7 @@ __all__ = [
     "DYNKIN_INDEX",
     "VerlindeResult",
     "delta",
+    "level_weights",
     "torus_order",
     "torus_order_oracle_certified",
     "verlinde_sc",
@@ -190,17 +194,22 @@ def torus_order(rs: RootSystem, level: int) -> int:
     return (level + rs.dual_coxeter) ** rs.rank * rs.center_order * rs.nu
 
 
-def _terms(factors, spec: CenterSpec) -> Spectrum:
-    """The exact pass: the merged spectrum of the Gamma-orbits of the
-    Gamma-trivial weights of ``factors``, pairs ``(rs, level)``.
+def _walk(factors, spec: CenterSpec, leaf, rules=_LEAST_MEMBERS) -> int:
+    """The one recursion over the flat mark tuples of ``factors``, pairs
+    ``(rs, level)``, in lexicographic order; returns D, the lcm of the
+    factors' 2(l+h).
 
-    Column i of a factor's pairing matrix, scaled by D / (2(l+h)), sits at
-    that factor's roots.  The walk visits the flat mark tuples in the order
-    of ``enumerate_product_weights``, only the least members of the center
-    orbits of each factor (``weights._LEAST_MEMBERS``).  A leaf counts the
-    product of their sizes under the trivial spec; under a quotient, a
-    Gamma-trivial leaf counts once, with its Gamma-orbit size m: the terms,
-    their order and their counts are those of the walk over all of P_l.
+    Each factor walks by its family's rule in ``rules``: by
+    ``weights._LEAST_MEMBERS`` the walk visits only the least member of each
+    center orbit of every factor, by ``weights._EVERY_WEIGHT`` all of P_l.
+    Column i of a factor's pairing matrix, scaled by D / (2(l+h)),
+    sits at that factor's roots.  Each kept leaf calls
+    ``leaf(numerators, m, weight, parts)``: ``numerators`` are the weight's
+    sorted numerators, reduced to min(j, D - j), and ``parts`` the lists of
+    each factor's marks, which the walk goes on changing.  Under the trivial
+    spec m is 1 and the weight is the product of the factors' orbit sizes;
+    under a quotient only Gamma-trivial leaves are kept, each with weight 1
+    and its Gamma-orbit size as m.
     """
     comarks, budgets = _mark_bounds(factors)
     trivial = _trivial_on_center(spec, factors)
@@ -223,7 +232,7 @@ def _terms(factors, spec: CenterSpec) -> Spectrum:
     plan = []  # by depth: (the factor's marks, mark, step, cost per unit, column)
     closes = {}  # depth after a factor's last mark -> that factor's close
     for rs, _ in factors:
-        reserve, step, close = _LEAST_MEMBERS[rs.family]
+        reserve, step, close = rules[rs.family]
         b = [0] * rs.rank
         for j in range(rs.rank):
             cost = comarks[len(plan)] + (reserve if j == 0 else 0)
@@ -232,7 +241,6 @@ def _terms(factors, spec: CenterSpec) -> Spectrum:
         closes[len(plan)] = partial(close, b)
     size = len(plan)
     quotient = spec is not CenterSpec.TRIVIAL
-    counts = {}
 
     def walk(i, remaining, js, p, weight):
         if i in closes and (weight == 1 or not quotient):  # see _LEAST_MEMBERS
@@ -245,8 +253,7 @@ def _terms(factors, spec: CenterSpec) -> Spectrum:
                 if not trivial(tuple(chain.from_iterable(parts))):
                     return
                 m, weight = weight, 1
-            key = (m, tuple(sorted(map(reduced, js))))
-            counts[key] = counts.get(key, 0) + weight
+            leaf(tuple(sorted(map(reduced, js))), m, weight, parts)
             return
         if i in budgets:
             remaining, p = budgets[i], 1
@@ -262,7 +269,51 @@ def _terms(factors, spec: CenterSpec) -> Spectrum:
 
     walk(0, 0, rho, 1, 1)
     del walk  # the closure refers to itself; free it and its state now
+    return D
+
+
+def _terms(factors, spec: CenterSpec) -> Spectrum:
+    """The exact pass: the merged spectrum of the Gamma-orbits of the
+    Gamma-trivial weights of ``factors``, pairs ``(rs, level)``.
+
+    The walk (:func:`_walk`) visits only the least members of the center
+    orbits of each factor, and each kept leaf merges into its term at once.
+    A leaf counts the product of their sizes under the trivial spec; under
+    a quotient, a Gamma-trivial leaf counts once, with its Gamma-orbit size
+    m: the terms, their order and their counts are those of the walk over
+    all of P_l.
+    """
+    counts = {}
+
+    def merge(numerators, m, weight, parts):
+        key = (m, numerators)
+        counts[key] = counts.get(key, 0) + weight
+
+    D = _walk(factors, spec, merge)
     return Spectrum(D, tuple((c, m, js) for (m, js), c in counts.items()))
+
+
+def level_weights(rs: RootSystem, level: int, spec: Optional[CenterSpec] = None) -> list:
+    """The level-``level`` weights of ``rs`` as ``(marks, orbit size)``
+    pairs, in lexicographic order of the marks, listed by the walk of the
+    exact pass.
+
+    Without a spec (or with the trivial one) every weight of P_l, each of
+    orbit size 1.  With a center subgroup Gamma, the least member of each
+    Gamma-orbit of the weights trivial on Gamma, and the orbit's size: the
+    walk's rules (``weights._LEAST_MEMBERS``), whose group is Gamma for the
+    SO quotients of B, D and A1.  Refuses a negative level before the spec.
+    """
+    listing = []
+
+    def collect(numerators, m, weight, parts):
+        listing.append((tuple(parts[0]), m))
+
+    if spec is None or spec is CenterSpec.TRIVIAL:
+        _walk(((rs, level),), CenterSpec.TRIVIAL, collect, _EVERY_WEIGHT)
+    else:
+        _walk(((rs, level),), spec, collect)
+    return listing
 
 
 def _exact(key) -> Tuple[Spectrum, int]:

@@ -1,22 +1,19 @@
-"""Level-bounded dominant weights, center quotients and their orbits.
+"""Level weights: their bounds, the center subgroups, the orbit rules.
 
 A weight set belongs to a product of simply connected factors, each with
-its own level; a simple group is the one-factor case.  A weight is stored
-as one flat tuple of marks (coefficients in the fundamental-weight basis),
-the factors' marks in turn.  ``enumerate_product_weights`` lists the
-tuples with (lambda | theta) <= l in every factor, in lexicographic order,
-for the ``weights`` command and the tests; the exact pass
-(``formula._terms``) walks them without storing them (``_mark_bounds``).
+its own level; a simple group is the one-factor case.  A weight is one flat
+tuple of marks (coefficients in the fundamental-weight basis), the factors'
+marks in turn, with (lambda | theta) <= l in every factor.  The one walk
+over them, ``formula._walk``, takes its bounds from ``_mark_bounds``; it
+serves the exact pass and the ``weights`` command (``formula.level_weights``)
+and stores no weight set.
 
 One table, ``_ACTS_ON``, states which factors each order-2 center subgroup
-acts on.  ``restrict_to_quotient`` keeps the weights whose character is
-trivial on the subgroup (a parity test on a few marks of each factor), and
-``orbit_decompose`` the least member of each orbit (``_orbit_size``) under
-the involution that on every factor swaps the affine mark n_0 and n_1
-(:func:`center_act_marks`), for the ``weights`` command and the tests.
-
-A second table, ``_LEAST_MEMBERS``, gives the rule per family by which the
-exact pass visits one weight per center orbit, under every center spec.
+acts on, and ``_trivial_on_center`` tests whether a weight's character is
+trivial on it (a parity test on a few marks of each factor).  A second
+table, ``_LEAST_MEMBERS``, gives the rule per family by which the walk
+visits one weight per center orbit, under every center spec; by the rules
+of ``_EVERY_WEIGHT`` it visits them all.
 
 Types B and D also carry the coordinate view used throughout: writing
 lambda + rho = sum u_i e_i, the u_i form a strictly decreasing sequence of
@@ -30,13 +27,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import NamedTuple, Sequence, Tuple
 
-from .rootsys import (
-    RootSystem,
-    Vector,
-    marks,
-    vec_add,
-    weight_from_marks,
-)
+from .rootsys import RootSystem, Vector, marks, vec_add
 
 Marks = Tuple[int, ...]
 Factor = Tuple[RootSystem, int]
@@ -62,72 +53,12 @@ _ACTS_ON = {
 }
 
 
-class LevelWeightSet(NamedTuple):
-    """The dominant weights of a product of ``factors``, pairs
-    ``(rs, level)``, each factor's weight at level <= its own, in canonical
-    order; a simple group is one factor.
-
-    A weight is stored as one flat mark tuple, the factors' marks in turn.
-    ``weight`` turns marks into a vector (a tuple of vectors, one per
-    factor, for a product), and ``weights`` is the vector view of the whole
-    set, built at each read.  ``len`` counts the weights.
-    """
-
-    factors: Tuple[Factor, ...]
-    marks: Tuple[Marks, ...]
-
-    @property
-    def k(self) -> int:
-        """The shifted level l + h appearing in all denominators (one factor)."""
-        ((rs, level),) = self.factors
-        return level + rs.dual_coxeter
-
-    def weight(self, n: Marks):
-        vectors = tuple(weight_from_marks(rs, p) for rs, _, p in _parts(self.factors, n))
-        return vectors[0] if len(vectors) == 1 else vectors
-
-    @property
-    def weights(self) -> tuple:
-        return tuple(map(self.weight, self.marks))
-
-    def __len__(self) -> int:
-        return len(self.marks)
-
-
 class UCoordinates(NamedTuple):
     """Coordinates of lambda + rho: u in the orthogonal basis, t in the
     fundamental-weight basis (every t_i >= 1 for dominant lambda)."""
 
     u: Tuple[Fraction, ...]
     t: Tuple[int, ...]
-
-
-class Orbit(NamedTuple):
-    """A center orbit: the marks of its lexicographically least member, and
-    its size.  ``representative`` is that member as a vector (a tuple of
-    vectors for products), from the weight set the orbit belongs to, which
-    the repr leaves out."""
-
-    marks: Marks
-    size: int
-    weight_set: LevelWeightSet
-
-    @property
-    def representative(self):
-        return self.weight_set.weight(self.marks)
-
-    def __repr__(self) -> str:
-        return f"Orbit(marks={self.marks!r}, size={self.size!r})"
-
-
-class OrbitSet(NamedTuple):
-    orbits: Tuple[Orbit, ...]
-
-    def total_size(self) -> int:
-        return sum(o.size for o in self.orbits)
-
-    def __len__(self) -> int:
-        return len(self.orbits)
 
 
 def _parts(factors: Sequence[Factor], n: Marks):
@@ -154,41 +85,6 @@ def _mark_bounds(factors: Sequence[Factor]):
     return comarks, budgets
 
 
-def enumerate_product_weights(factors: Sequence[Factor]) -> LevelWeightSet:
-    """All weights of a product of ``factors``, with (lambda | theta) <= l
-    in each factor ``(rs, l)``.
-
-    Enumerates the flat mark tuples n, the marks of each factor in turn,
-    with sum n_i (w_i | theta) <= l over each factor's marks: the recursion
-    gives each factor its own level budget at its first mark.  The output
-    is ordered by the mark tuple, so it is deterministic and duplicate-free
-    by construction.
-    """
-    factors = tuple(factors)
-    comarks, budgets = _mark_bounds(factors)
-    size = len(comarks)
-    tuples = []
-
-    def extend(i, remaining, cur):
-        if i == size:
-            tuples.append(tuple(cur))
-            return
-        remaining = budgets.get(i, remaining)
-        m = comarks[i]
-        for n in range(remaining // m + 1):
-            cur.append(n)
-            extend(i + 1, remaining - n * m, cur)
-            cur.pop()
-
-    extend(0, 0, [])
-    return LevelWeightSet(factors=factors, marks=tuple(tuples))
-
-
-def enumerate_level_weights(rs: RootSystem, level: int) -> LevelWeightSet:
-    """All dominant weights of ``rs`` with (lambda | theta) <= level."""
-    return enumerate_product_weights(((rs, level),))
-
-
 def u_coords(rs: RootSystem, lam: Vector) -> UCoordinates:
     """Orthogonal coordinates of lambda + rho (types B and D only)."""
     if rs.family not in ("B", "D"):
@@ -197,13 +93,6 @@ def u_coords(rs: RootSystem, lam: Vector) -> UCoordinates:
     if any(x < 1 for x in t):
         raise ValueError(f"{lam} is not dominant")
     return UCoordinates(u=vec_add(lam, rs.rho), t=t)
-
-
-def _as_factors(factors) -> Tuple[Factor, ...]:
-    """``factors`` as a tuple of ``(rs, level)``; a bare ``(rs, level)`` is
-    one factor."""
-    factors = tuple(factors)
-    return (factors,) if factors and isinstance(factors[0], RootSystem) else factors
 
 
 def _trivial_on_center(spec: CenterSpec, factors: Sequence[Factor]):
@@ -241,12 +130,6 @@ def _trivial_on_center(spec: CenterSpec, factors: Sequence[Factor]):
     return lambda n: sum(n[i] for i in positions) % 2 == 0
 
 
-def restrict_to_quotient(P: LevelWeightSet, spec: CenterSpec) -> LevelWeightSet:
-    """The weights of ``P`` trivial on the center subgroup ``spec``."""
-    kept = filter(_trivial_on_center(spec, P.factors), P.marks)
-    return LevelWeightSet(factors=P.factors, marks=tuple(kept))
-
-
 def _affine_mark(rs: RootSystem, level: int, n: Marks) -> int:
     """n_0 = l - sum comark_i n_i; a weight lies at level l iff n_0 >= 0."""
     return level - sum(c * x for c, x in zip(rs.comarks, n))
@@ -258,61 +141,7 @@ def _within_levels(factors: Sequence[Factor], n: Marks) -> bool:
     return min(n) >= 0 and all(_affine_mark(*p) >= 0 for p in _parts(factors, n))
 
 
-def center_act_marks(spec: CenterSpec, n: Marks, factors) -> Marks:
-    """The order-2 center generator on flat marks: on each factor, the
-    diagram automorphism of its affine Dynkin diagram that swaps n_0 and
-    n_1, n_0 being the affine mark, and for type D also the last two marks
-    (on A1, n -> l - n).
-
-    ``factors`` follows :func:`center_act`; the marks are not validated.
-    """
-    if spec is CenterSpec.TRIVIAL:
-        return n
-    image = ()
-    for rs, level, part in _parts(_as_factors(factors), n):
-        swapped = (_affine_mark(rs, level, part),) + part[1:]
-        if rs.family == "D":
-            swapped = swapped[:-2] + (part[-1], part[-2])
-        image += swapped
-    return image
-
-
-def center_act(spec: CenterSpec, w, factors):
-    """Apply the order-2 generator of the center subgroup to a weight.
-
-    ``factors`` is a sequence of ``(rs, level)`` pairs and ``w`` a tuple of
-    weights, one per factor; a bare ``(rs, level)`` is one factor, whose
-    weight ``w`` is a single vector.  ``w`` must be trivial on the subgroup
-    and within the levels; on those weights the action is an involution.
-    This is the vector view of :func:`center_act_marks`.
-    """
-    if spec is CenterSpec.TRIVIAL:
-        return w
-    factors = _as_factors(factors)
-    trivial = _trivial_on_center(spec, factors)
-    parts = (w,) if len(factors) == 1 else w
-    n = sum((marks(rs, lam) for (rs, _), lam in zip(factors, parts)), ())
-    if not trivial(n):
-        raise ValueError(f"{w} is not trivial on the center subgroup {spec.value}")
-    if not _within_levels(factors, n):
-        levels = ", ".join(str(level) for _, level in factors)
-        raise ValueError(f"{w} is not a level-{levels} weight")
-    return LevelWeightSet(factors, ()).weight(center_act_marks(spec, n, factors))
-
-
-def _orbit_size(spec: CenterSpec, factors, trivial, n: Marks) -> int:
-    """The orbit size of the Gamma-trivial level weight n if n is its
-    orbit's lexicographically least member, else 0: 1 if n is its own
-    image, 2 if n < image; the rule of :func:`orbit_decompose`, not of the
-    exact pass.  ``trivial`` is the test of :func:`_trivial_on_center`; an
-    image that it refuses, or outside the levels, raises ``AssertionError``."""
-    image = center_act_marks(spec, n, factors)
-    if image != n and not (trivial(image) and _within_levels(factors, image)):
-        raise AssertionError(f"center action left the level set: {n} -> {image}")
-    return 0 if image < n else 1 if image == n else 2
-
-
-# The rules by which the exact pass (``formula._terms``) walks a factor: in
+# The rules by which the walk (``formula._walk``) visits a factor: in
 # lexicographic order, it visits only the least member n of each orbit of a
 # center group H, which acts by automorphisms of the affine Dynkin diagram and
 # so leaves Delta fixed.  A rule reads b, the factor's marks (b[j] = n_(j+1)),
@@ -370,20 +199,5 @@ _LEAST_MEMBERS = {
     "D": (1, _free, lambda b, rest, p: 2 if rest or b[-2] < b[-1] else int(b[-2] == b[-1])),
 }
 
-
-def orbit_decompose(Pprime: LevelWeightSet, spec: CenterSpec) -> OrbitSet:
-    """Group a restricted level set into center orbits.
-
-    Representatives are the members with lexicographically minimal mark
-    tuples (:func:`_orbit_size`); orbits are listed in representative order.
-    """
-    factors = Pprime.factors
-    trivial = _trivial_on_center(spec, factors)
-    orbits = []
-    for n in sorted(Pprime.marks):
-        if not trivial(n):
-            raise ValueError(f"{n} is not trivial on the center subgroup {spec.value}")
-        size = _orbit_size(spec, factors, trivial, n)
-        if size:
-            orbits.append(Orbit(marks=n, size=size, weight_set=Pprime))
-    return OrbitSet(orbits=tuple(orbits))
+# The rules of the unrestricted listing: every weight, each its own orbit.
+_EVERY_WEIGHT = dict.fromkeys("ABCD", (0, _free, lambda b, rest, p: 1))

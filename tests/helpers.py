@@ -8,12 +8,14 @@ from functools import lru_cache
 import mpmath
 
 from verlinde.numeric import _sine_table
-from verlinde.rootsys import coroot_pairing, inner, marks
+from verlinde.rootsys import RootSystem, coroot_pairing, inner, marks, weight_from_marks
 from verlinde.weights import (
     CenterSpec,
+    _affine_mark,
+    _mark_bounds,
+    _parts,
     _trivial_on_center,
-    orbit_decompose,
-    restrict_to_quotient,
+    _within_levels,
 )
 
 
@@ -112,7 +114,139 @@ def reflection_closure(simple_roots):
     return roots
 
 
-def reference_terms(P, spec):
+# --- the set-based reference for the walk ------------------------------------
+#
+# Plain functions over flat mark tuples (the marks of each factor in turn) of
+# a product of ``factors``, pairs ``(rs, level)``.  They list all of P_l and
+# find each orbit's least member by applying the center action, so they share
+# no orbit rule with the walk of ``formula._walk``.
+
+
+def enumerate_product_weights(factors):
+    """Every flat mark tuple with (lambda | theta) <= l in each factor
+    ``(rs, l)``, in lexicographic order: the recursion gives each factor its
+    own level budget at its first mark."""
+    comarks, budgets = _mark_bounds(factors)
+    size = len(comarks)
+    tuples = []
+
+    def extend(i, remaining, cur):
+        if i == size:
+            tuples.append(tuple(cur))
+            return
+        remaining = budgets.get(i, remaining)
+        m = comarks[i]
+        for n in range(remaining // m + 1):
+            cur.append(n)
+            extend(i + 1, remaining - n * m, cur)
+            cur.pop()
+
+    extend(0, 0, [])
+    return tuple(tuples)
+
+
+def enumerate_level_weights(rs, level):
+    """The mark tuples of the dominant weights of ``rs`` at level <= ``level``."""
+    return enumerate_product_weights(((rs, level),))
+
+
+def _as_factors(factors):
+    """``factors`` as a tuple of ``(rs, level)``; a bare ``(rs, level)`` is
+    one factor."""
+    factors = tuple(factors)
+    return (factors,) if factors and isinstance(factors[0], RootSystem) else factors
+
+
+def weight_of(factors, n):
+    """The flat marks ``n`` as a vector, or as a tuple of vectors, one per
+    factor, for a product; ``factors`` as in :func:`center_act`."""
+    vectors = tuple(weight_from_marks(rs, p) for rs, _, p in _parts(_as_factors(factors), n))
+    return vectors[0] if len(vectors) == 1 else vectors
+
+
+def restrict_to_quotient(P, spec, factors):
+    """The mark tuples of ``P`` trivial on the center subgroup ``spec``."""
+    return tuple(filter(_trivial_on_center(spec, _as_factors(factors)), P))
+
+
+def center_act_marks(spec, n, factors):
+    """The order-2 center generator on flat marks: on each factor, the
+    diagram automorphism of its affine Dynkin diagram that swaps n_0 and
+    n_1, n_0 being the affine mark, and for type D also the last two marks
+    (on A1, n -> l - n).  The marks are not validated."""
+    if spec is CenterSpec.TRIVIAL:
+        return n
+    image = ()
+    for rs, level, part in _parts(_as_factors(factors), n):
+        swapped = (_affine_mark(rs, level, part),) + part[1:]
+        if rs.family == "D":
+            swapped = swapped[:-2] + (part[-1], part[-2])
+        image += swapped
+    return image
+
+
+def center_act(spec, w, factors):
+    """The order-2 generator of the center subgroup on a weight: the vector
+    view of :func:`center_act_marks`.
+
+    ``factors`` is a sequence of ``(rs, level)`` pairs and ``w`` a tuple of
+    weights, one per factor; a bare ``(rs, level)`` is one factor, whose
+    weight ``w`` is a single vector.  ``w`` must be trivial on the subgroup
+    and within the levels; on those weights the action is an involution.
+    """
+    if spec is CenterSpec.TRIVIAL:
+        return w
+    factors = _as_factors(factors)
+    trivial = _trivial_on_center(spec, factors)
+    parts = (w,) if len(factors) == 1 else w
+    n = sum((marks(rs, lam) for (rs, _), lam in zip(factors, parts)), ())
+    if not trivial(n):
+        raise ValueError(f"{w} is not trivial on the center subgroup {spec.value}")
+    if not _within_levels(factors, n):
+        levels = ", ".join(str(level) for _, level in factors)
+        raise ValueError(f"{w} is not a level-{levels} weight")
+    return weight_of(factors, center_act_marks(spec, n, factors))
+
+
+def _orbit_size(spec, factors, trivial, n):
+    """The orbit size of the Gamma-trivial level weight n if n is its
+    orbit's lexicographically least member, else 0: 1 if n is its own
+    image, 2 if n < image.  ``trivial`` is the test of
+    ``weights._trivial_on_center``; an image that it refuses, or outside the
+    levels, raises ``AssertionError``."""
+    image = center_act_marks(spec, n, factors)
+    if image != n and not (trivial(image) and _within_levels(factors, image)):
+        raise AssertionError(f"center action left the level set: {n} -> {image}")
+    return 0 if image < n else 1 if image == n else 2
+
+
+def orbit_decompose(P, spec, factors):
+    """The center orbits of the Gamma-trivial mark tuples ``P``, as
+    ``(marks, size)`` pairs of each orbit's lexicographically least member,
+    in the order of the marks."""
+    factors = _as_factors(factors)
+    trivial = _trivial_on_center(spec, factors)
+    orbits = []
+    for n in sorted(P):
+        if not trivial(n):
+            raise ValueError(f"{n} is not trivial on the center subgroup {spec.value}")
+        size = _orbit_size(spec, factors, trivial, n)
+        if size:
+            orbits.append((n, size))
+    return tuple(orbits)
+
+
+def reference_listing(factors, spec=None):
+    """What ``formula.level_weights`` lists, from the set-based reference:
+    every weight with orbit size 1, or each Gamma-orbit's least member and
+    its size."""
+    P = enumerate_product_weights(factors)
+    if spec is None or spec is CenterSpec.TRIVIAL:
+        return [(n, 1) for n in P]
+    return list(orbit_decompose(restrict_to_quotient(P, spec, factors), spec, factors))
+
+
+def reference_terms(factors, spec):
     """The exact pass of ``formula._terms``, weight by weight, as a
     ``(denominator, terms)`` tuple.
 
@@ -124,16 +258,11 @@ def reference_terms(P, spec):
     sorted numerators merge into one ``(count, size, numerators)`` term, in
     the order first seen.
     """
-    factors = P.factors
-    if spec is CenterSpec.TRIVIAL:
-        reps = [(1, n) for n in P.marks]
-    else:
-        orbits = orbit_decompose(restrict_to_quotient(P, spec), spec).orbits
-        reps = [(o.size, o.marks) for o in orbits]
+    factors = tuple(factors)
     shifted = [2 * (level + rs.dual_coxeter) for rs, level in factors]
     D = math.lcm(*shifted)
     counts = {}
-    for size, n in reps:
+    for n, size in reference_listing(factors, spec):
         numerators = []
         start = 0
         for (rs, _), d in zip(factors, shifted):
@@ -145,6 +274,32 @@ def reference_terms(P, spec):
         key = (size, tuple(sorted(numerators)))
         counts[key] = counts.get(key, 0) + 1
     return D, tuple((c, size, js) for (size, js), c in counts.items())
+
+
+def galois_failures(spectrum):
+    """The units a mod D whose Galois map j -> a j mod D, reduced to
+    min(x, D - x), does not carry ``spectrum`` onto itself, keys
+    ``(m, numerators)`` and counts included; a and D - a give one map.
+
+    For gcd(a, D) = 1, zeta -> zeta^a permutes the rows of the S-matrix up
+    to sign (Coste and Gannon, "Remarks on Galois symmetry in rational
+    conformal field theories", Phys. Lett. B 323, 1994), so the list is
+    empty for every spectrum of the exact pass: an exact invariant that
+    shares no rule with the walk.
+    """
+    D = spectrum.denominator
+    terms = {(m, js): count for count, m, js in spectrum.terms}
+    failures = []
+    for a in range(2, (D + 1) // 2):
+        if math.gcd(a, D) != 1:
+            continue
+        image = {}
+        for (m, js), count in terms.items():
+            key = (m, tuple(sorted(min(a * j % D, -a * j % D) for j in js)))
+            image[key] = image.get(key, 0) + count
+        if image != terms:
+            failures.append(a)
+    return failures
 
 
 def reference_products(spectrum, factors, bits):

@@ -21,15 +21,12 @@ from verlinde.formula import (
     verlinde_sc,
 )
 from verlinde.numeric import integrality_tolerance
-from verlinde.rootsys import root_system
+from verlinde.rootsys import root_system, weight_from_marks
 from verlinde.so_oracle import USet, enumerate_usets, n_so_oracle, uset_delta
 from verlinde.suite import run_default_suite
-from verlinde.weights import (
-    CenterSpec,
-    enumerate_level_weights,
-    restrict_to_quotient,
-    u_coords,
-)
+from verlinde.weights import CenterSpec, u_coords
+
+from helpers import enumerate_level_weights, restrict_to_quotient
 
 TOL20 = mpmath.mpf("1e-20")
 
@@ -70,9 +67,9 @@ def test_criterion_2_oracle_equivalence():
     for family, s in LEVEL_TWO_FAMILIES:
         rs = root_system(family, s)
         spec = CenterSpec.SO_ODD if family == "B" else CenterSpec.SO_EVEN
-        kept = restrict_to_quotient(enumerate_level_weights(rs, 2), spec)
+        kept = restrict_to_quotient(enumerate_level_weights(rs, 2), spec, (rs, 2))
         k = 2 + rs.dual_coxeter
-        for lam in kept.weights:
+        for lam in (weight_from_marks(rs, n) for n in kept):
             u = USet(family, s, k, tuple(u_coords(rs, lam).u))
             assert abs(uset_delta(u) - delta(rs, 2, lam)) < TOL20
     verdict(2, "oracle equivalence + pointwise Delta")

@@ -13,6 +13,10 @@ import pytest
 import verlinde
 from verlinde.cli import _parse, build_parser, main
 from verlinde.numeric import MAX_PRECISION
+from verlinde.rootsys import root_system, weight_from_marks
+from verlinde.weights import CenterSpec, u_coords
+
+from helpers import reference_listing
 
 
 def run_cli(capsys, *argv):
@@ -303,6 +307,52 @@ def test_weights_deterministic(capsys):
     _, second = run_cli(capsys, "weights", "--type", "D", "--rank", "4",
                         "--level", "2", "--format", "json")
     assert first == second
+
+
+def _weights_cases():
+    """A1-A5, B2-B5, C1-C5 and D3-D6 at levels 0-6, each also with
+    ``--quotient so`` where the SO quotient is admitted: B, D, and A1 at an
+    even level."""
+    cases = []
+    for family, ranks in (("A", range(1, 6)), ("B", range(2, 6)), ("C", range(1, 6)),
+                          ("D", range(3, 7))):
+        for rank in ranks:
+            for level in range(7):
+                cases.append(pytest.param(family, rank, level, False,
+                                          id=f"{family}{rank}-{level}"))
+                if family in "BD" or (rank == 1 and level % 2 == 0 and family == "A"):
+                    cases.append(pytest.param(family, rank, level, True,
+                                              id=f"{family}{rank}-{level}-so"))
+    return cases
+
+
+SO_SPEC = {"A": CenterSpec.SO3, "B": CenterSpec.SO_ODD, "D": CenterSpec.SO_EVEN}
+
+
+@pytest.mark.parametrize("family,rank,level,quotient", _weights_cases())
+def test_weights_rows_are_the_set_based_reference(capsys, family, rank, level, quotient):
+    """The rows of ``weights --format json``, in order, are the weights of
+    the set-based reference, or its orbits' least members and sizes under
+    the quotient; their coordinates are those of their marks."""
+    argv = ["weights", "--type", family, "--rank", str(rank), "--level", str(level),
+            "--format", "json"]
+    spec = SO_SPEC[family] if quotient else None
+    code, out = run_cli(capsys, *argv, *(["--quotient", "so"] if quotient else []))
+    assert code == 0
+    rs = root_system(family, rank)
+    rows = json.loads(out)["rows"]
+    want = reference_listing(((rs, level),), spec)
+    assert [tuple(row["marks"]) for row in rows] == [n for n, _ in want]
+    if quotient:
+        assert [row["orbit_size"] for row in rows] == [size for _, size in want]
+    keys = {"marks", "coords"} | ({"u"} if family in "BD" else set())
+    keys |= {"orbit_size"} if quotient else set()
+    for row in rows:
+        assert set(row) == keys
+        lam = weight_from_marks(rs, tuple(row["marks"]))
+        assert row["coords"] == [str(c) for c in lam]
+        if family in "BD":
+            assert row["u"] == [str(x) for x in u_coords(rs, lam).u]
 
 
 def test_suite_small_run_exit_zero(capsys):

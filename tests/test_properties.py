@@ -20,19 +20,18 @@ from verlinde.formula import (
 )
 from verlinde.rootsys import MIN_RANK, GroupType, build_root_system, root_system
 from verlinde.so_oracle import n_so_oracle
-from verlinde.weights import (
-    CenterSpec,
-    enumerate_level_weights,
-    enumerate_product_weights,
-    restrict_to_quotient,
-)
+from verlinde.weights import CenterSpec
 
 from helpers import (
+    enumerate_level_weights,
+    enumerate_product_weights,
     float_layer_bounds,
+    galois_failures,
     reference_kernel,
     reference_products,
     reference_terms,
     relative_error,
+    restrict_to_quotient,
 )
 
 SMALL = settings(max_examples=25, deadline=None)
@@ -112,6 +111,28 @@ def test_float_layer_is_within_its_stated_bounds(key, genus, bits):
     assert relative_error(got, want) <= kernel_bound
 
 
+@SMALL
+@given(key=sum_keys())
+def test_the_galois_symmetry_carries_each_spectrum_onto_itself(key):
+    """For every unit a mod D, j -> a j mod D, reduced to min(x, D - x),
+    carries the spectrum of the exact pass onto itself, keys and counts
+    included: an exact invariant that shares no rule with the walk."""
+    spectrum, _ = _exact(key)
+    assert galois_failures(spectrum) == []
+
+
+def test_the_galois_check_sees_a_changed_count_or_numerator():
+    """On C4 at level 5 (D = 20, units 3, 7 and 9 besides 1 and their
+    negatives), one term's count or one numerator changed by 1 breaks the
+    symmetry."""
+    spectrum = _terms(((root_system("C", 4), 5),), CenterSpec.TRIVIAL)
+    assert galois_failures(spectrum) == []
+    (count, m, js), *rest = spectrum.terms
+    recount = spectrum._replace(terms=((count + 1, m, js), *rest))
+    renumber = spectrum._replace(terms=((count, m, tuple(sorted((js[0] + 1,) + js[1:]))), *rest))
+    assert galois_failures(recount) and galois_failures(renumber)
+
+
 @st.composite
 def product_keys(draw):
     """The key of a product of two or three factors of any family, each of
@@ -133,5 +154,6 @@ def test_exact_pass_equals_the_per_weight_reference(key):
     spec = key[1]
     P = enumerate_product_weights(factors)
     spectrum = _terms(factors, spec)
-    assert spectrum == reference_terms(P, spec)
-    assert sum(count * m for count, m, _ in spectrum.terms) == len(restrict_to_quotient(P, spec))
+    assert spectrum == reference_terms(factors, spec)
+    assert sum(count * m for count, m, _ in spectrum.terms) == len(
+        restrict_to_quotient(P, spec, factors))

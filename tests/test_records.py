@@ -1,5 +1,5 @@
 """The package's records are NamedTuples: their pickling, validation,
-repr, length and hashing."""
+hashing and tuple behaviour."""
 
 import pickle
 from fractions import Fraction
@@ -7,16 +7,8 @@ from fractions import Fraction
 import pytest
 
 from verlinde.formula import n_so
-from verlinde.rootsys import GroupType, root_system
+from verlinde.rootsys import GroupType
 from verlinde.so_oracle import USet
-from verlinde.weights import (
-    CenterSpec,
-    Orbit,
-    OrbitSet,
-    enumerate_level_weights,
-    orbit_decompose,
-    restrict_to_quotient,
-)
 
 PROTOCOLS = range(2, pickle.HIGHEST_PROTOCOL + 1)
 
@@ -76,28 +68,3 @@ def test_records_are_tuples():
     res = n_so(12, 3)
     assert res[:2] == (res.value, res.residual)
 
-
-def _so8_orbits():
-    P = enumerate_level_weights(root_system("D", 4), 2)
-    return P, orbit_decompose(restrict_to_quotient(P, CenterSpec.SO_EVEN), CenterSpec.SO_EVEN)
-
-
-def test_orbit_repr_leaves_out_its_weight_set():
-    _, orbits = _so8_orbits()
-    assert repr(orbits.orbits[0]) == "Orbit(marks=(0, 0, 0, 0), size=2)"
-    assert "factors" not in repr(orbits)
-
-
-def test_orbits_of_one_set_compare_by_their_fields():
-    P, orbits = _so8_orbits()
-    first = orbits.orbits[0]
-    assert first == Orbit(first.marks, first.size, first.weight_set)
-    assert first != Orbit(first.marks, first.size, P)  # another weight set
-
-
-def test_len_counts_weights_and_orbits():
-    P, orbits = _so8_orbits()
-    assert len(P) == len(P.marks) == 11
-    assert len(orbits) == len(orbits.orbits) == 5
-    assert orbits.total_size() == 7  # the 7 weights trivial on the center
-    assert len(OrbitSet(())) == 0

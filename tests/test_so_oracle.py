@@ -7,7 +7,7 @@ import pytest
 import verlinde.so_oracle as so_oracle
 from verlinde.formula import delta, n_so
 from verlinde.numeric import certify_integer, four_sin_sq
-from verlinde.rootsys import root_system
+from verlinde.rootsys import root_system, weight_from_marks
 from verlinde.so_oracle import (
     USet,
     enumerate_usets,
@@ -16,15 +16,15 @@ from verlinde.so_oracle import (
     uset_delta_b,
     uset_delta_d,
 )
-from verlinde.weights import (
-    CenterSpec,
-    center_act,
-    enumerate_level_weights,
-    restrict_to_quotient,
-    u_coords,
-)
+from verlinde.weights import CenterSpec, u_coords
 
-from helpers import decimal_eps, relative_error
+from helpers import (
+    center_act,
+    decimal_eps,
+    enumerate_level_weights,
+    relative_error,
+    restrict_to_quotient,
+)
 
 TOL = mpmath.mpf("1e-20")
 
@@ -128,9 +128,9 @@ def test_pointwise_delta_equivalence(family, spec, ranks):
     for s in ranks:
         rs = root_system(family, s)
         for level in (1, 2, 3):
-            kept = restrict_to_quotient(enumerate_level_weights(rs, level), spec)
+            kept = restrict_to_quotient(enumerate_level_weights(rs, level), spec, (rs, level))
             k = level + rs.dual_coxeter
-            for lam in kept.weights:
+            for lam in (weight_from_marks(rs, n) for n in kept):
                 u = USet(family, s, k, tuple(u_coords(rs, lam).u))
                 assert abs(uset_delta(u) - delta(rs, level, lam)) < TOL
 
@@ -144,10 +144,10 @@ def test_orbit_enumeration_matches_weight_path(family, spec, rank):
     the orbits computed through the weight lattice."""
     rs = root_system(family, rank)
     for level in (0, 1, 2, 3):
-        kept = restrict_to_quotient(enumerate_level_weights(rs, level), spec)
+        kept = restrict_to_quotient(enumerate_level_weights(rs, level), spec, (rs, level))
         weight_orbits = set()
         seen = set()
-        for lam in kept.weights:
+        for lam in (weight_from_marks(rs, n) for n in kept):
             u = tuple(u_coords(rs, lam).u)
             if u in seen:
                 continue

@@ -5,8 +5,8 @@ from fractions import Fraction
 import mpmath
 import pytest
 
+import helpers
 import verlinde.formula as formula
-import verlinde.weights as weights
 from verlinde.formula import (
     DYNKIN_INDEX,
     _exact,
@@ -24,21 +24,19 @@ from verlinde.formula import (
     verlinde_sc,
 )
 from verlinde.rootsys import MIN_RANK, root_system, weight_from_marks
-from verlinde.weights import (
-    CenterSpec,
+from verlinde.weights import CenterSpec
+
+from helpers import (
     center_act,
     enumerate_level_weights,
     enumerate_product_weights,
-    orbit_decompose,
-    restrict_to_quotient,
-)
-
-from helpers import (
     float_layer_bounds,
+    orbit_decompose,
     reference_kernel,
     reference_products,
     reference_terms,
     relative_error,
+    restrict_to_quotient,
 )
 
 A1 = root_system("A", 1)
@@ -78,8 +76,8 @@ def test_delta_rejects_weights_outside_the_alcove():
 def test_delta_positive_on_all_level_weights():
     for family, rank, level in [("A", 2, 3), ("B", 2, 2), ("C", 2, 2), ("D", 4, 2)]:
         rs = root_system(family, rank)
-        for lam in enumerate_level_weights(rs, level).weights:
-            assert delta(rs, level, lam) > 0
+        for n in enumerate_level_weights(rs, level):
+            assert delta(rs, level, weight_from_marks(rs, n)) > 0
 
 
 def test_delta_is_invariant_under_the_center_action():
@@ -90,8 +88,8 @@ def test_delta_is_invariant_under_the_center_action():
     ]:
         rs = root_system(family, rank)
         for level in (2, 3):
-            kept = restrict_to_quotient(enumerate_level_weights(rs, level), spec)
-            for lam in kept.weights:
+            kept = restrict_to_quotient(enumerate_level_weights(rs, level), spec, (rs, level))
+            for lam in (weight_from_marks(rs, n) for n in kept):
                 image = center_act(spec, lam, (rs, level))
                 assert abs(delta(rs, level, lam) - delta(rs, level, image)) < mpmath.mpf(
                     "1e-40"
@@ -116,11 +114,11 @@ def test_delta_is_invariant_under_the_center_action():
 )
 def test_spectrum_counts_cover_the_quotient_weights(family, rank, level, spec):
     rs = root_system(family, rank)
-    P = enumerate_level_weights(rs, level)
-    kept = restrict_to_quotient(P, spec)
-    spectrum = _terms(P.factors, spec)
+    factors = ((rs, level),)
+    kept = restrict_to_quotient(enumerate_level_weights(rs, level), spec, factors)
+    spectrum = _terms(factors, spec)
     assert sum(count * m for count, m, _ in spectrum.terms) == len(kept)
-    orbits = orbit_decompose(kept, spec)
+    orbits = orbit_decompose(kept, spec, factors)
     assert sum(count for count, _, _ in spectrum.terms) == len(orbits)
     assert spectrum.denominator == 2 * (level + rs.dual_coxeter)
     for _, _, numerators in spectrum.terms:
@@ -135,9 +133,8 @@ def test_spectrum_counts_cover_the_quotient_weights(family, rank, level, spec):
 )
 def test_product_spectrum_counts_cover_the_quotient_weights(levels, spec):
     factors = tuple((A1, lvl) for lvl in levels)
-    P = enumerate_product_weights(factors)
-    kept = restrict_to_quotient(P, spec)
-    spectrum = _terms(P.factors, spec)
+    kept = restrict_to_quotient(enumerate_product_weights(factors), spec, factors)
+    spectrum = _terms(factors, spec)
     assert sum(count * m for count, m, _ in spectrum.terms) == len(kept)
     assert spectrum.denominator == math.lcm(*(2 * (lvl + 2) for lvl in levels))
 
@@ -155,15 +152,16 @@ def test_spectrum_merges_weights_with_equal_delta(family, rank, level, weights, 
 
 
 def test_an_action_that_leaves_the_level_set_is_caught(monkeypatch):
-    """orbit_decompose checks each image: here a broken action that raises
-    the last mark of D4 by 2 leaves level 2.  The exact pass walks the
-    family rule and never reads the action, so its spectrum is unchanged."""
+    """The reference's orbit_decompose checks each image: here a broken
+    action that raises the last mark of D4 by 2 leaves level 2.  The exact
+    pass walks the family rule and never reads the action, so its spectrum
+    is unchanged."""
     rs = root_system("D", 4)
-    kept = restrict_to_quotient(enumerate_level_weights(rs, 2), CenterSpec.SO_EVEN)
+    kept = restrict_to_quotient(enumerate_level_weights(rs, 2), CenterSpec.SO_EVEN, (rs, 2))
     spectrum = _terms(((rs, 2),), CenterSpec.SO_EVEN)
-    monkeypatch.setattr(weights, "center_act_marks", lambda spec, n, f: n[:-1] + (n[-1] + 2,))
+    monkeypatch.setattr(helpers, "center_act_marks", lambda spec, n, f: n[:-1] + (n[-1] + 2,))
     with pytest.raises(AssertionError, match="left the level set"):
-        orbit_decompose(kept, CenterSpec.SO_EVEN)
+        orbit_decompose(kept, CenterSpec.SO_EVEN, (rs, 2))
     assert _terms(((rs, 2),), CenterSpec.SO_EVEN) == spectrum
 
 
@@ -211,16 +209,10 @@ def _factors(family, rank, level):
     return ((root_system(family, rank), level),)
 
 
-def _weight_set(family, rank, level):
-    if isinstance(level, tuple):
-        return enumerate_product_weights(_factors(family, rank, level))
-    return enumerate_level_weights(root_system(family, rank), level)
-
-
 @pytest.mark.parametrize("family,rank,level,spec", _exact_pass_cases())
 def test_exact_pass_equals_the_per_weight_reference(family, rank, level, spec):
-    P = _weight_set(family, rank, level)
-    assert _terms(P.factors, spec) == reference_terms(P, spec)
+    factors = _factors(family, rank, level)
+    assert _terms(factors, spec) == reference_terms(factors, spec)
 
 
 @pytest.mark.parametrize(
@@ -239,7 +231,7 @@ def test_center_orbits_of_every_size_count_every_weight(factors):
     factors = tuple((root_system(f, r), level) for f, r, level in factors)
     P = enumerate_product_weights(factors)
     spectrum = _terms(factors, CenterSpec.TRIVIAL)
-    assert spectrum == reference_terms(P, CenterSpec.TRIVIAL)
+    assert spectrum == reference_terms(factors, CenterSpec.TRIVIAL)
     assert sum(count * m for count, m, _ in spectrum.terms) == len(P)
     if all(rs.family in "AC" for rs, _ in factors):
         assert len(P) == math.prod(math.comb(lvl + rs.rank, rs.rank) for rs, lvl in factors)
@@ -631,7 +623,7 @@ def test_terms_exceed_largest_single_term():
     level, genus = 2, 3
     P = enumerate_level_weights(rs, level)
     T = torus_order(rs, level)
-    terms = [(T / delta(rs, level, lam)) ** (genus - 1) for lam in P.weights]
+    terms = [(T / delta(rs, level, weight_from_marks(rs, n))) ** (genus - 1) for n in P]
     total = verlinde_sc(rs, level, genus).value
     assert total > max(terms)
 
@@ -640,17 +632,17 @@ def test_quotient_value_independent_of_representative_choice():
     # recompute the SO(8) sum from the other orbit member for size-2 orbits
     rs = root_system("D", 4)
     spec = CenterSpec.SO_EVEN
-    kept = restrict_to_quotient(enumerate_level_weights(rs, 2), spec)
-    orbits = orbit_decompose(kept, spec)
+    kept = restrict_to_quotient(enumerate_level_weights(rs, 2), spec, (rs, 2))
+    orbits = orbit_decompose(kept, spec, (rs, 2))
     T = torus_order(rs, 2)
     genus = 3
     with mpmath.workprec(192):
         total = mpmath.mpf(0)
-        for o in orbits.orbits:
-            rep = o.representative
-            if o.size == 2:
+        for n, size in orbits:
+            rep = weight_from_marks(rs, n)
+            if size == 2:
                 rep = center_act(spec, rep, (rs, 2))
-            total += mpmath.mpf(o.size) ** (1 - 2 * genus) * (
+            total += mpmath.mpf(size) ** (1 - 2 * genus) * (
                 T / delta(rs, 2, rep)
             ) ** (genus - 1)
         total *= 2

@@ -11,18 +11,23 @@ from verlinde.rootsys import (
     vec_scale,
     weight_from_marks,
 )
-from verlinde.weights import (
-    CenterSpec,
+from verlinde.formula import level_weights
+from verlinde.weights import CenterSpec, u_coords
+
+from helpers import (
     center_act,
     center_act_marks,
     enumerate_level_weights,
     enumerate_product_weights,
+    is_dominant,
+    is_quotient_weight,
+    level_of,
     orbit_decompose,
     restrict_to_quotient,
-    u_coords,
+    vec_sub,
+    weight_from_u,
+    weight_of,
 )
-
-from helpers import is_dominant, is_quotient_weight, level_of, vec_sub, weight_from_u
 
 A1 = root_system("A", 1)
 
@@ -46,7 +51,8 @@ def brute_force_level_weights(rs, level):
 def test_enumeration_matches_brute_force(family, rank, level):
     rs = root_system(family, rank)
     P = enumerate_level_weights(rs, level)
-    assert [marks(rs, w) for w in P.weights] == brute_force_level_weights(rs, level)
+    assert list(P) == brute_force_level_weights(rs, level)
+    assert [n for n, _ in level_weights(rs, level)] == brute_force_level_weights(rs, level)
 
 
 @pytest.mark.parametrize("level", range(21))
@@ -56,7 +62,7 @@ def test_a1_level_weight_count(level):
 
 def test_a1_level_four_is_multiples_of_rho():
     P = enumerate_level_weights(A1, 4)
-    assert [marks(A1, w) for w in P.weights] == [(k,) for k in range(5)]
+    assert [marks(A1, weight_of((A1, 4), n)) for n in P] == [(k,) for k in range(5)]
 
 
 @pytest.mark.parametrize("family,rank", [("A", 3), ("B", 2), ("C", 4), ("D", 5)])
@@ -64,21 +70,27 @@ def test_level_zero_is_only_the_zero_weight(family, rank):
     rs = root_system(family, rank)
     P = enumerate_level_weights(rs, 0)
     assert len(P) == 1
-    assert P.weights[0] == tuple(Fraction(0) for _ in range(rs.dim))
+    assert weight_of((rs, 0), P[0]) == tuple(Fraction(0) for _ in range(rs.dim))
 
 
 def test_d4_level_two_count():
     assert len(enumerate_level_weights(root_system("D", 4), 2)) == 11
 
 
+def test_level_weights_counts_the_so8_level_two_weights_and_orbits():
+    d4 = root_system("D", 4)
+    assert len(level_weights(d4, 2)) == 11
+    orbits = level_weights(d4, 2, CenterSpec.SO_EVEN)
+    assert len(orbits) == 5
+    assert sum(size for _, size in orbits) == 7  # the 7 weights trivial on the center
+
+
 def test_negative_level_rejected():
     with pytest.raises(ValueError):
         enumerate_level_weights(A1, -1)
-
-
-def test_k_is_shifted_level():
-    P = enumerate_level_weights(root_system("B", 3), 2)
-    assert P.k == 2 + 5
+    for spec in (None, CenterSpec.SO3, CenterSpec.SO_EVEN):
+        with pytest.raises(ValueError, match="level must be >= 0"):
+            level_weights(A1, -1, spec)
 
 
 @pytest.mark.parametrize(
@@ -90,9 +102,10 @@ def test_product_marks_are_the_sorted_concatenations(types, levels):
     factors = tuple((root_system(*t), lvl) for t, lvl in zip(types, levels))
     per_factor = [enumerate_level_weights(rs, lvl) for rs, lvl in factors]
     P = enumerate_product_weights(factors)
-    concatenations = (sum(ns, ()) for ns in product(*(Q.marks for Q in per_factor)))
-    assert P.marks == tuple(sorted(concatenations))
-    assert list(P.weights) == list(product(*(Q.weights for Q in per_factor)))
+    concatenations = (sum(ns, ()) for ns in product(*per_factor))
+    assert P == tuple(sorted(concatenations))
+    vectors = [[weight_of(f, n) for n in Q] for f, Q in zip(factors, per_factor)]
+    assert [weight_of(factors, n) for n in P] == list(product(*vectors))
 
 
 # --- u-coordinates -----------------------------------------------------------
@@ -149,17 +162,17 @@ def test_u_roundtrip_on_random_dominant_weights(family, extra, coeffs):
 
 
 def test_so3_restriction_keeps_even_multiples():
-    P = restrict_to_quotient(enumerate_level_weights(A1, 4), CenterSpec.SO3)
-    assert [marks(A1, w) for w in P.weights] == [(0,), (2,), (4,)]
+    P = restrict_to_quotient(enumerate_level_weights(A1, 4), CenterSpec.SO3, (A1, 4))
+    assert [marks(A1, weight_of((A1, 4), n)) for n in P] == [(0,), (2,), (4,)]
 
 
 @pytest.mark.parametrize("s", [2, 3, 4, 5, 6])
 def test_so_odd_restriction_is_half_integrality(s):
     rs = root_system("B", s)
     P = enumerate_level_weights(rs, 2)
-    kept = restrict_to_quotient(P, CenterSpec.SO_ODD)
+    kept = restrict_to_quotient(P, CenterSpec.SO_ODD, (rs, 2))
     assert len(kept) == s + 2
-    for lam in P.weights:
+    for lam in (weight_from_marks(rs, n) for n in P):
         u = u_coords(rs, lam).u
         half_integral = all(x.denominator == 2 for x in u)
         assert is_quotient_weight(CenterSpec.SO_ODD, rs, lam) == half_integral
@@ -169,9 +182,9 @@ def test_so_odd_restriction_is_half_integrality(s):
 def test_so_even_restriction_is_integrality(s):
     rs = root_system("D", s)
     P = enumerate_level_weights(rs, 2)
-    kept = restrict_to_quotient(P, CenterSpec.SO_EVEN)
+    kept = restrict_to_quotient(P, CenterSpec.SO_EVEN, (rs, 2))
     assert len(kept) == s + 3
-    for lam in P.weights:
+    for lam in (weight_from_marks(rs, n) for n in P):
         u = u_coords(rs, lam).u
         integral = all(x.denominator == 1 for x in u)
         assert is_quotient_weight(CenterSpec.SO_EVEN, rs, lam) == integral
@@ -182,11 +195,11 @@ def test_d_level_two_usets_are_v_minus_j_up_to_action(s):
     """The restricted level-2 set maps onto {V minus {j}} up to the center
     action, where V = {s, s-1, ..., 0}."""
     rs = root_system("D", s)
-    kept = restrict_to_quotient(enumerate_level_weights(rs, 2), CenterSpec.SO_EVEN)
+    kept = restrict_to_quotient(enumerate_level_weights(rs, 2), CenterSpec.SO_EVEN, (rs, 2))
     V = set(range(s + 1))
     expected = {tuple(sorted(V - {j}, reverse=True)) for j in range(s + 1)}
     seen = set()
-    for lam in kept.weights:
+    for lam in (weight_from_marks(rs, n) for n in kept):
         u = tuple(u_coords(rs, lam).u)
         if u in expected:
             seen.add(u)
@@ -201,14 +214,14 @@ def test_d_level_two_usets_are_v_minus_j_up_to_action(s):
 @pytest.mark.parametrize("s", [2, 3, 4, 5, 6])
 def test_b_level_two_usets_are_v_minus_j_up_to_action(s):
     rs = root_system("B", s)
-    kept = restrict_to_quotient(enumerate_level_weights(rs, 2), CenterSpec.SO_ODD)
+    kept = restrict_to_quotient(enumerate_level_weights(rs, 2), CenterSpec.SO_ODD, (rs, 2))
     V = {Fraction(2 * j + 1, 2) for j in range(s + 1)}
     expected = {
         tuple(sorted(V - {Fraction(2 * j + 1, 2)}, reverse=True))
         for j in range(s + 1)
     }
     seen = set()
-    for lam in kept.weights:
+    for lam in (weight_from_marks(rs, n) for n in kept):
         u = tuple(u_coords(rs, lam).u)
         if u not in expected:
             u = tuple(u_coords(rs, center_act(CenterSpec.SO_ODD, lam, (rs, 2))).u)
@@ -218,10 +231,9 @@ def test_b_level_two_usets_are_v_minus_j_up_to_action(s):
 
 
 def test_restriction_spec_family_mismatch():
+    b2 = root_system("B", 2)
     with pytest.raises(ValueError, match="does not apply"):
-        restrict_to_quotient(
-            enumerate_level_weights(root_system("B", 2), 2), CenterSpec.SO_EVEN
-        )
+        restrict_to_quotient(enumerate_level_weights(b2, 2), CenterSpec.SO_EVEN, (b2, 2))
 
 
 # --- center action -----------------------------------------------------------
@@ -244,7 +256,7 @@ def test_so3_action_needs_even_level():
     with pytest.raises(ValueError, match="even level"):
         center_act(CenterSpec.SO3, zero, (A1, 3))
     with pytest.raises(ValueError, match="even level"):
-        restrict_to_quotient(enumerate_level_weights(A1, 3), CenterSpec.SO3)
+        restrict_to_quotient(enumerate_level_weights(A1, 3), CenterSpec.SO3, (A1, 3))
 
 
 def test_so4_action_on_zero_pair():
@@ -260,9 +272,9 @@ def test_so4_action_on_zero_pair():
 def test_so4_action_is_an_involution():
     factors = ((A1, 2), (A1, 2))
     P = restrict_to_quotient(
-        enumerate_product_weights(factors), CenterSpec.SO4_DIAGONAL
+        enumerate_product_weights(factors), CenterSpec.SO4_DIAGONAL, factors
     )
-    for pair in P.weights:
+    for pair in (weight_of(factors, n) for n in P):
         image = center_act(CenterSpec.SO4_DIAGONAL, pair, factors)
         assert center_act(CenterSpec.SO4_DIAGONAL, image, factors) == pair
 
@@ -286,8 +298,8 @@ def test_center_action_is_an_involution(family, spec, ranks):
     for s in ranks:
         rs = root_system(family, s)
         for level in (1, 2, 3):
-            kept = restrict_to_quotient(enumerate_level_weights(rs, level), spec)
-            for lam in kept.weights:
+            kept = restrict_to_quotient(enumerate_level_weights(rs, level), spec, (rs, level))
+            for lam in (weight_from_marks(rs, n) for n in kept):
                 image = center_act(spec, lam, (rs, level))
                 assert is_quotient_weight(spec, rs, image)
                 assert level_of(rs, image) <= level
@@ -340,8 +352,8 @@ def _u_coordinate_image(spec, rs, level, lam):
 def test_mark_action_equals_u_coordinate_formula(family, spec, rank):
     rs = root_system(family, rank)
     for level in range(5):
-        kept = restrict_to_quotient(enumerate_level_weights(rs, level), spec)
-        for n, lam in zip(kept.marks, kept.weights):
+        kept = restrict_to_quotient(enumerate_level_weights(rs, level), spec, (rs, level))
+        for n, lam in zip(kept, (weight_from_marks(rs, n) for n in kept)):
             image = center_act_marks(spec, n, (rs, level))
             expected = _u_coordinate_image(spec, rs, level, lam)
             assert weight_from_marks(rs, image) == expected
@@ -350,9 +362,9 @@ def test_mark_action_equals_u_coordinate_formula(family, spec, rank):
 @pytest.mark.parametrize("level", [0, 2, 4, 6, 8])
 def test_a1_mark_action_is_the_alcove_reflection(level):
     """On A1 the center sends lambda to l * omega - lambda."""
-    kept = restrict_to_quotient(enumerate_level_weights(A1, level), CenterSpec.SO3)
+    kept = restrict_to_quotient(enumerate_level_weights(A1, level), CenterSpec.SO3, (A1, level))
     omega = A1.fundamental_weights[0]
-    for n, lam in zip(kept.marks, kept.weights):
+    for n, lam in zip(kept, (weight_from_marks(A1, n) for n in kept)):
         image = center_act_marks(CenterSpec.SO3, n, (A1, level))
         assert weight_from_marks(A1, image) == vec_sub(vec_scale(level, omega), lam)
 
@@ -362,11 +374,11 @@ def test_so4_mark_action_is_the_alcove_reflection_per_factor(levels):
     factors = tuple((A1, lvl) for lvl in levels)
     omega = A1.fundamental_weights[0]
     P = restrict_to_quotient(
-        enumerate_product_weights(factors), CenterSpec.SO4_DIAGONAL
+        enumerate_product_weights(factors), CenterSpec.SO4_DIAGONAL, factors
     )
-    for ns, pair in zip(P.marks, P.weights):
+    for ns, pair in zip(P, (weight_of(factors, n) for n in P)):
         image = center_act_marks(CenterSpec.SO4_DIAGONAL, ns, factors)
-        assert P.weight(image) == tuple(
+        assert weight_of(factors, image) == tuple(
             vec_sub(vec_scale(lvl, omega), lam) for lvl, lam in zip(levels, pair)
         )
 
@@ -378,7 +390,7 @@ def test_orbit_decompose_rejects_weights_outside_the_quotient():
         (((A1, 2), (A1, 2)), CenterSpec.SO4_DIAGONAL),
     ]:
         with pytest.raises(ValueError, match="not trivial"):
-            orbit_decompose(enumerate_product_weights(factors), spec)
+            orbit_decompose(enumerate_product_weights(factors), spec, factors)
 
 
 def test_trivial_spec_is_identity():
@@ -389,9 +401,9 @@ def test_trivial_spec_is_identity():
 
 
 def test_a1_level_four_orbits():
-    kept = restrict_to_quotient(enumerate_level_weights(A1, 4), CenterSpec.SO3)
-    orbits = orbit_decompose(kept, CenterSpec.SO3)
-    assert [(marks(A1, o.representative), o.size) for o in orbits.orbits] == [
+    kept = restrict_to_quotient(enumerate_level_weights(A1, 4), CenterSpec.SO3, (A1, 4))
+    orbits = orbit_decompose(kept, CenterSpec.SO3, (A1, 4))
+    assert [(marks(A1, weight_of((A1, 4), n)), size) for n, size in orbits] == [
         ((0,), 2),
         ((2,), 1),
     ]
@@ -400,37 +412,37 @@ def test_a1_level_four_orbits():
 @pytest.mark.parametrize("s", [3, 4, 5, 6])
 def test_d_level_two_orbit_structure(s):
     rs = root_system("D", s)
-    kept = restrict_to_quotient(enumerate_level_weights(rs, 2), CenterSpec.SO_EVEN)
-    orbits = orbit_decompose(kept, CenterSpec.SO_EVEN)
+    kept = restrict_to_quotient(enumerate_level_weights(rs, 2), CenterSpec.SO_EVEN, (rs, 2))
+    orbits = orbit_decompose(kept, CenterSpec.SO_EVEN, (rs, 2))
     assert len(orbits) == s + 1
-    assert sorted(o.size for o in orbits.orbits) == [1] * (s - 1) + [2, 2]
-    assert orbits.total_size() == len(kept)
-    k = kept.k
-    for o in orbits.orbits:
-        u = u_coords(rs, o.representative).u
+    assert sorted(size for _, size in orbits) == [1] * (s - 1) + [2, 2]
+    assert sum(size for _, size in orbits) == len(kept)
+    k = 2 + rs.dual_coxeter
+    for n, size in orbits:
+        u = u_coords(rs, weight_from_marks(rs, n)).u
         fixed = 2 * u[0] == k and u[-1] == 0
-        assert (o.size == 1) == fixed
+        assert (size == 1) == fixed
 
 
 @pytest.mark.parametrize("s", [2, 3, 4, 5, 6])
 def test_b_level_two_orbit_structure(s):
     rs = root_system("B", s)
-    kept = restrict_to_quotient(enumerate_level_weights(rs, 2), CenterSpec.SO_ODD)
-    orbits = orbit_decompose(kept, CenterSpec.SO_ODD)
+    kept = restrict_to_quotient(enumerate_level_weights(rs, 2), CenterSpec.SO_ODD, (rs, 2))
+    orbits = orbit_decompose(kept, CenterSpec.SO_ODD, (rs, 2))
     assert len(orbits) == s + 1
-    assert sorted(o.size for o in orbits.orbits) == [1] * s + [2]
-    assert orbits.total_size() == len(kept)
-    k = kept.k
-    for o in orbits.orbits:
-        u = u_coords(rs, o.representative).u
-        assert (o.size == 1) == (2 * u[0] == k)
+    assert sorted(size for _, size in orbits) == [1] * s + [2]
+    assert sum(size for _, size in orbits) == len(kept)
+    k = 2 + rs.dual_coxeter
+    for n, size in orbits:
+        u = u_coords(rs, weight_from_marks(rs, n)).u
+        assert (size == 1) == (2 * u[0] == k)
 
 
 def test_orbit_representatives_are_lex_minimal():
     rs = root_system("D", 4)
-    kept = restrict_to_quotient(enumerate_level_weights(rs, 2), CenterSpec.SO_EVEN)
-    for o in orbit_decompose(kept, CenterSpec.SO_EVEN).orbits:
-        rep = o.representative
+    kept = restrict_to_quotient(enumerate_level_weights(rs, 2), CenterSpec.SO_EVEN, (rs, 2))
+    for n, _ in orbit_decompose(kept, CenterSpec.SO_EVEN, (rs, 2)):
+        rep = weight_from_marks(rs, n)
         image = center_act(CenterSpec.SO_EVEN, rep, (rs, 2))
         assert marks(rs, rep) <= marks(rs, image)
 
@@ -438,28 +450,26 @@ def test_orbit_representatives_are_lex_minimal():
 def test_so4_orbit_structure():
     factors = ((A1, 2), (A1, 2))
     P = restrict_to_quotient(
-        enumerate_product_weights(factors), CenterSpec.SO4_DIAGONAL
+        enumerate_product_weights(factors), CenterSpec.SO4_DIAGONAL, factors
     )
     assert len(P) == 5
-    orbits = orbit_decompose(P, CenterSpec.SO4_DIAGONAL)
+    orbits = orbit_decompose(P, CenterSpec.SO4_DIAGONAL, factors)
     reps = [
-        tuple(marks(A1, w)[0] for w in o.representative) for o in orbits.orbits
+        tuple(marks(A1, w)[0] for w in weight_of(factors, n)) for n, _ in orbits
     ]
-    sizes = [o.size for o in orbits.orbits]
+    sizes = [size for _, size in orbits]
     assert reps == [(0, 0), (0, 2), (1, 1)]
     assert sizes == [2, 2, 1]
 
 
 def test_so4_requires_matching_parity():
+    factors = ((A1, 2), (A1, 1))
     with pytest.raises(ValueError, match="parity"):
-        restrict_to_quotient(
-            enumerate_product_weights(((A1, 2), (A1, 1))), CenterSpec.SO4_DIAGONAL
-        )
+        restrict_to_quotient(enumerate_product_weights(factors), CenterSpec.SO4_DIAGONAL, factors)
 
 
 def test_so4_requires_a1_factors():
     b2 = root_system("B", 2)
+    factors = ((b2, 2), (b2, 2))
     with pytest.raises(ValueError, match="A1 factors"):
-        restrict_to_quotient(
-            enumerate_product_weights(((b2, 2), (b2, 2))), CenterSpec.SO4_DIAGONAL
-        )
+        restrict_to_quotient(enumerate_product_weights(factors), CenterSpec.SO4_DIAGONAL, factors)
