@@ -11,7 +11,6 @@ from .formula import (
     DynkinIndices,
     VerlindeResult,
     delta,
-    level_weights,
     n_so,
     n_sp,
     theta_dim,
@@ -31,7 +30,13 @@ from .suite import (
     run_strange_duality_symmetry,
     run_unitarity,
 )
-from .weights import CenterSpec, UCoordinates, u_coords
+from .weights import (
+    CenterSpec,
+    UCoordinates,
+    enumerate_level_weights,
+    orbit_decompose,
+    u_coords,
+)
 
 __version__ = "0.1.0"
 
@@ -49,11 +54,12 @@ __all__ = [
     "VerlindeResult",
     "build_root_system",
     "delta",
+    "enumerate_level_weights",
     "enumerate_usets",
-    "level_weights",
     "n_so",
     "n_so_oracle",
     "n_sp",
+    "orbit_decompose",
     "root_system",
     "run_default_suite",
     "run_so_identity",

@@ -25,12 +25,12 @@ from functools import cache
 from gettext import gettext
 from typing import Optional, Sequence
 
-from .formula import level_weights, n_so, n_sp, verlinde_sc
+from .formula import n_so, n_sp, verlinde_sc
 from .numeric import DEFAULT_PRECISION, IntegralityError, VerlindeResult
 from .rootsys import GroupType, build_root_system, weight_from_marks
 from .so_oracle import n_so_oracle
 from .suite import run_default_suite
-from .weights import CenterSpec, _mark_bounds, u_coords
+from .weights import enumerate_level_weights, orbit_decompose, u_coords
 
 RECORD_FIELDS = (
     "group_label",
@@ -44,7 +44,6 @@ RECORD_FIELDS = (
 
 # The arguments that each ``compute --group`` takes; it refuses the others.
 _GROUP_ARGS = {"so": ("r",), "sp": ("r", "level"), "sc": ("type", "rank", "level")}
-_QUOTIENT_SPEC = {"A": CenterSpec.SO3, "B": CenterSpec.SO_ODD, "D": CenterSpec.SO_EVEN}
 
 
 def output_record(res: VerlindeResult) -> dict:
@@ -97,15 +96,13 @@ def _cmd_compute(args) -> int:
 
 def _cmd_weights(args) -> int:
     rs = build_root_system(GroupType(args.type, args.rank))
-    spec = None
-    if args.quotient is not None:
-        _mark_bounds(((rs, args.level),))  # a negative level is refused first
-        spec = _QUOTIENT_SPEC.get(args.type)
-        if spec is None:
-            raise ValueError(f"no SO-type center quotient for {args.type}{args.rank}")
+    if args.quotient is None:
+        listing = [(n, None) for n in enumerate_level_weights(rs, args.level)]
+    else:
+        listing = orbit_decompose(rs, args.level)
 
     rows = []
-    for n, orbit_size in level_weights(rs, args.level, spec):
+    for n, orbit_size in listing:
         lam = weight_from_marks(rs, n)
         row = {
             "marks": list(n),
@@ -113,7 +110,7 @@ def _cmd_weights(args) -> int:
         }
         if rs.family in ("B", "D"):
             row["u"] = [str(x) for x in u_coords(rs, lam).u]
-        if spec is not None:
+        if orbit_size is not None:
             row["orbit_size"] = orbit_size
         rows.append(row)
 

@@ -37,9 +37,9 @@ Delta is invariant under the center and the diagram automorphisms, so many
 weights share their multiset of numerators: the terms are merged into a
 spectrum of distinct (orbit size, sorted numerators) with a count each.
 
-The exact pass is one recursion over the mark tuples in lexicographic
-order, ``_walk``, which also lists the weights of the ``weights`` command
-(``level_weights``): each node adds its pairing column once to its parent's
+The exact pass is the one recursion over the mark tuples in lexicographic
+order, ``weights._walk``, which also lists the weights of the ``weights``
+command.  Each node adds its pairing column once to its parent's
 numerators, starting from rho (the pairing rows' sums), so a weight costs
 one vector add, not one dot product per root.  Under every spec the walk
 visits only the least member of each center orbit, on which Delta is
@@ -79,9 +79,7 @@ from __future__ import annotations
 
 import math
 from decimal import Decimal, localcontext
-from functools import lru_cache, partial
-from itertools import chain
-from operator import add
+from functools import lru_cache
 from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence, Tuple
 
 from .numeric import (
@@ -101,11 +99,10 @@ from .rootsys import (
     root_system,
 )
 from .weights import (
-    _EVERY_WEIGHT,
     _LEAST_MEMBERS,
     CenterSpec,
     _mark_bounds,
-    _trivial_on_center,
+    _walk,
     _within_levels,
 )
 
@@ -114,7 +111,6 @@ __all__ = [
     "DYNKIN_INDEX",
     "VerlindeResult",
     "delta",
-    "level_weights",
     "torus_order",
     "torus_order_oracle_certified",
     "verlinde_sc",
@@ -194,25 +190,21 @@ def torus_order(rs: RootSystem, level: int) -> int:
     return (level + rs.dual_coxeter) ** rs.rank * rs.center_order * rs.nu
 
 
-def _walk(factors, spec: CenterSpec, leaf, rules=_LEAST_MEMBERS) -> int:
-    """The one recursion over the flat mark tuples of ``factors``, pairs
-    ``(rs, level)``, in lexicographic order; returns D, the lcm of the
-    factors' 2(l+h).
+def _terms(factors, spec: CenterSpec) -> Spectrum:
+    """The exact pass: the merged spectrum of the Gamma-orbits of the
+    Gamma-trivial weights of ``factors``, pairs ``(rs, level)``.
 
-    Each factor walks by its family's rule in ``rules``: by
-    ``weights._LEAST_MEMBERS`` the walk visits only the least member of each
-    center orbit of every factor, by ``weights._EVERY_WEIGHT`` all of P_l.
-    Column i of a factor's pairing matrix, scaled by D / (2(l+h)),
-    sits at that factor's roots.  Each kept leaf calls
-    ``leaf(numerators, m, weight, parts)``: ``numerators`` are the weight's
-    sorted numerators, reduced to min(j, D - j), and ``parts`` the lists of
-    each factor's marks, which the walk goes on changing.  Under the trivial
-    spec m is 1 and the weight is the product of the factors' orbit sizes;
-    under a quotient only Gamma-trivial leaves are kept, each with weight 1
-    and its Gamma-orbit size as m.
+    The walk (``weights._walk``) visits only the least members of the center
+    orbits of each factor and carries each weight's numerators: column i of
+    a factor's pairing matrix, scaled by D / (2(l+h)), sits at that factor's
+    roots.  Each kept leaf merges into its term at once, keyed by its orbit
+    size and its sorted numerators, reduced to min(j, D - j).  A leaf counts
+    the product of the factors' orbit sizes under the trivial spec; under a
+    quotient, a Gamma-trivial leaf counts once, with its Gamma-orbit size m:
+    the terms, their order and their counts are those of the walk over all
+    of P_l.
     """
-    comarks, budgets = _mark_bounds(factors)
-    trivial = _trivial_on_center(spec, factors)
+    _mark_bounds(factors)  # refuses an empty list and a negative level before D
     shifted = [2 * (lvl + rs.dual_coxeter) for rs, lvl in factors]
     D = math.lcm(*shifted)
     roots = sum(len(rs.pairing_matrix) for rs, _ in factors)
@@ -228,92 +220,14 @@ def _walk(factors, spec: CenterSpec, leaf, rules=_LEAST_MEMBERS) -> int:
             columns.append(column)
         rho += [scale * sum(row) for row in M]
     reduced = [min(j, D - j) for j in range(D)].__getitem__
-    parts = []  # each factor's marks
-    plan = []  # by depth: (the factor's marks, mark, step, cost per unit, column)
-    closes = {}  # depth after a factor's last mark -> that factor's close
-    for rs, _ in factors:
-        reserve, step, close = rules[rs.family]
-        b = [0] * rs.rank
-        for j in range(rs.rank):
-            cost = comarks[len(plan)] + (reserve if j == 0 else 0)
-            plan.append((b, j, step, cost, columns[len(plan)]))
-        parts.append(b)
-        closes[len(plan)] = partial(close, b)
-    size = len(plan)
-    quotient = spec is not CenterSpec.TRIVIAL
-
-    def walk(i, remaining, js, p, weight):
-        if i in closes and (weight == 1 or not quotient):  # see _LEAST_MEMBERS
-            weight *= closes[i](remaining, p)
-            if not weight:
-                return
-        if i == size:
-            m = 1
-            if quotient:
-                if not trivial(tuple(chain.from_iterable(parts))):
-                    return
-                m, weight = weight, 1
-            leaf(tuple(sorted(map(reduced, js))), m, weight, parts)
-            return
-        if i in budgets:
-            remaining, p = budgets[i], 1
-        b, j, step, cost, column = plan[i]
-        low, at_low, above = step(b, j, p)
-        for n in range(low, remaining // cost + 1):
-            if n > low:
-                js = list(map(add, js, column))
-            elif n:
-                js = [x + n * c for x, c in zip(js, column)]
-            b[j] = n
-            walk(i + 1, remaining - n * cost, js, above if n > low else at_low, weight)
-
-    walk(0, 0, rho, 1, 1)
-    del walk  # the closure refers to itself; free it and its state now
-    return D
-
-
-def _terms(factors, spec: CenterSpec) -> Spectrum:
-    """The exact pass: the merged spectrum of the Gamma-orbits of the
-    Gamma-trivial weights of ``factors``, pairs ``(rs, level)``.
-
-    The walk (:func:`_walk`) visits only the least members of the center
-    orbits of each factor, and each kept leaf merges into its term at once.
-    A leaf counts the product of their sizes under the trivial spec; under
-    a quotient, a Gamma-trivial leaf counts once, with its Gamma-orbit size
-    m: the terms, their order and their counts are those of the walk over
-    all of P_l.
-    """
     counts = {}
 
-    def merge(numerators, m, weight, parts):
-        key = (m, numerators)
+    def merge(js, m, weight, parts):
+        key = (m, tuple(sorted(map(reduced, js))))
         counts[key] = counts.get(key, 0) + weight
 
-    D = _walk(factors, spec, merge)
+    _walk(factors, spec, merge, _LEAST_MEMBERS, columns, rho)
     return Spectrum(D, tuple((c, m, js) for (m, js), c in counts.items()))
-
-
-def level_weights(rs: RootSystem, level: int, spec: Optional[CenterSpec] = None) -> list:
-    """The level-``level`` weights of ``rs`` as ``(marks, orbit size)``
-    pairs, in lexicographic order of the marks, listed by the walk of the
-    exact pass.
-
-    Without a spec (or with the trivial one) every weight of P_l, each of
-    orbit size 1.  With a center subgroup Gamma, the least member of each
-    Gamma-orbit of the weights trivial on Gamma, and the orbit's size: the
-    walk's rules (``weights._LEAST_MEMBERS``), whose group is Gamma for the
-    SO quotients of B, D and A1.  Refuses a negative level before the spec.
-    """
-    listing = []
-
-    def collect(numerators, m, weight, parts):
-        listing.append((tuple(parts[0]), m))
-
-    if spec is None or spec is CenterSpec.TRIVIAL:
-        _walk(((rs, level),), CenterSpec.TRIVIAL, collect, _EVERY_WEIGHT)
-    else:
-        _walk(((rs, level),), spec, collect)
-    return listing
 
 
 def _exact(key) -> Tuple[Spectrum, int]:

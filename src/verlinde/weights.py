@@ -1,12 +1,13 @@
-"""Level weights: their bounds, the center subgroups, the orbit rules.
+"""Level weights: their bounds, the center subgroups, the one walk over them.
 
 A weight set belongs to a product of simply connected factors, each with
 its own level; a simple group is the one-factor case.  A weight is one flat
 tuple of marks (coefficients in the fundamental-weight basis), the factors'
-marks in turn, with (lambda | theta) <= l in every factor.  The one walk
-over them, ``formula._walk``, takes its bounds from ``_mark_bounds``; it
-serves the exact pass and the ``weights`` command (``formula.level_weights``)
-and stores no weight set.
+marks in turn, with (lambda | theta) <= l in every factor.  The one
+recursion over them, ``_walk``, takes its bounds from ``_mark_bounds`` and
+stores no weight set; it serves the exact pass (``formula._terms``) and the
+listings of the ``weights`` command, :func:`enumerate_level_weights` and
+:func:`orbit_decompose`.
 
 One table, ``_ACTS_ON``, states which factors each order-2 center subgroup
 acts on, and ``_trivial_on_center`` tests whether a weight's character is
@@ -25,7 +26,10 @@ from __future__ import annotations
 
 from enum import Enum
 from fractions import Fraction
-from typing import NamedTuple, Sequence, Tuple
+from functools import partial
+from itertools import chain
+from operator import add
+from typing import List, NamedTuple, Sequence, Tuple
 
 from .rootsys import RootSystem, Vector, marks, vec_add
 
@@ -141,7 +145,7 @@ def _within_levels(factors: Sequence[Factor], n: Marks) -> bool:
     return min(n) >= 0 and all(_affine_mark(*p) >= 0 for p in _parts(factors, n))
 
 
-# The rules by which the walk (``formula._walk``) visits a factor: in
+# The rules by which the walk (``_walk``) visits a factor: in
 # lexicographic order, it visits only the least member n of each orbit of a
 # center group H, which acts by automorphisms of the affine Dynkin diagram and
 # so leaves Delta fixed.  A rule reads b, the factor's marks (b[j] = n_(j+1)),
@@ -201,3 +205,100 @@ _LEAST_MEMBERS = {
 
 # The rules of the unrestricted listing: every weight, each its own orbit.
 _EVERY_WEIGHT = dict.fromkeys("ABCD", (0, _free, lambda b, rest, p: 1))
+
+
+# The center subgroup of each family whose quotient is an SO group:
+# SO(3) = SL(2) / Z_2, SO(2s+1) = Spin(2s+1) / Z_2, SO(2s) = Spin(2s) / Z_2.
+_SO_QUOTIENT = {"A": CenterSpec.SO3, "B": CenterSpec.SO_ODD, "D": CenterSpec.SO_EVEN}
+
+
+def _walk(factors: Sequence[Factor], spec: CenterSpec, leaf, rules=_LEAST_MEMBERS,
+          columns=None, start=()) -> None:
+    """The one recursion over the flat mark tuples of ``factors``, pairs
+    ``(rs, level)``, in lexicographic order.
+
+    Each factor walks by its family's rule in ``rules``: by
+    ``_LEAST_MEMBERS`` the walk visits only the least member of each center
+    orbit of every factor, by ``_EVERY_WEIGHT`` all of P_l.  It carries one
+    vector, ``start`` plus n_i times ``columns[i]`` over the flat marks
+    (the exact pass gives the pairing columns, so that a node costs one
+    vector add; without columns the vector is empty).  Each kept leaf calls
+    ``leaf(vector, m, weight, parts)``, ``parts`` being the lists of each
+    factor's marks, which the walk goes on changing.  Under the trivial spec
+    m is 1 and the weight is the product of the factors' orbit sizes; under
+    a quotient only Gamma-trivial leaves are kept, each with weight 1 and
+    its Gamma-orbit size as m.
+    """
+    comarks, budgets = _mark_bounds(factors)
+    trivial = _trivial_on_center(spec, factors)
+    if columns is None:
+        columns = [()] * len(comarks)
+    parts = []  # each factor's marks
+    plan = []  # by depth: (the factor's marks, mark, step, cost per unit, column)
+    closes = {}  # depth after a factor's last mark -> that factor's close
+    for rs, _ in factors:
+        reserve, step, close = rules[rs.family]
+        b = [0] * rs.rank
+        for j in range(rs.rank):
+            cost = comarks[len(plan)] + (reserve if j == 0 else 0)
+            plan.append((b, j, step, cost, columns[len(plan)]))
+        parts.append(b)
+        closes[len(plan)] = partial(close, b)
+    size = len(plan)
+    quotient = spec is not CenterSpec.TRIVIAL
+
+    def walk(i, remaining, js, p, weight):
+        if i in closes and (weight == 1 or not quotient):  # see _LEAST_MEMBERS
+            weight *= closes[i](remaining, p)
+            if not weight:
+                return
+        if i == size:
+            m = 1
+            if quotient:
+                if not trivial(tuple(chain.from_iterable(parts))):
+                    return
+                m, weight = weight, 1
+            leaf(js, m, weight, parts)
+            return
+        if i in budgets:
+            remaining, p = budgets[i], 1
+        b, j, step, cost, column = plan[i]
+        low, at_low, above = step(b, j, p)
+        for n in range(low, remaining // cost + 1):
+            if n > low:
+                js = list(map(add, js, column))
+            elif n:
+                js = [x + n * c for x, c in zip(js, column)]
+            b[j] = n
+            walk(i + 1, remaining - n * cost, js, above if n > low else at_low, weight)
+
+    walk(0, 0, start, 1, 1)
+    del walk  # the closure refers to itself; free it and its state now
+
+
+def enumerate_level_weights(rs: RootSystem, level: int) -> List[Marks]:
+    """The marks of every weight of P_l of ``rs``, in lexicographic order,
+    listed by the walk."""
+    listing = []
+    _walk(((rs, level),), CenterSpec.TRIVIAL,
+          lambda js, m, weight, parts: listing.append(tuple(parts[0])), _EVERY_WEIGHT)
+    return listing
+
+
+def orbit_decompose(rs: RootSystem, level: int) -> List[Tuple[Marks, int]]:
+    """The Gamma-orbits of the level weights of ``rs`` trivial on Gamma, the
+    center subgroup whose quotient is an SO group (SO3 for A1, SO_ODD for B,
+    SO_EVEN for D): ``(marks, size)`` of each orbit's least member, in
+    lexicographic order, listed by the walk, whose rules' group is Gamma.
+
+    Refuses a negative level before a family without such a quotient, and
+    A_s for s >= 2 or A1 at an odd level as ``_trivial_on_center`` does.
+    """
+    factors = ((rs, level),)
+    _mark_bounds(factors)
+    spec = _SO_QUOTIENT.get(rs.family)
+    if spec is None:
+        raise ValueError(f"no SO-type center quotient for {rs.group_type}")
+    listing = []
+    _walk(factors, spec, lambda js, m, weight, parts: listing.append((tuple(parts[0]), m)))
+    return listing

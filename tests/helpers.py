@@ -119,7 +119,7 @@ def reflection_closure(simple_roots):
 # Plain functions over flat mark tuples (the marks of each factor in turn) of
 # a product of ``factors``, pairs ``(rs, level)``.  They list all of P_l and
 # find each orbit's least member by applying the center action, so they share
-# no orbit rule with the walk of ``formula._walk``.
+# no orbit rule with the walk of ``weights._walk``.
 
 
 def enumerate_product_weights(factors):
@@ -237,9 +237,9 @@ def orbit_decompose(P, spec, factors):
 
 
 def reference_listing(factors, spec=None):
-    """What ``formula.level_weights`` lists, from the set-based reference:
-    every weight with orbit size 1, or each Gamma-orbit's least member and
-    its size."""
+    """What the walk lists, from the set-based reference: every weight with
+    orbit size 1 (``weights.enumerate_level_weights``), or each Gamma-orbit's
+    least member and its size (``weights.orbit_decompose``)."""
     P = enumerate_product_weights(factors)
     if spec is None or spec is CenterSpec.TRIVIAL:
         return [(n, 1) for n in P]

@@ -11,7 +11,7 @@ from verlinde.rootsys import (
     vec_scale,
     weight_from_marks,
 )
-from verlinde.formula import level_weights
+from verlinde import weights
 from verlinde.weights import CenterSpec, u_coords
 
 from helpers import (
@@ -52,7 +52,7 @@ def test_enumeration_matches_brute_force(family, rank, level):
     rs = root_system(family, rank)
     P = enumerate_level_weights(rs, level)
     assert list(P) == brute_force_level_weights(rs, level)
-    assert [n for n, _ in level_weights(rs, level)] == brute_force_level_weights(rs, level)
+    assert weights.enumerate_level_weights(rs, level) == brute_force_level_weights(rs, level)
 
 
 @pytest.mark.parametrize("level", range(21))
@@ -77,10 +77,10 @@ def test_d4_level_two_count():
     assert len(enumerate_level_weights(root_system("D", 4), 2)) == 11
 
 
-def test_level_weights_counts_the_so8_level_two_weights_and_orbits():
+def test_the_listings_count_the_so8_level_two_weights_and_orbits():
     d4 = root_system("D", 4)
-    assert len(level_weights(d4, 2)) == 11
-    orbits = level_weights(d4, 2, CenterSpec.SO_EVEN)
+    assert len(weights.enumerate_level_weights(d4, 2)) == 11
+    orbits = weights.orbit_decompose(d4, 2)
     assert len(orbits) == 5
     assert sum(size for _, size in orbits) == 7  # the 7 weights trivial on the center
 
@@ -88,9 +88,23 @@ def test_level_weights_counts_the_so8_level_two_weights_and_orbits():
 def test_negative_level_rejected():
     with pytest.raises(ValueError):
         enumerate_level_weights(A1, -1)
-    for spec in (None, CenterSpec.SO3, CenterSpec.SO_EVEN):
+    for family, rank in (("A", 1), ("A", 2), ("B", 3), ("C", 2), ("D", 4)):
+        rs = root_system(family, rank)
         with pytest.raises(ValueError, match="level must be >= 0"):
-            level_weights(A1, -1, spec)
+            weights.enumerate_level_weights(rs, -1)
+        with pytest.raises(ValueError, match="level must be >= 0"):
+            weights.orbit_decompose(rs, -1)  # before the family's quotient
+
+
+@pytest.mark.parametrize(
+    "family,rank,level,message",
+    [("C", 2, 2, "no SO-type center quotient for C2"),
+     ("A", 2, 2, "center spec so3 does not apply to A2"),
+     ("A", 1, 3, "center spec so3 needs an even level")],
+)
+def test_orbit_decompose_refuses_a_group_without_its_so_quotient(family, rank, level, message):
+    with pytest.raises(ValueError, match=message):
+        weights.orbit_decompose(root_system(family, rank), level)
 
 
 @pytest.mark.parametrize(
