@@ -16,8 +16,6 @@ Exit codes: 0 success, 1 failed check or certification, 2 argument error.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import sys
 from decimal import Decimal
@@ -62,7 +60,10 @@ def output_record(res: VerlindeResult) -> dict:
 def _emit_record(record: dict, fmt: str) -> None:
     if fmt == "json":
         print(json.dumps(record, sort_keys=True))
-    elif fmt == "csv":
+    elif fmt == "csv":  # loaded for this format only, which no default selects
+        import csv
+        import io
+
         buf = io.StringIO()
         writer = csv.DictWriter(buf, fieldnames=RECORD_FIELDS)
         writer.writeheader()

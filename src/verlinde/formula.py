@@ -35,7 +35,12 @@ its factors' D).  For a weight in P_l each j lies in 1..D-1, and as
 4 sin^2(pi x) = 4 sin^2(pi (1 - x)), it is reduced to min(j, D - j).
 Delta is invariant under the center and the diagram automorphisms, so many
 weights share their multiset of numerators: the terms are merged into a
-spectrum of distinct (orbit size, sorted numerators) with a count each.
+spectrum of distinct (orbit size, multiset of numerators) with a count each.
+A multiset is keyed by its sorted numerators or, where each term has more
+numerators than there are values, R > D/2, by the count of each value,
+packed into one int (:class:`Spectrum`): Sp(12) at level 6 has R = 36 and
+D/2 = 13.  Its Delta then costs one multiply per distinct numerator, not
+one per numerator (``_products``).
 
 The exact pass is the one recursion over the mark tuples in lexicographic
 order, ``weights._walk``, which also lists the weights of the ``weights``
@@ -78,9 +83,12 @@ one precision share one Delta tuple.
 from __future__ import annotations
 
 import math
+import sys
+from array import array
 from decimal import Decimal, localcontext
 from functools import lru_cache
-from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence, Tuple
+from itertools import compress
+from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .numeric import (
     DEFAULT_PRECISION,
@@ -126,22 +134,36 @@ if TYPE_CHECKING:
 
 
 class Spectrum(NamedTuple):
-    """The exact terms of a Verlinde sum: ``(count, orbit size, numerators)``
-    for each distinct term, the numerators being the sorted sine arguments
-    times ``denominator``."""
+    """The exact terms of a Verlinde sum: ``(count, orbit size, key)`` for
+    each distinct term, whose ``roots`` sine arguments times
+    ``denominator`` D are its numerators, reduced to 1 <= j <= D/2.
+
+    The key is the term's multiset of numerators.  With ``width`` 0 it is
+    the sorted numerators.  Otherwise it is one int that holds the count of
+    each numerator j in its ``width`` bits from bit ``width * j``: the
+    layout of a spectrum with more numerators per term than values, R > D/2
+    (see ``_slot_width``)."""
 
     denominator: int
-    terms: Tuple[Tuple[int, int, Tuple[int, ...]], ...]
+    roots: int
+    width: int
+    terms: Tuple[Tuple[int, int, Union[int, Tuple[int, ...]]], ...]
 
 
 # Spectra kept per process (see ``_spectrum_of``).  Calls that repeat a key
 # come close together (a sweep over genera, the suite's genus loops and
-# level-rank pairs), and one entry holds up to |P_l| terms (about 1.8e5 for
-# A10 at level 10), so a few dozen entries serve them while capping memory.
+# level-rank pairs), and one entry holds up to |P_l| terms, so a few dozen
+# entries serve them while capping memory.  A term takes about 125 bytes
+# when it counts numerators below D = 64, and 8 bytes more per numerator
+# when they are sorted (tracemalloc, Python 3.11): 0.9 MiB for the 7,866
+# terms of A10 at level 10, 11 MiB for the 92,349 of C10 at level 10, and
+# 2.8 MiB for the 22,650 of A1 x A1 at levels 299 and 300.
 SPECTRUM_CACHE_SIZE = 32
 # Delta tuples, one per (key, working precision): a sweep with the precision
 # sized to each value uses up to nine precisions per key.
 DELTA_CACHE_SIZE = 4 * SPECTRUM_CACHE_SIZE
+# The array typecode of a counts key's slots, by ``Spectrum.width``.
+_SLOT_TYPES = {8: "B", 16: "H", 32: "I"}
 
 
 class DynkinIndices(NamedTuple):
@@ -179,7 +201,7 @@ def delta(
     check_precision(precision)
     D = 2 * (level + rs.dual_coxeter)
     js = [sum((x + 1) * m for x, m in zip(n, row)) for row in rs.pairing_matrix]
-    spectrum = Spectrum(D, ((1, 1, tuple(sorted(min(j, D - j) for j in js))),))
+    spectrum = Spectrum(D, len(js), 0, ((1, 1, tuple(sorted(min(j, D - j) for j in js))),))
     return to_mpf(_products(spectrum, ((rs, level),), precision)[0])
 
 
@@ -190,6 +212,17 @@ def torus_order(rs: RootSystem, level: int) -> int:
     return (level + rs.dual_coxeter) ** rs.rank * rs.center_order * rs.nu
 
 
+def _slot_width(roots: int, D: int) -> int:
+    """The ``width`` of a spectrum of R = ``roots`` numerators per term at
+    denominator D: 0 (sorted numerators) where R <= D/2, as a count vector
+    of D/2 + 1 slots would be longer than the list it replaces, else the
+    least of 8, 16 and 32 bits that holds a count of R (R < 2^32: a root
+    system with more roots does not fit in memory)."""
+    if roots <= D // 2:
+        return 0
+    return 8 if roots < 1 << 8 else 16 if roots < 1 << 16 else 32
+
+
 def _terms(factors, spec: CenterSpec) -> Spectrum:
     """The exact pass: the merged spectrum of the Gamma-orbits of the
     Gamma-trivial weights of ``factors``, pairs ``(rs, level)``.
@@ -198,11 +231,13 @@ def _terms(factors, spec: CenterSpec) -> Spectrum:
     orbits of each factor and carries each weight's numerators: column i of
     a factor's pairing matrix, scaled by D / (2(l+h)), sits at that factor's
     roots.  Each kept leaf merges into its term at once, keyed by its orbit
-    size and its sorted numerators, reduced to min(j, D - j).  A leaf counts
-    the product of the factors' orbit sizes under the trivial spec; under a
-    quotient, a Gamma-trivial leaf counts once, with its Gamma-orbit size m:
-    the terms, their order and their counts are those of the walk over all
-    of P_l.
+    size and its numerators, reduced to min(j, D - j): sorted, or, where
+    the spectrum counts them (``_slot_width``), as the sum of
+    1 << width * j over them, one C-level sum over a table by j.
+    A leaf counts the product of the factors' orbit sizes under the trivial
+    spec; under a quotient, a Gamma-trivial leaf counts once, with its
+    Gamma-orbit size as m: the terms, their order and their counts are
+    those of the walk over all of P_l.
     """
     _mark_bounds(factors)  # refuses an empty list and a negative level before D
     shifted = [2 * (lvl + rs.dual_coxeter) for rs, lvl in factors]
@@ -219,15 +254,25 @@ def _terms(factors, spec: CenterSpec) -> Spectrum:
             column[offset:offset + len(M)] = col if scale == 1 else [scale * x for x in col]
             columns.append(column)
         rho += [scale * sum(row) for row in M]
-    reduced = [min(j, D - j) for j in range(D)].__getitem__
+    width = _slot_width(roots, D)
+    if width:
+        slots = [1 << width * min(j, D - j) for j in range(D)].__getitem__
+
+        def numerators(js):
+            return sum(map(slots, js))
+    else:
+        reduced = [min(j, D - j) for j in range(D)].__getitem__
+
+        def numerators(js):
+            return tuple(sorted(map(reduced, js)))
     counts = {}
 
     def merge(js, m, weight, parts):
-        key = (m, tuple(sorted(map(reduced, js))))
+        key = (m, numerators(js))
         counts[key] = counts.get(key, 0) + weight
 
     _walk(factors, spec, merge, _LEAST_MEMBERS, columns, rho)
-    return Spectrum(D, tuple((c, m, js) for (m, js), c in counts.items()))
+    return Spectrum(D, roots, width, tuple((c, m, js) for (m, js), c in counts.items()))
 
 
 def _exact(key) -> Tuple[Spectrum, int]:
@@ -270,19 +315,45 @@ def _products(spectrum: Spectrum, factors, bits: int) -> Tuple[Decimal, ...]:
     numerators, are even: their table is that of d / 2, read at j d / 2D.
     A numerator of two factors is read from the later one's table.  Every
     table is within the bound of ``_sine_table`` whatever its denominator,
-    and its values are rounded once into this context.  With those R
-    roundings and R - 1 in ``math.prod``, each Delta is within 2R eps <=
-    R 2^-bits of the exact product of the tables' unrounded values, and
-    within R eps of the exact product of their rounded ones, relative: R - 1
-    to first order, and one eps for the second-order terms.
+    and its values are rounded once into this context: R roundings, one
+    per numerator of a term.
+
+    Sorted numerators are multiplied out by ``math.prod``, R - 1 roundings.
+    A term that counts its numerators (the count e_j of each of its k
+    distinct numerators j, summing to R) is the ``math.prod`` of k powers
+    s_j^e_j, k - 1 roundings: one multiply per distinct numerator.  The
+    powers come from one table per spectrum, s_j^e for e up to the largest
+    count of j, each by one more multiply, so s_j^e_j carries e_j - 1
+    roundings, R - k over the term.  Decimal's ``**`` is not used: it is
+    within 2 eps per power only (see ``_kernel``).  In both layouts each
+    Delta is within 2R eps <= R 2^-bits of the exact product of the tables'
+    unrounded values, and within R eps of the exact product of their rounded
+    ones, relative: R - 1 to first order, and one eps for the second-order
+    terms.
     """
     D = spectrum.denominator
     sines = [None] * (D // 2 + 1)  # None where no factor has a numerator
     for rs, level in factors:
         n = (level + rs.dual_coxeter) * (1 if rs.family in "AD" else 2)  # its table's D
         sines[::D // n] = _sine_table(n, bits)
+    width = spectrum.width
     with localcontext(_context(bits)):
-        return tuple(math.prod(map(sines.__getitem__, js)) for _, _, js in spectrum.terms)
+        if not width:
+            return tuple(math.prod(map(sines.__getitem__, js)) for _, _, js in spectrum.terms)
+        size = width // 8 * len(sines)
+        counts = [array(_SLOT_TYPES[width], key.to_bytes(size, "little"))
+                  for _, _, key in spectrum.terms]
+        if sys.byteorder == "big":  # the keys' bytes are little-endian
+            for c in counts:
+                c.byteswap()
+        powers = []  # powers[j][e] = s_j^e, e from 1 to the largest count of j
+        for s, top in zip(sines, map(max, zip(*counts))):
+            power = [None, s]
+            for _ in range(top - 1):
+                power.append(power[-1] * s)
+            powers.append(power)
+        return tuple(math.prod(map(list.__getitem__, compress(powers, c), filter(None, c)))
+                     for c in counts)
 
 
 def _kernel(

@@ -276,6 +276,28 @@ def reference_terms(factors, spec):
     return D, tuple((c, size, js) for (size, js), c in counts.items())
 
 
+def numerators_of(spectrum, key):
+    """The sorted numerators of a term's key: the key itself where the
+    spectrum's ``width`` is 0, else each j repeated by the count in the
+    ``width`` bits of the key from bit ``width * j``, j = 0..D/2."""
+    w = spectrum.width
+    if not w:
+        return key
+    mask = (1 << w) - 1
+    assert key >> w * (spectrum.denominator // 2 + 1) == 0, "a count past slot D/2"
+    return tuple(j for j in range(spectrum.denominator // 2 + 1)
+                 for _ in range(key >> w * j & mask))
+
+
+def sorted_terms(spectrum):
+    """The spectrum as a ``(denominator, terms)`` tuple with each key
+    decoded to its sorted numerators, as :func:`reference_terms` gives it;
+    every term has the spectrum's ``roots`` numerators."""
+    terms = tuple((c, m, numerators_of(spectrum, key)) for c, m, key in spectrum.terms)
+    assert all(len(js) == spectrum.roots for _, _, js in terms), "a term without R numerators"
+    return spectrum.denominator, terms
+
+
 def galois_failures(spectrum):
     """The units a mod D whose Galois map j -> a j mod D, reduced to
     min(x, D - x), does not carry ``spectrum`` onto itself, keys
@@ -287,8 +309,8 @@ def galois_failures(spectrum):
     empty for every spectrum of the exact pass: an exact invariant that
     shares no rule with the walk.
     """
-    D = spectrum.denominator
-    terms = {(m, js): count for count, m, js in spectrum.terms}
+    D, terms = sorted_terms(spectrum)
+    terms = {(m, js): count for count, m, js in terms}
     failures = []
     for a in range(2, (D + 1) // 2):
         if math.gcd(a, D) != 1:
@@ -319,7 +341,7 @@ def reference_products(spectrum, factors, bits):
         return mpmath.mpf(n) / q
 
     with mpmath.workprec(bits + 64):
-        return [mpmath.fprod(map(sine, js)) for _, _, js in spectrum.terms]
+        return [mpmath.fprod(map(sine, js)) for _, _, js in sorted_terms(spectrum)[1]]
 
 
 def reference_kernel(spectrum, deltas, T, genus, gamma_order, bits):
@@ -347,10 +369,10 @@ def decimal_eps(bits):
 def float_layer_bounds(spectrum, genus, bits):
     """The relative error bounds stated by ``formula._products`` and
     ``formula._kernel`` at ``bits``: 2R eps for each Delta and
-    (2R |g - 1| + N + 7) eps for the kernel, with R numerators per term and
-    N terms."""
+    (2R |g - 1| + N + 7) eps for the kernel, with the spectrum's R numerators
+    per term and N terms."""
     eps = decimal_eps(bits)
-    R, N = len(spectrum.terms[0][2]), len(spectrum.terms)
+    R, N = spectrum.roots, len(spectrum.terms)
     return 2 * R * eps, (2 * R * abs(genus - 1) + N + 7) * eps
 
 

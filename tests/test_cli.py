@@ -447,7 +447,7 @@ def test_suite_failure_exits_1(capsys, monkeypatch):
 
 NO_MPMATH = textwrap.dedent("""
     import contextlib, io, sys
-    UNLOADED = ("mpmath", "dataclasses", "inspect")
+    UNLOADED = ("mpmath", "dataclasses", "inspect", "csv")
     def loaded():
         return [name for name in UNLOADED if name in sys.modules]
     from verlinde.cli import build_parser, main
@@ -474,8 +474,8 @@ NO_MPMATH = textwrap.dedent("""
 
 def test_no_command_loads_mpmath():
     """Importing the CLI, building its parser and running every command
-    leaves mpmath, dataclasses and inspect unloaded; ``delta`` still returns
-    an mpf, loading mpmath."""
+    leaves mpmath, dataclasses, inspect and csv unloaded; ``delta`` still
+    returns an mpf, loading mpmath."""
     src = os.path.dirname(os.path.dirname(verlinde.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     done = subprocess.run([sys.executable, "-c", NO_MPMATH], env=env,

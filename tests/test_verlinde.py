@@ -37,6 +37,7 @@ from helpers import (
     reference_terms,
     relative_error,
     restrict_to_quotient,
+    sorted_terms,
 )
 
 A1 = root_system("A", 1)
@@ -121,7 +122,7 @@ def test_spectrum_counts_cover_the_quotient_weights(family, rank, level, spec):
     orbits = orbit_decompose(kept, spec, factors)
     assert sum(count for count, _, _ in spectrum.terms) == len(orbits)
     assert spectrum.denominator == 2 * (level + rs.dual_coxeter)
-    for _, _, numerators in spectrum.terms:
+    for _, _, numerators in sorted_terms(spectrum)[1]:
         assert len(numerators) == len(rs.positive_roots)
         assert all(0 < 2 * j <= spectrum.denominator for j in numerators)
 
@@ -212,7 +213,7 @@ def _factors(family, rank, level):
 @pytest.mark.parametrize("family,rank,level,spec", _exact_pass_cases())
 def test_exact_pass_equals_the_per_weight_reference(family, rank, level, spec):
     factors = _factors(family, rank, level)
-    assert _terms(factors, spec) == reference_terms(factors, spec)
+    assert sorted_terms(_terms(factors, spec)) == reference_terms(factors, spec)
 
 
 @pytest.mark.parametrize(
@@ -231,7 +232,7 @@ def test_center_orbits_of_every_size_count_every_weight(factors):
     factors = tuple((root_system(f, r), level) for f, r, level in factors)
     P = enumerate_product_weights(factors)
     spectrum = _terms(factors, CenterSpec.TRIVIAL)
-    assert spectrum == reference_terms(factors, CenterSpec.TRIVIAL)
+    assert sorted_terms(spectrum) == reference_terms(factors, CenterSpec.TRIVIAL)
     assert sum(count * m for count, m, _ in spectrum.terms) == len(P)
     if all(rs.family in "AC" for rs, _ in factors):
         assert len(P) == math.prod(math.comb(lvl + rs.rank, rs.rank) for rs, lvl in factors)
@@ -245,7 +246,7 @@ def test_deltas_equal_the_left_fold_in_numerator_order(family, rank, level, spec
     binary left fold at ``bits``."""
     factors = _factors(family, rank, level)
     spectrum = _terms(factors, spec)
-    R = len(spectrum.terms[0][2])
+    R = spectrum.roots
     for bits in (64, 192, 640):
         bound, _ = float_layer_bounds(spectrum, 0, bits)
         assert bound <= Fraction(R, 2**bits)
@@ -273,6 +274,53 @@ def test_kernel_equals_the_operator_form_reference(family, rank, level, spec):
             _, bound = float_layer_bounds(spectrum, genus, bits)
             assert relative_error(got, want) <= bound, (bits, genus)
 
+
+
+_LAYOUTS = [
+    ((("C", 6, 6),), CenterSpec.TRIVIAL, 8),  # R = 36 > D/2 = 13
+    ((("C", 5, 5),), CenterSpec.TRIVIAL, 8),  # 25 > 11
+    ((("D", 6, 2),), CenterSpec.SO_EVEN, 8),  # 30 > 12
+    ((("D", 4, 0),), CenterSpec.TRIVIAL, 8),  # 12 > 6
+    ((("D", 17, 1),), CenterSpec.TRIVIAL, 16),  # 272 > 33, and 272 >= 2^8
+    ((("A", 4, 10),), CenterSpec.TRIVIAL, 0),  # 10 <= 15
+    ((("A", 1, 300),), CenterSpec.TRIVIAL, 0),  # 1 <= 301
+    ((("C", 2, 3),), CenterSpec.TRIVIAL, 0),  # 4 <= 6
+    ((("A", 1, 299), ("A", 1, 300)), CenterSpec.TRIVIAL, 0),  # 2 <= 90,902
+]
+
+
+@pytest.mark.parametrize("factors,spec,width", _LAYOUTS, ids=[
+    "x".join(f"{f}{r}-{lvl}" for f, r, lvl in factors) + f"-{spec.value}"
+    for factors, spec, _ in _LAYOUTS])
+def test_a_spectrum_counts_its_numerators_where_they_outnumber_their_values(
+        factors, spec, width):
+    """Where R > D/2 each key counts the numerators, in slots of 8 bits
+    below R = 256 and 16 above; elsewhere it is the sorted numerators.  In
+    both layouts the decoded terms are the per-weight reference, and each
+    Delta is within the stated 2R eps of the reference product."""
+    factors = tuple((root_system(f, r), level) for f, r, level in factors)
+    spectrum = _terms(factors, spec)
+    assert spectrum.width == width
+    assert spectrum.roots == sum(len(rs.positive_roots) for rs, _ in factors)
+    assert sorted_terms(spectrum) == reference_terms(factors, spec)
+    for bits in (64, 192):
+        bound, _ = float_layer_bounds(spectrum, 0, bits)
+        deltas = _products(spectrum, factors, bits)
+        reference = reference_products(spectrum, factors, bits)
+        assert len(deltas) == len(reference)
+        assert max(map(relative_error, deltas, reference)) <= bound, bits
+
+
+@pytest.mark.parametrize("width", [8, 16, 32])
+def test_the_deltas_of_counted_numerators_do_not_depend_on_the_slot_width(width):
+    """The C6 level-6 keys, counted again here in slots of each width, give
+    the engine's Deltas digit for digit."""
+    factors = ((root_system("C", 6), 6),)
+    spectrum = _terms(factors, CenterSpec.TRIVIAL)
+    _, terms = sorted_terms(spectrum)
+    recounted = spectrum._replace(width=width, terms=tuple(
+        (c, m, sum(1 << width * j for j in js)) for c, m, js in terms))
+    assert _products(recounted, factors, 192) == _products(spectrum, factors, 192)
 
 
 @pytest.mark.parametrize("call", [
@@ -358,6 +406,19 @@ def test_level_zero_gives_one(family, rank):
     res = verlinde_sc(rs, 0, 3)
     assert res.value == 1
     assert res.term_count == 1
+
+
+@pytest.mark.parametrize("level", [*range(61), 299, 1000, 3000])
+def test_sl2_at_genus_two_is_a_binomial(level):
+    """SU(2) at genus 2 and level k: binomial(k + 3, 3)."""
+    assert verlinde_sc(A1, level, 2).value == math.comb(level + 3, 3)
+
+
+@pytest.mark.parametrize("r,level", [(r, level) for r in range(1, 9) for level in range(9)])
+def test_sp_at_genus_one_counts_its_level_weights(r, level):
+    """Sp(2r) at genus 1 and level l: binomial(r + l, r), the number of its
+    level weights, as every comark of C_r is 1."""
+    assert n_sp(r, level, 1).value == math.comb(r + level, r)
 
 
 def test_genus_one_counts_level_weights():
