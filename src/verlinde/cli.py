@@ -19,16 +19,18 @@ import argparse
 import json
 import sys
 from decimal import Decimal
+from fractions import Fraction
 from functools import cache
 from gettext import gettext
+from operator import add
 from typing import Optional, Sequence
 
 from .formula import n_so, n_sp, verlinde_sc
 from .numeric import DEFAULT_PRECISION, IntegralityError, VerlindeResult
-from .rootsys import GroupType, build_root_system, weight_from_marks
+from .rootsys import GroupType, build_root_system, scaled_weight
 from .so_oracle import n_so_oracle
 from .suite import run_default_suite
-from .weights import enumerate_level_weights, orbit_decompose, u_coords
+from .weights import enumerate_level_weights, orbit_decompose
 
 RECORD_FIELDS = (
     "group_label",
@@ -102,15 +104,19 @@ def _cmd_weights(args) -> int:
     else:
         listing = orbit_decompose(rs, args.level)
 
+    # Each row from the integer vector d lambda: coordinates x / d, and the
+    # u-coordinates of types B and D, (x + d rho) / d; each x is formatted once.
+    d, rho = rs.denominator, rs.scaled_rho
+    text = cache(lambda x: str(Fraction(x, d)))
     rows = []
     for n, orbit_size in listing:
-        lam = weight_from_marks(rs, n)
+        lam = scaled_weight(rs, n)
         row = {
             "marks": list(n),
-            "coords": [str(c) for c in lam],
+            "coords": list(map(text, lam)),
         }
         if rs.family in ("B", "D"):
-            row["u"] = [str(x) for x in u_coords(rs, lam).u]
+            row["u"] = list(map(text, map(add, lam, rho)))
         if orbit_size is not None:
             row["orbit_size"] = orbit_size
         rows.append(row)

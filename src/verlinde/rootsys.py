@@ -3,19 +3,21 @@
 Vectors are in orthogonal coordinates: the standard basis of R^s for types
 B, C, D, and of R^(s+1) for type A (roots live in the sum-zero hyperplane).
 Roots, simple roots and theta have integer coordinates and are tuples of
-``int``; only the fundamental weights and rho, whose coordinates can be
-halves (B, D) or multiples of 1/(s+1) (A), are tuples of
-:class:`fractions.Fraction`.  The invariant bilinear form is
-``gram_scale * <standard dot product>``, with ``gram_scale`` chosen so that
-every long root has squared length 2.  No floating point enters here.
+``int``.  The weight lattice is integer too: each root system keeps the
+common denominator d of its fundamental weights (s+1 for A, 2 for B and D,
+1 for C) and the integer vectors d omega_i; d rho is their sum.  The
+invariant form, normalized so that every long root has squared length 2,
+enters only through ratios in which its scale cancels.  No floating point
+enters here, and no ``Fraction`` vector is stored.
 
-The weight lattice is also integer: a weight is its marks n (coefficients
-in the fundamental-weight basis), and each root system carries the integer
-pairing matrix ``M[a][i] = 2 (alpha | omega_i)`` over its positive roots and
-its integer comarks ``(omega_i | theta)``, so that
-``2 (alpha | lambda + rho) = sum_i (n_i + 1) M[a][i]`` and the level of
-lambda is ``sum_i comark_i n_i``.  Both are computed from the fundamental
-weights scaled by a common denominator to integer vectors.
+A weight is its marks n (coefficients in the fundamental-weight basis):
+:func:`weight_from_marks` is one integer matrix-vector product, d lambda =
+sum_i n_i d omega_i, read as ``Fraction(x, d)`` per coordinate, and
+:func:`marks` pairs d lambda with the integer simple roots.  Each root
+system also carries the integer pairing matrix ``M[a][i] = 2 (alpha |
+omega_i)`` over its positive roots and its integer comarks ``(omega_i |
+theta)``, so that ``2 (alpha | lambda + rho) = sum_i (n_i + 1) M[a][i]``
+and the level of lambda is ``sum_i comark_i n_i``.
 """
 
 from __future__ import annotations
@@ -33,27 +35,8 @@ Vector = Tuple[Rational, ...]
 MIN_RANK = {"A": 1, "B": 2, "C": 1, "D": 3}
 
 # Root systems kept per process.  The default suite touches 21 types; one
-# type's data grows with its rank cubed (D30 holds about 0.6 MB).
+# type's data grows with its rank cubed (D30 holds about 0.5 MB).
 ROOT_SYSTEM_CACHE_SIZE = 32
-
-_ZERO = Fraction(0)
-
-
-def vec_add(v: Vector, w: Vector) -> Vector:
-    return tuple(a + b for a, b in zip(v, w))
-
-
-def vec_neg(v: Vector) -> Vector:
-    return tuple(-a for a in v)
-
-
-def vec_scale(c, v: Vector) -> Vector:
-    c = Fraction(c)
-    return tuple(c * a for a in v)
-
-
-def zero_vector(dim: int) -> Vector:
-    return (_ZERO,) * dim
 
 
 class _GroupTypeFields(NamedTuple):
@@ -98,13 +81,13 @@ class RootSystem(NamedTuple):
     simple_roots: Tuple[Vector, ...]
     positive_roots: Tuple[Vector, ...]
     long_roots: Tuple[Vector, ...]
-    fundamental_weights: Tuple[Vector, ...]
-    rho: Vector
+    # The common denominator d of the fundamental weights, and d omega_i.
+    denominator: int
+    scaled_weights: Tuple[Tuple[int, ...], ...]
     theta: Vector
     dual_coxeter: int
     center_order: int
     nu: int
-    gram_scale: Fraction
     # M[a][i] = 2 (alpha | omega_i) for the positive roots, in order, and the
     # comarks (omega_i | theta), all strictly positive.
     pairing_matrix: Tuple[Tuple[int, ...], ...]
@@ -123,8 +106,10 @@ class RootSystem(NamedTuple):
         """Coordinate dimension (rank, or rank+1 for type A)."""
         return len(self.theta)
 
-    def is_root(self, v: Vector) -> bool:
-        return v in self.positive_roots or vec_neg(v) in self.positive_roots
+    @property
+    def scaled_rho(self) -> Tuple[int, ...]:
+        """d rho, the coordinate-wise sum of the d omega_i."""
+        return tuple(map(sum, zip(*self.scaled_weights)))
 
     def __str__(self) -> str:
         return str(self.group_type)
@@ -185,24 +170,24 @@ def _build(group_type: GroupType) -> RootSystem:
         "C": (s + 1, 2, 2 ** (s - 1)),
         "D": (2 * s - 2, 4, 1),
     }[family]
-    gram = Fraction(1, 2) if family == "C" else Fraction(1)
     positive = pair_roots + end_roots
-    num, den = 2 * gram.numerator, gram.denominator * d
+    # 2 (v | w) = 2 (v . d w) / den: the form is the dot product, halved for
+    # C so that its long roots 2 e_a have squared length 2.
+    den = 2 * d if family == "C" else d
     return RootSystem(
         group_type=group_type,
         simple_roots=simple,
         positive_roots=positive,
         long_roots=end_roots if family == "C" else pair_roots,
-        fundamental_weights=tuple(tuple(Fraction(x, d) for x in w) for w in scaled),
-        rho=tuple(Fraction(sum(c), d) for c in zip(*scaled)),
+        denominator=d,
+        scaled_weights=scaled,
         theta=theta,
         dual_coxeter=h,
         center_order=f,
         nu=nu,
-        gram_scale=gram,
-        pairing_matrix=_twice_pairings(group_type, positive, scaled, num, den),
+        pairing_matrix=_twice_pairings(group_type, positive, scaled, 2, den),
         comarks=tuple(
-            c // 2 for c in _twice_pairings(group_type, (theta,), scaled, num, den)[0]
+            c // 2 for c in _twice_pairings(group_type, (theta,), scaled, 2, den)[0]
         ),
     )
 
@@ -251,38 +236,37 @@ def root_system(family: str, rank: int) -> RootSystem:
     return build_root_system(GroupType(family, rank))
 
 
-def inner(rs: RootSystem, v: Vector, w: Vector) -> Fraction:
-    """The normalized invariant form (long roots have squared length 2)."""
-    if len(v) != rs.dim or len(w) != rs.dim:
+def marks(rs: RootSystem, lam: Vector) -> Tuple[int, ...]:
+    """Coefficients of an integral weight in the fundamental-weight basis:
+    n_i = 2 (d lam . alpha_i) / (d alpha_i . alpha_i), in which the scale of
+    the form cancels.  d lam is an integer vector for every integral weight."""
+    if len(lam) != rs.dim:
         raise ValueError(
             f"dimension mismatch: {rs.group_type} vectors have {rs.dim} coordinates"
         )
-    return rs.gram_scale * sum(a * b for a, b in zip(v, w))
-
-
-def coroot_pairing(rs: RootSystem, lam: Vector, alpha: Vector) -> Fraction:
-    """Pairing <lam, alpha^vee> = 2 (lam | alpha) / (alpha | alpha)."""
-    if not rs.is_root(alpha):
-        raise ValueError(f"{alpha} is not a root of {rs.group_type}")
-    return 2 * inner(rs, lam, alpha) / inner(rs, alpha, alpha)
-
-
-def marks(rs: RootSystem, lam: Vector) -> Tuple[int, ...]:
-    """Coefficients of an integral weight in the fundamental-weight basis."""
+    d = rs.denominator
+    scaled = [d * x for x in lam]
+    if any(x.denominator != 1 for x in scaled):
+        raise ValueError(f"{lam} is not an integral weight of {rs.group_type}")
+    scaled = [x.numerator for x in scaled]
     out = []
     for a in rs.simple_roots:
-        c = coroot_pairing(rs, lam, a)
-        if c.denominator != 1:
+        n, r = divmod(2 * sum(map(mul, scaled, a)), d * sum(map(mul, a, a)))
+        if r:
             raise ValueError(f"{lam} is not an integral weight of {rs.group_type}")
-        out.append(int(c))
+        out.append(n)
     return tuple(out)
+
+
+def scaled_weight(rs: RootSystem, coeffs) -> Tuple[int, ...]:
+    """d lambda, the integer vector of the weight with the given
+    fundamental-weight coefficients: sum_i n_i d omega_i."""
+    if len(coeffs) != rs.rank:
+        raise ValueError(f"expected {rs.rank} coefficients, got {len(coeffs)}")
+    return tuple(sum(map(mul, coeffs, column)) for column in zip(*rs.scaled_weights))
 
 
 def weight_from_marks(rs: RootSystem, coeffs) -> Vector:
     """The weight with the given fundamental-weight coefficients."""
-    if len(coeffs) != rs.rank:
-        raise ValueError(f"expected {rs.rank} coefficients, got {len(coeffs)}")
-    total = zero_vector(rs.dim)
-    for n, w in zip(coeffs, rs.fundamental_weights):
-        total = vec_add(total, vec_scale(n, w))
-    return total
+    d = rs.denominator
+    return tuple(Fraction(x, d) for x in scaled_weight(rs, coeffs))

@@ -31,7 +31,7 @@ from itertools import chain
 from operator import add
 from typing import List, NamedTuple, Sequence, Tuple
 
-from .rootsys import RootSystem, Vector, marks, vec_add
+from .rootsys import RootSystem, Vector, marks
 
 Marks = Tuple[int, ...]
 Factor = Tuple[RootSystem, int]
@@ -96,7 +96,10 @@ def u_coords(rs: RootSystem, lam: Vector) -> UCoordinates:
     t = tuple(n + 1 for n in marks(rs, lam))
     if any(x < 1 for x in t):
         raise ValueError(f"{lam} is not dominant")
-    return UCoordinates(u=vec_add(lam, rs.rho), t=t)
+    d = rs.denominator  # marks() has checked that d lambda is an integer vector
+    return UCoordinates(
+        u=tuple(Fraction(int(d * x) + r, d) for x, r in zip(lam, rs.scaled_rho)), t=t
+    )
 
 
 def _trivial_on_center(spec: CenterSpec, factors: Sequence[Factor]):

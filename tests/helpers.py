@@ -8,7 +8,7 @@ from functools import lru_cache
 import mpmath
 
 from verlinde.numeric import _sine_table
-from verlinde.rootsys import RootSystem, coroot_pairing, inner, marks, weight_from_marks
+from verlinde.rootsys import RootSystem, marks, weight_from_marks
 from verlinde.weights import (
     CenterSpec,
     _affine_mark,
@@ -19,8 +19,65 @@ from verlinde.weights import (
 )
 
 
+def vec_add(v, w):
+    return tuple(a + b for a, b in zip(v, w))
+
+
+def vec_neg(v):
+    return tuple(-a for a in v)
+
+
+def vec_scale(c, v):
+    c = Fraction(c)
+    return tuple(c * a for a in v)
+
+
 def vec_sub(v, w):
     return tuple(a - b for a, b in zip(v, w))
+
+
+# --- the Fraction reference for the integer weight lattice --------------------
+#
+# ``RootSystem`` keeps only integers: the common denominator d of the
+# fundamental weights and the vectors d omega_i.  These helpers are the
+# Fraction views and the invariant form that the integer data is checked
+# against; rho is taken from the positive roots, not from the d omega_i.
+
+
+def fundamental_weights(rs):
+    """The fundamental weights omega_i, as Fraction vectors."""
+    return tuple(tuple(Fraction(x, rs.denominator) for x in w) for w in rs.scaled_weights)
+
+
+def rho(rs):
+    """rho, half the sum of the positive roots, as a Fraction vector."""
+    return tuple(Fraction(sum(c), 2) for c in zip(*rs.positive_roots))
+
+
+def gram_scale(rs):
+    """The scale of the form over the dot product: theta is a long root, of
+    squared length 2."""
+    return Fraction(2, sum(x * x for x in rs.theta))
+
+
+def inner(rs, v, w):
+    """The normalized invariant form (long roots have squared length 2)."""
+    if len(v) != rs.dim or len(w) != rs.dim:
+        raise ValueError(
+            f"dimension mismatch: {rs.group_type} vectors have {rs.dim} coordinates"
+        )
+    return gram_scale(rs) * sum(a * b for a, b in zip(v, w))
+
+
+def is_root(rs, v):
+    return v in rs.positive_roots or vec_neg(v) in rs.positive_roots
+
+
+def coroot_pairing(rs, lam, alpha):
+    """Pairing <lam, alpha^vee> = 2 (lam | alpha) / (alpha | alpha)."""
+    if not is_root(rs, alpha):
+        raise ValueError(f"{alpha} is not a root of {rs.group_type}")
+    return 2 * inner(rs, lam, alpha) / inner(rs, alpha, alpha)
 
 
 def is_dominant(rs, lam):
@@ -37,7 +94,7 @@ def weight_from_u(rs, u):
     dominant integral."""
     if rs.family not in ("B", "D"):
         raise ValueError(f"u-coordinates are defined for types B and D, not {rs.family}")
-    lam = vec_sub(tuple(Fraction(x) for x in u), rs.rho)
+    lam = vec_sub(tuple(Fraction(x) for x in u), rho(rs))
     if any(n < 0 for n in marks(rs, lam)):
         raise ValueError(f"u-coordinates {u} do not give a dominant weight")
     return lam

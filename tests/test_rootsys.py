@@ -1,21 +1,31 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from verlinde.rootsys import (
     GroupType,
     _twice_pairings,
     build_root_system,
-    coroot_pairing,
-    inner,
     marks,
     root_system,
-    vec_add,
-    vec_neg,
     weight_from_marks,
 )
 
-from helpers import is_dominant, level_of, reflection_closure, solve_exact
+from helpers import (
+    coroot_pairing,
+    fundamental_weights,
+    gram_scale,
+    inner,
+    is_dominant,
+    level_of,
+    reflection_closure,
+    rho,
+    solve_exact,
+    vec_add,
+    vec_neg,
+)
 
 ALL_TYPES = (
     [("A", s) for s in range(1, 9)]
@@ -50,7 +60,7 @@ def test_roots_match_reflection_closure(family, rank):
 def test_form_normalization_and_dual_coxeter(family, rank):
     rs = root_system(family, rank)
     assert inner(rs, rs.theta, rs.theta) == 2
-    assert inner(rs, rs.rho, rs.theta) + 1 == rs.dual_coxeter
+    assert inner(rs, rho(rs), rs.theta) + 1 == rs.dual_coxeter
     for alpha in rs.long_roots:
         assert inner(rs, alpha, alpha) == 2
 
@@ -76,7 +86,7 @@ def test_dual_coxeter_and_center_closed_forms(family, rank):
 @pytest.mark.parametrize("family,rank", ALL_TYPES)
 def test_fundamental_weights_dual_to_simple_coroots(family, rank):
     rs = root_system(family, rank)
-    for i, w in enumerate(rs.fundamental_weights):
+    for i, w in enumerate(fundamental_weights(rs)):
         for j, a in enumerate(rs.simple_roots):
             assert coroot_pairing(rs, w, a) == (1 if i == j else 0)
 
@@ -85,9 +95,10 @@ def test_fundamental_weights_dual_to_simple_coroots(family, rank):
 def test_rho_is_sum_of_fundamental_weights(family, rank):
     rs = root_system(family, rank)
     total = tuple(Fraction(0) for _ in range(rs.dim))
-    for w in rs.fundamental_weights:
+    for w in fundamental_weights(rs):
         total = vec_add(total, w)
-    assert rs.rho == total
+    assert rho(rs) == total
+    assert rs.scaled_rho == tuple(rs.denominator * x for x in total)
 
 
 @pytest.mark.parametrize("family,rank", ALL_TYPES)
@@ -113,14 +124,15 @@ def test_theta_is_the_highest_root(family, rank):
 @pytest.mark.parametrize("family,rank", ALL_TYPES)
 def test_root_coordinates_are_integers(family, rank):
     rs = root_system(family, rank)
-    for v in rs.positive_roots + rs.simple_roots + (rs.theta,):
+    for v in rs.positive_roots + rs.simple_roots + (rs.theta,) + rs.scaled_weights:
         assert all(type(x) is int for x in v), v
+    assert type(rs.denominator) is int
 
 
 @pytest.mark.parametrize("rank", range(1, 9))
 def test_type_a_weights_lie_in_the_root_span(rank):
     rs = root_system("A", rank)
-    for w in rs.fundamental_weights + (rs.rho,):
+    for w in fundamental_weights(rs) + (rho(rs),):
         assert sum(w) == 0, w
 
 
@@ -133,9 +145,9 @@ def test_pairing_matrix_is_twice_the_inner_product(family, rank):
     assert len(M) == len(rs.positive_roots)
     for row, alpha in zip(M, rs.positive_roots):
         assert all(type(x) is int for x in row)
-        assert row == tuple(2 * inner(rs, alpha, w) for w in rs.fundamental_weights)
+        assert row == tuple(2 * inner(rs, alpha, w) for w in fundamental_weights(rs))
     assert all(type(c) is int and c > 0 for c in rs.comarks)
-    assert rs.comarks == tuple(level_of(rs, w) for w in rs.fundamental_weights)
+    assert rs.comarks == tuple(level_of(rs, w) for w in fundamental_weights(rs))
 
 
 def test_a_pairing_that_is_not_an_integer_is_refused():
@@ -151,7 +163,7 @@ def test_a_pairing_that_is_not_an_integer_is_refused():
 def test_bd_shifted_weights_are_half_integral(family, rank):
     rs = root_system(family, rank)
     for n in [(0,) * rank, (1,) + (0,) * (rank - 1), (1,) * rank]:
-        shifted = vec_add(weight_from_marks(rs, n), rs.rho)
+        shifted = vec_add(weight_from_marks(rs, n), rho(rs))
         assert all((2 * u).denominator == 1 for u in shifted)
         assert all((a - b).denominator == 1 for a, b in zip(shifted, shifted[1:]))
 
@@ -159,12 +171,12 @@ def test_bd_shifted_weights_are_half_integral(family, rank):
 def test_a1_data():
     rs = root_system("A", 1)
     assert len(rs.positive_roots) == 1
-    assert rs.theta == tuple(2 * x for x in rs.rho)
+    assert rs.theta == tuple(2 * x for x in rho(rs))
     assert rs.dual_coxeter == 2
     assert rs.center_order == 2
     assert rs.nu == 1
-    assert inner(rs, rs.rho, rs.rho) == Fraction(1, 2)
-    assert coroot_pairing(rs, rs.rho, rs.theta) == 1
+    assert inner(rs, rho(rs), rho(rs)) == Fraction(1, 2)
+    assert coroot_pairing(rs, rho(rs), rs.theta) == 1
 
 
 def test_d4_data():
@@ -173,7 +185,7 @@ def test_d4_data():
     assert rs.dual_coxeter == 6
     assert rs.center_order == 4
     assert rs.nu == 1
-    assert coroot_pairing(rs, rs.fundamental_weights[1], rs.theta) == 2
+    assert coroot_pairing(rs, fundamental_weights(rs)[1], rs.theta) == 2
 
 
 def test_b2_data():
@@ -182,12 +194,12 @@ def test_b2_data():
     assert rs.dual_coxeter == 3
     assert rs.center_order == 2
     assert rs.nu == 2
-    assert coroot_pairing(rs, rs.fundamental_weights[1], rs.theta) == 1
+    assert coroot_pairing(rs, fundamental_weights(rs)[1], rs.theta) == 1
 
 
 def test_c2_data():
     rs = root_system("C", 2)
-    assert rs.gram_scale == Fraction(1, 2)
+    assert gram_scale(rs) == Fraction(1, 2)
     assert rs.nu == 2 ** (rs.rank - 1)
     e1 = (Fraction(1), Fraction(0))
     assert inner(rs, e1, e1) == Fraction(1, 2)
@@ -216,15 +228,38 @@ def test_inner_dimension_mismatch():
 
 def test_coroot_pairing_requires_a_root():
     rs = root_system("A", 2)
-    w1 = rs.fundamental_weights[0]
+    w1 = fundamental_weights(rs)[0]
     with pytest.raises(ValueError, match="not a root"):
-        coroot_pairing(rs, rs.rho, w1)
+        coroot_pairing(rs, rho(rs), w1)
 
 
-def test_marks_roundtrip():
-    rs = root_system("C", 3)
-    for n in [(0, 0, 0), (2, 1, 0), (1, 0, 3)]:
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_marks_roundtrip(data):
+    """marks() inverts weight_from_marks() on the whole weight lattice of
+    every type, dominant or not."""
+    for family, rank in ALL_TYPES:
+        rs = root_system(family, rank)
+        n = tuple(data.draw(st.lists(st.integers(-4, 12), min_size=rank, max_size=rank)))
         assert marks(rs, weight_from_marks(rs, n)) == n
+
+
+@pytest.mark.parametrize("lam", [
+    (Fraction(1, 3), Fraction(-1, 3), Fraction(0)),  # d lambda is integral
+    (Fraction(1, 2), Fraction(-1, 2), Fraction(0)),  # d lambda is not
+])
+def test_marks_refuses_a_weight_that_is_not_integral(lam):
+    with pytest.raises(ValueError, match="is not an integral weight of A2"):
+        marks(root_system("A", 2), lam)
+
+
+@pytest.mark.parametrize("family,rank", [("A", 2), ("B", 3), ("C", 2), ("D", 4)])
+def test_marks_refuses_a_vector_of_the_wrong_dimension(family, rank):
+    rs = root_system(family, rank)
+    lam = weight_from_marks(rs, (1,) * rank)
+    for wrong in (lam[:-1], lam + (Fraction(0),)):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            marks(rs, wrong)
 
 
 def test_level_of_theta_is_two():

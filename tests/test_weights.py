@@ -5,12 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from verlinde.rootsys import (
-    marks,
-    root_system,
-    vec_scale,
-    weight_from_marks,
-)
+from verlinde.rootsys import marks, root_system, weight_from_marks
 from verlinde import weights
 from verlinde.weights import CenterSpec, u_coords
 
@@ -19,11 +14,14 @@ from helpers import (
     center_act_marks,
     enumerate_level_weights,
     enumerate_product_weights,
+    fundamental_weights,
     is_dominant,
     is_quotient_weight,
     level_of,
     orbit_decompose,
     restrict_to_quotient,
+    rho,
+    vec_scale,
     vec_sub,
     weight_from_u,
     weight_of,
@@ -140,16 +138,24 @@ def test_u_coords_of_zero_weight_b2():
 
 def test_u_coords_of_first_fundamental_d4():
     rs = root_system("D", 4)
-    uc = u_coords(rs, rs.fundamental_weights[0])
+    uc = u_coords(rs, fundamental_weights(rs)[0])
     assert uc.u == (4, 2, 1, 0)
     assert uc.t == (2, 1, 1, 1)
+
+
+@pytest.mark.parametrize("family,rank", [("B", 3), ("D", 4)])
+def test_u_coords_rejects_a_weight_that_is_not_dominant(family, rank):
+    rs = root_system(family, rank)
+    lam = weight_from_marks(rs, (1,) * (rank - 1) + (-1,))
+    with pytest.raises(ValueError, match="is not dominant"):
+        u_coords(rs, lam)
 
 
 def test_u_coords_rejects_other_families():
     for family, rank in [("A", 2), ("C", 3)]:
         rs = root_system(family, rank)
         with pytest.raises(ValueError, match="types B and D"):
-            u_coords(rs, rs.rho)
+            u_coords(rs, rho(rs))
 
 
 @settings(max_examples=60, deadline=None)
@@ -338,10 +344,10 @@ def test_d_involution_on_random_quotient_weights(s, coeffs, slack):
 
 def test_center_act_rejects_non_quotient_weight():
     rs = root_system("D", 4)
-    lam = rs.fundamental_weights[2]  # parity condition fails
+    lam = fundamental_weights(rs)[2]  # parity condition fails
     with pytest.raises(ValueError, match="not trivial"):
         center_act(CenterSpec.SO_EVEN, lam, (rs, 2))
-    pair = (A1.fundamental_weights[0], weight_from_marks(A1, (0,)))  # odd mark sum
+    pair = (fundamental_weights(A1)[0], weight_from_marks(A1, (0,)))  # odd mark sum
     with pytest.raises(ValueError, match="not trivial"):
         center_act(CenterSpec.SO4_DIAGONAL, pair, ((A1, 2), (A1, 2)))
 
@@ -377,7 +383,7 @@ def test_mark_action_equals_u_coordinate_formula(family, spec, rank):
 def test_a1_mark_action_is_the_alcove_reflection(level):
     """On A1 the center sends lambda to l * omega - lambda."""
     kept = restrict_to_quotient(enumerate_level_weights(A1, level), CenterSpec.SO3, (A1, level))
-    omega = A1.fundamental_weights[0]
+    omega = fundamental_weights(A1)[0]
     for n, lam in zip(kept, (weight_from_marks(A1, n) for n in kept)):
         image = center_act_marks(CenterSpec.SO3, n, (A1, level))
         assert weight_from_marks(A1, image) == vec_sub(vec_scale(level, omega), lam)
@@ -386,7 +392,7 @@ def test_a1_mark_action_is_the_alcove_reflection(level):
 @pytest.mark.parametrize("levels", [(2, 2), (1, 3), (4, 2), (3, 3)])
 def test_so4_mark_action_is_the_alcove_reflection_per_factor(levels):
     factors = tuple((A1, lvl) for lvl in levels)
-    omega = A1.fundamental_weights[0]
+    omega = fundamental_weights(A1)[0]
     P = restrict_to_quotient(
         enumerate_product_weights(factors), CenterSpec.SO4_DIAGONAL, factors
     )
@@ -408,7 +414,7 @@ def test_orbit_decompose_rejects_weights_outside_the_quotient():
 
 
 def test_trivial_spec_is_identity():
-    assert center_act(CenterSpec.TRIVIAL, A1.rho, (A1, 1)) == A1.rho
+    assert center_act(CenterSpec.TRIVIAL, rho(A1), (A1, 1)) == rho(A1)
 
 
 # --- orbits ------------------------------------------------------------------
