@@ -2,13 +2,14 @@
 
 Subcommands: ``compute`` (one certified number), ``weights`` (level weight
 and orbit listings), ``suite`` (the batch identity checks) and
-``compare-oracle`` (the two independent SO paths side by side).  An argv
-that starts with a command name is parsed by that command's own subparser,
-in one argparse pass; every other argv goes through the full parser, so
-usage, help and errors read as argparse's two-level parse writes them.  Values
-are emitted as decimal strings since they outgrow 64-bit integers quickly;
-they are formatted through :class:`decimal.Decimal`, as ``str`` refuses an
-int of more than 4,300 digits.
+``compare-oracle`` (the two independent SO paths side by side).  An argv is
+parsed on one of two routes.  A plain one (a command name, then exact option
+strings each with a valid value) is read straight from the parser's actions,
+with no argparse pass; every other argv goes to the full argparse parser,
+which is the only source of usage, help and error text.  Values are emitted
+as decimal strings since they outgrow 64-bit integers quickly; they are
+formatted through :class:`decimal.Decimal`, as ``str`` refuses an int of
+more than 4,300 digits.
 
 Exit codes: 0 success, 1 failed check or certification, 2 argument error.
 """
@@ -21,7 +22,6 @@ import sys
 from decimal import Decimal
 from fractions import Fraction
 from functools import cache
-from gettext import gettext
 from operator import add
 from typing import Optional, Sequence
 
@@ -169,53 +169,58 @@ def build_parser() -> argparse.ArgumentParser:
     """The ``verlinde`` argument parser, built once per process: parsing
     leaves it unchanged, and building it costs more than a small command.
 
-    Its ``commands`` attribute maps each command name to that command's
-    subparser, which parses an argv led by the name in one pass; the full
-    parser takes every other argv."""
+    Its ``options`` attribute maps each command name to the actions that
+    ``add_argument`` returned for that command, keyed by option string.
+    Each is a one-value store whose default argparse sets as it is (a string
+    default has no type to convert it), so ``_parse`` can read a plain argv
+    from them alone."""
     parser = argparse.ArgumentParser(
         prog="verlinde",
         description="Certified Verlinde dimension numbers for classical groups.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    parser.commands = {name: sub.add_parser(name, help=text) for name, text in (
-        ("compute", "compute one certified dimension"),
-        ("weights", "list level weights (and orbits)"),
-        ("suite", "run the batch identity checks"),
-        ("compare-oracle", "engine vs sequence oracle for SO(r)"),
-    )}
+    parser.options = {}
 
-    p = parser.commands["compute"]
-    p.add_argument("--group", choices=("so", "sp", "sc"), required=True)
-    p.add_argument("--r", type=int, help="r of SO(r), or r of Sp(2r)")
-    p.add_argument("--level", type=int, help="level (groups sp and sc)")
-    p.add_argument("--type", choices=("A", "B", "C", "D"), help="family (group sc)")
-    p.add_argument("--rank", type=int, help="rank (group sc)")
-    p.add_argument("--genus", type=int, required=True)
-    p.add_argument("--precision", type=int, default=DEFAULT_PRECISION)
-    p.add_argument("--format", choices=("json", "csv", "md"), default="json")
+    def command(name: str, text: str):
+        p = sub.add_parser(name, help=text)
+        options = parser.options[name] = {}
 
-    p = parser.commands["weights"]
-    p.add_argument("--type", choices=("A", "B", "C", "D"), required=True)
-    p.add_argument("--rank", type=int, required=True)
-    p.add_argument("--level", type=int, required=True)
-    p.add_argument("--quotient", choices=("so",), default=None,
-                   help="restrict to the SO-type center quotient and show orbits")
-    p.add_argument("--format", choices=("json", "md"), default="md")
+        def argument(option: str, **kwargs) -> None:
+            options[option] = p.add_argument(option, **kwargs)
+        return argument
 
-    p = parser.commands["suite"]
-    p.add_argument("--r-max", type=int, default=12)
-    p.add_argument("--genus-max", type=int, default=5)
-    p.add_argument("--sp-max", type=int, default=4)
-    p.add_argument("--sp-genus-max", type=int, default=4)
-    p.add_argument("--unitarity-rank-max", type=int, default=6)
-    p.add_argument("--unitarity-level-max", type=int, default=4)
-    p.add_argument("--precision", type=int, default=DEFAULT_PRECISION)
-    p.add_argument("--format", choices=("json", "md"), default="md")
+    argument = command("compute", "compute one certified dimension")
+    argument("--group", choices=("so", "sp", "sc"), required=True)
+    argument("--r", type=int, help="r of SO(r), or r of Sp(2r)")
+    argument("--level", type=int, help="level (groups sp and sc)")
+    argument("--type", choices=("A", "B", "C", "D"), help="family (group sc)")
+    argument("--rank", type=int, help="rank (group sc)")
+    argument("--genus", type=int, required=True)
+    argument("--precision", type=int, default=DEFAULT_PRECISION)
+    argument("--format", choices=("json", "csv", "md"), default="json")
 
-    p = parser.commands["compare-oracle"]
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--genus", type=int, required=True)
-    p.add_argument("--precision", type=int, default=DEFAULT_PRECISION)
+    argument = command("weights", "list level weights (and orbits)")
+    argument("--type", choices=("A", "B", "C", "D"), required=True)
+    argument("--rank", type=int, required=True)
+    argument("--level", type=int, required=True)
+    argument("--quotient", choices=("so",), default=None,
+             help="restrict to the SO-type center quotient and show orbits")
+    argument("--format", choices=("json", "md"), default="md")
+
+    argument = command("suite", "run the batch identity checks")
+    argument("--r-max", type=int, default=12)
+    argument("--genus-max", type=int, default=5)
+    argument("--sp-max", type=int, default=4)
+    argument("--sp-genus-max", type=int, default=4)
+    argument("--unitarity-rank-max", type=int, default=6)
+    argument("--unitarity-level-max", type=int, default=4)
+    argument("--precision", type=int, default=DEFAULT_PRECISION)
+    argument("--format", choices=("json", "md"), default="md")
+
+    argument = command("compare-oracle", "engine vs sequence oracle for SO(r)")
+    argument("--r", type=int, required=True)
+    argument("--genus", type=int, required=True)
+    argument("--precision", type=int, default=DEFAULT_PRECISION)
 
     return parser
 
@@ -228,19 +233,50 @@ _COMMANDS = {
 }
 
 
+def _parse_plain(parser: argparse.ArgumentParser,
+                 argv: Sequence[str]) -> Optional[argparse.Namespace]:
+    """The namespace of ``argv`` read from the parser's ``options``, or None
+    if ``argv`` is not plain (see ``_parse``)."""
+    options = parser.options.get(argv[0]) if argv else None
+    if options is None or not len(argv) % 2:
+        return None
+    values = {}
+    for option, text in zip(argv[1::2], argv[2::2]):
+        action = options.get(option)
+        if action is None or action.dest in values or text.startswith("-"):
+            return None
+        try:
+            value = action.type(text) if action.type else text
+        except (TypeError, ValueError, argparse.ArgumentTypeError):
+            return None
+        if action.choices is not None and value not in action.choices:
+            return None
+        values[action.dest] = value
+    for action in options.values():
+        if action.dest not in values:
+            if action.required:
+                return None
+            values[action.dest] = action.default
+    args = argparse.Namespace(command=argv[0])
+    vars(args).update(values)
+    return args
+
+
 def _parse(argv: Sequence[str]) -> argparse.Namespace:
     """The namespace of ``argv``, as ``build_parser().parse_args(argv)``
-    gives it, with one argparse pass when ``argv[0]`` names a command.
-    Leftover arguments are refused by the full parser, as in its own
-    two-level parse."""
+    gives it.
+
+    A plain argv is read from the parser's own actions, without argparse:
+    a command name, then (option, value) pairs, each option the exact
+    string of an action that no other pair names, each value not starting
+    with ``-``, converted by the action's type and within its choices, and
+    every required option given.  The namespace holds the command, those
+    values and every other action's default.  Any other argv (help,
+    ``--opt=value``, abbreviations, ``--``, negative numbers, bad values,
+    missing options) goes to ``parse_args``, which alone prints and exits."""
     parser = build_parser()
-    command = parser.commands.get(argv[0]) if argv else None
-    if command is None:
-        return parser.parse_args(argv)
-    args, extras = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
-    if extras:
-        parser.error(gettext("unrecognized arguments: %s") % " ".join(extras))
-    return args
+    args = _parse_plain(parser, argv)
+    return parser.parse_args(argv) if args is None else args
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

@@ -1,3 +1,5 @@
+import argparse
+import contextlib
 import csv
 import io
 import json
@@ -9,6 +11,8 @@ import time
 from decimal import Decimal
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import verlinde
 from verlinde.cli import _parse, build_parser, main
@@ -164,6 +168,10 @@ def test_parser_keeps_no_state_between_calls(capsys):
         captured = capsys.readouterr()
         return code, captured.out, captured.err
 
+    def state():
+        return {name: {option: dict(vars(action)) for option, action in options.items()}
+                for name, options in build_parser().options.items()}
+
     sp = ["compute", "--group", "sp", "--r", "2", "--level", "1", "--genus", "3"]
     argvs = [
         sp + ["--precision", "256", "--format", "csv"],
@@ -173,16 +181,21 @@ def test_parser_keeps_no_state_between_calls(capsys):
         ["weights", "--type", "A", "--rank", "1", "--level", "2"],
         sp + ["--bogus"],  # unrecognized argument
         sp + ["--", "x"],
+        ["compute", "--group", "so", "--r=5", "--genus", "2"],  # argparse's route
+        ["compute", "--group", "so", "--r", "5", "--gen", "2"],  # abbreviation
+        ["compute", "-h"],
     ]
     fresh = {}
     for argv in argvs:
         build_parser.cache_clear()
         fresh[tuple(argv)] = outcome(argv)
-    assert [fresh[tuple(a)][0] for a in argvs] == [0, 0, 2, 2, 0, 2, 2]
+    assert [fresh[tuple(a)][0] for a in argvs] == [0, 0, 2, 2, 0, 2, 2, 0, 0, 0]
     build_parser.cache_clear()
+    parser, before = build_parser(), state()
     for argv in argvs + argvs[::-1] + argvs:
         assert outcome(argv) == fresh[tuple(argv)]
-    assert build_parser() is build_parser()
+        assert state() == before
+    assert build_parser() is parser
 
 
 SO5 = ["compute", "--group", "so", "--r", "5", "--genus", "2"]
@@ -219,32 +232,97 @@ PARSE_MATRIX = [
     ["compute", "--gro", "so", "--r", "5", "--genus", "2"],  # abbreviation
     ["compute", "--he"],
     SO5 + ["--genus", "3"],  # repeated option
+    SO5 + ["--precision", "-1_0"],  # int() takes it, argparse reads an option
 ]
 
 
-@pytest.mark.parametrize("argv", PARSE_MATRIX, ids=lambda argv: " ".join(argv) or "<none>")
-def test_one_pass_parse_matches_the_two_level_parse(capsys, argv):
-    """``_parse`` gives the namespace, or the exit code and output, of
-    argparse's own two-level parse of the same argv."""
-    def outcome(parse):
+def parse_outcome(parse, argv):
+    """The namespace ``parse(argv)`` gives as a dict, or its exit code,
+    with what it printed to stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             result = vars(parse(argv))
         except SystemExit as exc:
             result = exc.code
-        captured = capsys.readouterr()
-        return result, captured.out, captured.err
+    return result, out.getvalue(), err.getvalue()
 
-    assert outcome(_parse) == outcome(build_parser().parse_args)
+
+@pytest.mark.parametrize("argv", PARSE_MATRIX, ids=lambda argv: " ".join(argv) or "<none>")
+def test_one_pass_parse_matches_the_two_level_parse(argv):
+    """``_parse`` gives the namespace, or the exit code and output, of
+    argparse's own two-level parse of the same argv."""
+    assert parse_outcome(_parse, argv) == parse_outcome(build_parser().parse_args, argv)
+
+
+BAD_VALUES = st.sampled_from(["", "-7", "-1", "-1_0", "E", "xml", "five", "1.5", "--", "-h", "-"])
+
+
+def _good_value(action):
+    return (st.sampled_from(action.choices) if action.choices
+            else st.integers(0, 400).map(str))
+
+
+@st.composite
+def argvs(draw):
+    """A command followed by its required options and some others, in exact
+    spellings and with valid values, and then up to two faults: an option
+    abbreviated (``--gen``) or given with its value in one word
+    (``--genus=2``), an invalid value, an option repeated or left out."""
+    name = draw(st.sampled_from(sorted(build_parser().options)))
+    options = build_parser().options[name]
+    pairs = [[option, draw(_good_value(options[option]))]
+             for option in draw(st.permutations(sorted(options)))
+             if options[option].required or draw(st.booleans())]
+    for _ in range(draw(st.integers(0, 2)) if pairs else 0):
+        i = draw(st.integers(0, len(pairs) - 1))
+        fault = draw(st.sampled_from(["spelling", "value", "repeat", "missing"]))
+        if fault == "spelling":
+            option = pairs[i][0]
+            pairs[i][0] = draw(st.sampled_from([option[:max(3, len(option) - 2)],
+                                                option + "="]))
+        elif fault == "value":
+            pairs[i][1] = draw(BAD_VALUES)
+        elif fault == "repeat":
+            pairs.append(list(pairs[i]))
+        elif len(pairs) > 1:
+            del pairs[i]
+    argv = [name]
+    for option, value in pairs:
+        argv += [option + value] if option.endswith("=") else [option, value]
+    return argv
+
+
+@settings(max_examples=500, deadline=None)
+@given(argvs())
+def test_parse_matches_argparse_on_generated_argvs(argv):
+    assert parse_outcome(_parse, argv) == parse_outcome(build_parser().parse_args, argv)
 
 
 def test_a_command_argv_skips_the_full_parser(monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("the full parser ran")
+    """The benchmark's argv shapes reach neither argparse's ``parse_args``
+    nor any subparser's ``parse_known_args``; other spellings still do."""
+    benchmark_argvs = [
+        ["compute", "--group", "so", "--r", "12", "--genus", "60", "--precision", "400"],
+        ["compute", "--group", "sp", "--r", "2", "--level", "3", "--genus", "7",
+         "--precision", "200"],
+        ["compute", "--group", "sc", "--type", "A", "--rank", "2", "--level", "6",
+         "--genus", "40", "--precision", "400"],
+        ["suite", "--format", "json"],
+    ]
+    expected = [vars(build_parser().parse_args(argv)) for argv in benchmark_argvs]
 
-    monkeypatch.setattr(build_parser(), "parse_args", refuse)
-    assert _parse(SO5).command == "compute"
-    with pytest.raises(AssertionError):
-        _parse(["-h", "compute"])
+    def refuse(name):
+        def run(*args, **kwargs):
+            raise AssertionError(f"{name} ran")
+        return run
+
+    for name in ("parse_args", "parse_known_args"):
+        monkeypatch.setattr(argparse.ArgumentParser, name, refuse(name))
+    assert [vars(_parse(argv)) for argv in benchmark_argvs] == expected
+    for argv in (["compute", "--group=so", "--r=5", "--genus=2"], ["-h", "compute"]):
+        with pytest.raises(AssertionError, match="parse_args ran"):
+            _parse(argv)
 
 
 def test_console_script_reads_sys_argv(capsys, monkeypatch):
