@@ -54,14 +54,11 @@ connected group counts it with its orbit size, a quotient once, with its
 Gamma-orbit size as m.
 
 The float layer (``_products``, ``_kernel`` and :func:`delta`) is decimal
-arithmetic under a local :class:`decimal.Context` of P = ceil(bits log10 2)
-+ 1 digits for ``bits`` working bits, each operation correctly rounded
-(Cowlishaw, *General Decimal Arithmetic Specification*) within
-eps = 10^(1-P) / 2 <= 2^-(bits+1), relative: at least as accurate as an mpf
-operation at ``bits``.  ``_products`` and ``_kernel`` state their error
-bounds.  The sines are read from ``numeric._sine_table``, whose values are
-within eps + 2^-(bits+7) of the exact sines; certification rounds the
-kernel's Decimal.
+arithmetic in the context of ``numeric._context`` at ``bits`` working bits,
+each operation correctly rounded (Cowlishaw, *General Decimal Arithmetic
+Specification*) within eps <= 2^-(bits+1), relative: at least as accurate as
+an mpf operation at ``bits``.  ``_products`` and ``_kernel`` state their
+error bounds, and certification proves the integer from the latter's K.
 
 Only the exponent depends on the genus, so the rest is built once per
 process and reused by every later call, each piece by a pure function
@@ -75,7 +72,7 @@ memoized with :func:`functools.lru_cache`:
 
 ``_kernel``, the one floating-point loop, then only raises T / Delta to the
 power g - 1, multiplies and adds, with m^(1-2g) computed once per distinct
-orbit size; the result is rounded and certified once per Verlinde number.
+orbit size; the result is certified once per Verlinde number.
 The torus-order oracle and the Verlinde pass of a simply connected group at
 one precision share one Delta tuple.
 """
@@ -369,8 +366,12 @@ def _kernel(
     m^(1-2g), two products, the sum of positive terms and |Gamma|, the
     result is within (2R |g - 1| + N + 7) eps of the exact kernel of the
     products of the table's sines, relative: one eps less to first order,
-    and one eps for the second-order terms.  A binary kernel at ``bits`` has
-    the looser first-order bound ((R + 1) |g - 1| + N + 4) 2^-bits.
+    and one eps for the second-order terms.  The tables' unrounded values,
+    within 2^-(bits+8) of the sines (``numeric._sine_table``), add
+    R |g - 1| 2^-(bits+8): to first order the result is within (R |g - 1|
+    (1 + 2^-8) + (N + 6) / 2) 2^-bits of the exact sum.  Its K (``_error``),
+    2R |g - 1| + N + 8, is over 1.99 times that, and covers the
+    second-order terms while K 2^-bits <= 2^-8.
     """
     with localcontext(_context(bits)):
         T = Decimal(T)
@@ -386,6 +387,11 @@ def _kernel(
         return total * gamma_order
 
 
+def _error(spectrum: Spectrum, genus: int) -> int:
+    """The K of ``_kernel``'s bound (see there)."""
+    return 2 * spectrum.roots * abs(genus - 1) + len(spectrum.terms) + 8
+
+
 def torus_order_oracle_certified(
     rs: RootSystem, level: int, precision: int = DEFAULT_PRECISION
 ) -> Tuple[int, float]:
@@ -396,7 +402,8 @@ def torus_order_oracle_certified(
     key = (((rs.group_type, level),), CenterSpec.TRIVIAL)
     spectrum = _spectrum_of(key)
     value, residual, _ = certify_integer(
-        lambda bits: _kernel(spectrum, _deltas(key, bits), 1, 0, 1, bits), precision
+        lambda bits: _kernel(spectrum, _deltas(key, bits), 1, 0, 1, bits),
+        precision, _error(spectrum, 0),
     )
     return value, residual
 
@@ -415,7 +422,7 @@ def _verlinde(factors, spec, genus, precision, label, level) -> VerlindeResult:
     gamma_order = 1 if spec is CenterSpec.TRIVIAL else 2
     value, residual, bits = certify_integer(
         lambda b: _kernel(spectrum, _deltas(key, b), T, genus, gamma_order, b),
-        precision,
+        precision, _error(spectrum, genus),
     )
     return VerlindeResult(
         value=value,

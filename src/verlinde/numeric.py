@@ -1,21 +1,18 @@
 """Arbitrary-precision evaluation and integer certification.
 
-All trigonometric sums in this package are known in advance to be integers;
-they are evaluated at a caller-chosen precision of ``bits`` (default 192)
-and rounded, and the rounding residual is kept as an audit trail.  The
-float layer, the engine's products and sums (:mod:`verlinde.formula`) and
-the SO oracle's, is decimal arithmetic under :func:`_context`: P =
-ceil(bits log10 2) + 1 digits, each operation correctly rounded within
-eps = 10^(1-P) / 2 <= 2^-(bits+1), relative.  The error bounds are stated
-where the arithmetic is: the sines in :func:`_sine_table`, the engine's
-products and sum in ``formula._products`` and ``formula._kernel``, the
-oracle's in ``so_oracle``.  Certification rounds the Decimal sum exactly.
-
-A rounding is accepted only when the residual is within the integrality
-tolerance and the working precision has HEADROOM_BITS to spare beyond the
-value's bit length (below that, the float may not resolve the integer at
-all); otherwise the precision is doubled, up to three times, before giving
-up.
+All trigonometric sums in this package are known in advance to be integers
+N, sums of positive terms, evaluated at a caller-chosen precision of
+``bits`` (default 192).  The float layer, the engine's products and sums
+(:mod:`verlinde.formula`) and the SO oracle's, is decimal arithmetic under
+:func:`_context`: P = ceil(bits log10 2) + 1 digits, each operation
+correctly rounded within eps = 10^(1-P) / 2 <= 2^-(bits+1), relative.  The
+error bounds are stated where the arithmetic is: the sines in
+:func:`_sine_table`, the engine's products and sum in ``formula._products``
+and ``formula._kernel``, the oracle's in ``so_oracle``.  Each sum's caller
+states them as one integer K: the sum S~ at ``bits`` is within K 2^-bits of
+N, relative, while K 2^-bits <= 2^-8.  N then lies within r = K |S~| /
+(2^bits - K) of S~, and :func:`certify_integer` proves it from that
+enclosure in at most two passes.
 
 Every sum is a product of factors 4 sin^2(pi j / D), with D = 2(l+h) (or
 the lcm of a product's) and j <= D/2, so the sines come in tables: one per
@@ -30,7 +27,7 @@ when it is called.
 from __future__ import annotations
 
 import math
-from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal
+from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, Overflow
 from fractions import Fraction
 from functools import lru_cache
 from typing import TYPE_CHECKING, Callable, NamedTuple, Tuple, Union
@@ -45,11 +42,9 @@ MIN_PRECISION = 64
 # table included, takes 0.09 s at 2^14 bits, 1.5 s at 2^16 and 32 s at 2^18
 # (one cold process each, Python 3.11 on a shared 2-vCPU VM), and a larger
 # group reads a longer table.  The cap bounds only the request:
-# certification may still double it three times, to 2^19 bits.  2^16 bits
-# resolve values up to 2^65504.
+# certification may go on to MAX_BITS, for values up to about 2^524270.
 MAX_PRECISION = 2**16
-MAX_ESCALATIONS = 3
-HEADROOM_BITS = 32
+MAX_BITS = 8 * MAX_PRECISION
 # Sine tables kept per process, one per (D, bits) (see ``_sine_table``).
 # The default suite reads 21 and the suite of the CI's console step 98; a
 # genus sweep reads one per D and precision.  A table holds D/2 + 1 values
@@ -62,7 +57,8 @@ PI_CACHE_SIZE = 16
 
 
 class IntegralityError(ArithmeticError):
-    """A sum failed to certify as an integer at the maximum precision."""
+    """A sum that violates its stated bound at ``precision_bits``, or whose
+    value needs ``precision_bits`` > MAX_BITS (or overflows at them)."""
 
     def __init__(self, raw_value: str, residual: float, precision_bits: int, reason: str):
         self.raw_value = raw_value
@@ -91,17 +87,6 @@ def check_precision(precision: int) -> int:
     if precision > MAX_PRECISION:
         raise ValueError(f"precision must be <= {MAX_PRECISION} bits, got {precision}")
     return precision
-
-
-def integrality_tolerance(value: int) -> float:
-    """max(1e-9 |value|, 1e-30), capped below the rounding ambiguity at 0.4.
-
-    Values of 64 bits or more are past the cap; they are not converted to
-    float, which overflows from 2^1024 on.
-    """
-    if abs(value).bit_length() >= 64:
-        return 0.4
-    return min(max(1e-9 * abs(value), 1e-30), 0.4)
 
 
 def four_sin_sq(x: Fraction, bits: int) -> Decimal:
@@ -227,27 +212,49 @@ def to_mpf(x: Decimal) -> mpmath.mpf:
 
 
 def certify_integer(
-    compute: Callable[[int], Decimal], precision: int
+    compute: Callable[[int], Decimal], precision: int, error: int
 ) -> Tuple[int, float, int]:
-    """Round ``compute(bits)``, a Decimal, doubling ``bits`` from
-    ``precision`` while the rounding is refused (see above).
+    """N, the integer within r of ``compute(bits)``, a Decimal within
+    ``error`` K 2^-bits of it (see above), as ``(N, residual, bits)``.
 
-    The number is rounded as its exact ratio n / d, so the caller's decimal
-    context does not enter; the residual is the float of its distance from
-    the integer.  Returns ``(value, residual, bits_used)``; ``compute`` must
-    be a pure function of the precision.  After three doublings
-    :class:`IntegralityError` names the failed check.
+    The first pass runs at the least ``precision << k`` with K 2^-bits <
+    2^-8.  It accepts the integer nearest S~ iff r < 1/2 and the residual,
+    their distance, is at most r, and refuses a larger residual, which the
+    bound rules out.  If r >= 1/2, one more pass runs at the least
+    ``precision << k`` with K |S~| 2^-bits <= 1/4, so that r < 1/2 unless
+    the bound fails; a value that needs more than MAX_BITS, or overflows, is
+    refused.  S~ is compared as n / d, exactly, whatever the caller's
+    decimal context.  A refusal raises :class:`IntegralityError`.
     """
-    base = check_precision(precision)
-    for bits in (base << k for k in range(MAX_ESCALATIONS + 1)):
-        n, d = compute(bits).as_integer_ratio()
-        value = (2 * n + d) // (2 * d)  # n / d, rounded half up
-        residual = abs(n - value * d) / d  # correctly rounded
-        if residual >= integrality_tolerance(value):
-            failed = "residual over tolerance"
-        elif bits - abs(value).bit_length() < HEADROOM_BITS:
-            failed = f"headroom below HEADROOM_BITS = {HEADROOM_BITS} bits"
-        else:
-            return value, residual, bits
-    raw_value = f"{Context(prec=30, Emax=MAX_EMAX).divide(n, d):g}"
+    bits = check_precision(precision)
+    while error >> (bits - 8):
+        bits <<= 1
+    for second in (False, True):
+        try:
+            total = compute(bits)
+        except Overflow:
+            raise IntegralityError("Infinity", math.inf, bits,
+                                   "past the decimal exponent range, so over MAX_BITS") from None
+        residual = 0.0  # a sum whose exponent is above bits is an integer
+        if total.as_tuple().exponent <= bits:  # else |S~| > 2^bits, r > 1
+            n, d = total.as_integer_ratio()
+            value = (2 * n + d) // (2 * d)  # n / d, rounded half up
+            distance, room = abs(n - value * d), (1 << bits) - error
+            residual = distance / d  # correctly rounded
+            if 2 * error * abs(n) < d * room:  # r = K |n| / (d room) < 1/2
+                if distance * room <= error * abs(n):
+                    return value, residual, bits
+                failed = f"farther from an integer than its bound, {error * abs(n) / (d * room):.3e}"
+                break
+        if second:
+            failed = "its bound violated: too large for the precision sized from the first pass"
+            break
+        log2 = math.log2(error) + float(Context(prec=17).log10(total.copy_abs())) / math.log10(2)
+        bits <<= 1
+        while bits < log2 + 2:
+            bits <<= 1
+        if bits > MAX_BITS:
+            failed = f"needs {bits} bits, over MAX_BITS = {MAX_BITS}"
+            break
+    raw_value = f"{Context(prec=30, Emax=MAX_EMAX).plus(total):g}"
     raise IntegralityError(raw_value, residual, bits, failed)

@@ -14,17 +14,18 @@ separate, so agreement between the two paths is still a meaningful
 cross-check.
 
 The products and the sum are decimal arithmetic in the context of ``bits``
-(``numeric._context``), each operation within eps = 10^(1-P) / 2 <=
-2^-(bits+1), relative.  A sequence's Delta is the product of its M sines
-(M = s(s-1) for D_s, s^2 for B_s): with M - 1 roundings, within M eps of
-the exact product of the table's values (M - 1 to first order, one eps for
-the second-order terms).  In the sum of 2 m^(1-2g) (T/Delta)^(g-1) over
-the N sequence representatives, T/Delta is within (M + 1) eps, its power
-(taken with extra digits, within 2 eps) within (M + 1) |g - 1| + 2, and
-with m^(1-2g), the product, the sum of positive terms and the doubling,
-the result is within ((M + 1) |g - 1| + N + 7) eps of the exact sum over
-the table's values, relative: one eps less to first order, and one eps for
-the second-order terms.
+(``numeric._context``), each operation within eps <= 2^-(bits+1),
+relative.  A sequence's Delta is the product of its M sines (M = s(s-1)
+for D_s, s^2 for B_s), within M eps of that of the table's values.  In the
+sum of 2 m^(1-2g) (T/Delta)^(g-1) over the N sequence representatives,
+T/Delta is within (M + 1) eps, its power (with extra digits, within 2 eps)
+within (M + 1) |g - 1| + 2, and with m^(1-2g), the product, the sum of
+positive terms and the doubling, the sum within ((M + 1) |g - 1| + N + 7)
+eps of that over the table's values, one eps of it for the second-order
+terms.  The table's values are within eps + 2^-(bits+7) of the sines, so
+to first order the sum is within (|g - 1| (M (1 + 2^-7) + 1/2) + (N + 6) /
+2) 2^-bits of N_2, relative: its K, 2 (M + 1) |g - 1| + N + 8, is over
+1.98 times that, and covers the second-order terms while K 2^-bits <= 2^-8.
 
 Only the exponent depends on the genus, so the oracle keeps the rest, the
 orbit size and Delta of each sequence representative, in its own bounded
@@ -223,7 +224,10 @@ def n_so_oracle(r: int, genus: int, precision: int = DEFAULT_PRECISION) -> Verli
         raise ValueError(f"the oracle covers r >= 5, got {r}")
     if genus < 1:
         raise ValueError(f"genus must be >= 1, got {genus}")
-    torus = 4 * r ** (r // 2)
+    s = r // 2
+    torus = 4 * r**s
+    terms = len(_level_two_terms(r, check_precision(precision)))
+    error = 2 * (s * (s - 1 + r % 2) + 1) * (genus - 1) + terms + 8  # M = s (s - 1 + r % 2)
 
     def compute(bits: int) -> Decimal:
         with localcontext(_context(bits)):
@@ -232,12 +236,12 @@ def n_so_oracle(r: int, genus: int, precision: int = DEFAULT_PRECISION) -> Verli
                 total += Decimal(size) ** (1 - 2 * genus) * (torus / d) ** (genus - 1)
             return 2 * total
 
-    value, residual, bits = certify_integer(compute, precision)
+    value, residual, bits = certify_integer(compute, precision, error)
     return VerlindeResult(
         value=value,
         residual=residual,
         precision_bits=bits,
-        term_count=len(_level_two_terms(r, bits)),
+        term_count=terms,
         group_label=f"SO({r})",
         level=2,
         genus=genus,

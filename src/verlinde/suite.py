@@ -53,18 +53,7 @@ class SuiteReport(NamedTuple):
 
     def to_dict(self) -> dict:
         return {
-            "entries": [
-                {
-                    "check_name": e.check_name,
-                    "parameters": e.parameters,
-                    "expected": e.expected,
-                    "computed": e.computed,
-                    "residual": e.residual,
-                    "passed": e.passed,
-                    "elapsed_ms": e.elapsed_ms,
-                }
-                for e in self.entries
-            ],
+            "entries": [e._asdict() for e in self.entries],
             "summary": {
                 "total": self.total,
                 "passed": self.passed,
@@ -92,11 +81,6 @@ class SuiteReport(NamedTuple):
             + (f", {self.failed} FAILED" if self.failed else "")
         )
         return "\n".join(lines)
-
-
-def _merge(reports: Sequence[SuiteReport]) -> SuiteReport:
-    entries = [e for r in reports for e in r.entries]
-    return _sorted_report(entries)
 
 
 def _sorted_report(entries: List[SuiteEntry]) -> SuiteReport:
@@ -236,12 +220,9 @@ def run_default_suite(
     precision: int = DEFAULT_PRECISION,
 ) -> SuiteReport:
     """The full battery at desk scale (completes in well under a minute)."""
-    return _merge(
-        [
-            run_so_identity(so_r_max, so_g_max, precision),
-            run_strange_duality_symmetry(sp_max, sp_max, sp_g_max, precision),
-            run_unitarity(
-                ("A", "B", "C", "D"), unitarity_rank_max, unitarity_level_max, precision
-            ),
-        ]
+    reports = (
+        run_so_identity(so_r_max, so_g_max, precision),
+        run_strange_duality_symmetry(sp_max, sp_max, sp_g_max, precision),
+        run_unitarity(("A", "B", "C", "D"), unitarity_rank_max, unitarity_level_max, precision),
     )
+    return _sorted_report([e for report in reports for e in report.entries])

@@ -468,6 +468,18 @@ def sine_within_its_bound(value, x, bits):
     return relative_error(value, four_sin_sq_reference(x, bits)) <= bound
 
 
+def integrality_tolerance(value):
+    """max(1e-9 |value|, 1e-30), capped at 0.4: a residual that a certified
+    value is expected to stay under, as the acceptance tests check.
+
+    Values of 64 bits or more are past the cap; they are not converted to
+    float, which overflows from 2^1024 on.
+    """
+    if abs(value).bit_length() >= 64:
+        return 0.4
+    return min(max(1e-9 * abs(value), 1e-30), 0.4)
+
+
 def relative_error(got, want):
     """|got - want| / |want|, exactly."""
     want = as_fraction(want)

@@ -20,13 +20,12 @@ from verlinde.formula import (
     torus_order_oracle_certified,
     verlinde_sc,
 )
-from verlinde.numeric import integrality_tolerance
 from verlinde.rootsys import root_system, weight_from_marks
 from verlinde.so_oracle import USet, enumerate_usets, n_so_oracle, uset_delta
 from verlinde.suite import run_default_suite
 from verlinde.weights import CenterSpec, u_coords
 
-from helpers import enumerate_level_weights, restrict_to_quotient
+from helpers import enumerate_level_weights, integrality_tolerance, restrict_to_quotient
 
 TOL20 = mpmath.mpf("1e-20")
 

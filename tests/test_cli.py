@@ -8,7 +8,7 @@ import subprocess
 import sys
 import textwrap
 import time
-from decimal import Decimal
+from decimal import MAX_EMAX, Context, Decimal
 
 import pytest
 from hypothesis import given, settings
@@ -467,7 +467,7 @@ def test_certification_failure_exits_1_with_diagnostics(capsys, monkeypatch):
     from verlinde.numeric import IntegralityError
 
     def broken(*args, **kwargs):
-        raise IntegralityError("42.5", 0.5, 1536, "residual over tolerance")
+        raise IntegralityError("42.5", 0.5, 1536, "farther from an integer than its bound")
 
     monkeypatch.setattr(cli, "n_so", broken)
     code, out = run_cli(capsys, "compute", "--group", "so", "--r", "7",
@@ -479,22 +479,48 @@ def test_certification_failure_exits_1_with_diagnostics(capsys, monkeypatch):
     assert float(record["residual"]) == 0.5
 
 
-def test_a_value_without_headroom_exits_1_in_30_digits(capsys):
-    """SO(12) at genus 500 is 1,793 bits: 1,536 bits leave it no headroom,
-    though its residual is 0."""
-    from verlinde.formula import n_so
-    from verlinde.numeric import IntegralityError
-
+def test_a_value_beyond_the_default_precision_is_sized(capsys):
+    """SO(12) at genus 500 is 1,793 bits: the second pass runs at the least
+    192 << k its bound allows, 3,072 bits, and proves 12^500."""
     code, out = run_cli(capsys, "compute", "--group", "so", "--r", "12",
                         "--genus", "500")
+    assert code == 0
+    record = json.loads(out)
+    assert record["value"] == str(12**500)
+    assert record["precision_bits"] == 3072
+
+
+def test_a_value_without_headroom_exits_1_in_30_digits(capsys):
+    """SO(12) at genus 300000 is 1,075,489 bits: it would need 192 << 13 =
+    1,572,864 bits, past MAX_BITS.  The command says so after one pass at
+    192 bits, in well under a second, with the raw value in 30 digits."""
+    start = time.perf_counter()
+    code, out = run_cli(capsys, "compute", "--group", "so", "--r", "12",
+                        "--genus", "300000")
+    elapsed = time.perf_counter() - start
     assert code == 1
+    assert elapsed < 1, f"the refusal took {elapsed:.2f} s"
     record = json.loads(out)
     assert sorted(record) == ["error", "precision_bits", "raw_value", "residual"]
-    assert record["precision_bits"] == 1536
+    assert record["precision_bits"] == 1572864
     assert float(record["residual"]) == 0.0
-    assert record["raw_value"] == f"{Decimal(12**500):.29e}"  # 30 significant digits
-    with pytest.raises(IntegralityError, match="headroom below HEADROOM_BITS"):
-        n_so(12, 500)
+    exact = Context(prec=60, Emax=MAX_EMAX).power(12, 300000)
+    assert record["raw_value"] == f"{exact:.29e}"  # 30 significant digits
+
+
+@pytest.mark.parametrize("argv", [
+    ["compute", "--group", "so", "--r", "5"],
+    ["compute", "--group", "sp", "--r", "2", "--level", "3"],
+    ["compare-oracle", "--r", "5"],
+])
+def test_a_sum_past_the_decimal_exponent_range_exits_1(capsys, argv):
+    """At genus 10^20 the sum overflows the decimal exponent range: a value
+    past MAX_BITS, refused with the JSON diagnostic, not a traceback."""
+    code, out = run_cli(capsys, *argv, "--genus", str(10**20))
+    assert code == 1
+    record = json.loads(out)
+    assert record == {"error": "integrality-certification-failed", "raw_value": "Infinity",
+                      "residual": "inf", "precision_bits": 192}
 
 
 def test_compare_oracle_certification_failure_exits_1(capsys, monkeypatch):
@@ -502,7 +528,7 @@ def test_compare_oracle_certification_failure_exits_1(capsys, monkeypatch):
     from verlinde.numeric import IntegralityError
 
     def broken(*args, **kwargs):
-        raise IntegralityError("48.5", 0.5, 1536, "residual over tolerance")
+        raise IntegralityError("48.5", 0.5, 1536, "farther from an integer than its bound")
 
     monkeypatch.setattr(cli, "n_so_oracle", broken)
     code, out = run_cli(capsys, "compare-oracle", "--r", "7", "--genus", "2")

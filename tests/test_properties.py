@@ -4,7 +4,7 @@ The bounds keep every example well under a second, so that the whole file
 stays a small part of the Tier-1 run.
 """
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from verlinde.formula import (
@@ -73,6 +73,16 @@ def test_sp_level_rank_symmetry(r, s, genus):
 @SMALL
 @given(r=st.integers(5, 14), genus=st.integers(1, 8))
 def test_engine_equals_oracle(r, genus):
+    assert n_so(r, genus).value == n_so_oracle(r, genus).value == r**genus
+
+
+@settings(max_examples=50, deadline=None)
+@given(r=st.integers(5, 14), genus=st.integers(1, 600))
+@example(r=12, genus=500)
+@example(r=14, genus=600)
+def test_engine_equals_oracle_far_past_the_default_precision(r, genus):
+    """Up to 14^600, 2,285 bits, both paths prove r^g from the default
+    precision, each in at most two passes."""
     assert n_so(r, genus).value == n_so_oracle(r, genus).value == r**genus
 
 

@@ -4,6 +4,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 
+import verlinde.formula as formula
 import verlinde.so_oracle as so_oracle
 from verlinde.formula import delta, n_so
 from verlinde.numeric import certify_integer, four_sin_sq
@@ -202,9 +203,9 @@ def test_the_oracle_sum_is_within_its_stated_bound(monkeypatch, r):
     sines per sequence and N sequences."""
     sums = []
 
-    def recorded(compute, precision):
+    def recorded(compute, precision, error):
         sums.append(compute(precision))
-        return certify_integer(compute, precision)
+        return certify_integer(compute, precision, error)
 
     monkeypatch.setattr(so_oracle, "certify_integer", recorded)
     family, s = ("D" if r % 2 == 0 else "B"), r // 2
@@ -225,3 +226,29 @@ def test_the_oracle_sum_is_within_its_stated_bound(monkeypatch, r):
                             for (_, m), d in zip(usets, deltas))
             bound = ((M + 1) * abs(genus - 1) + N + 7) * decimal_eps(bits)
             assert relative_error(sums[0], exact) <= bound, (bits, genus)
+
+
+@pytest.mark.parametrize("r,genus,precision", [
+    (5, 1000, 192), (7, 40, 64), (9, 3, 192), (12, 60, 192), (12, 500, 192), (30, 60, 192),
+])
+def test_each_pass_is_within_its_stated_bound_of_r_to_the_g(monkeypatch, r, genus, precision):
+    """Every sum that certification reads, of the engine and of the oracle,
+    in one pass or two, is within its stated K 2^-bits of r^g, relative."""
+    passes = []
+
+    def recorded(compute, precision, error):
+        def traced(bits):
+            total = compute(bits)
+            passes.append((bits, total, error))
+            return total
+
+        return certify_integer(traced, precision, error)
+
+    monkeypatch.setattr(formula, "certify_integer", recorded)
+    monkeypatch.setattr(so_oracle, "certify_integer", recorded)
+    for run in (n_so, n_so_oracle):
+        passes.clear()
+        assert run(r, genus, precision).value == r**genus
+        assert 1 <= len(passes) <= 2
+        for bits, total, error in passes:
+            assert relative_error(total, Fraction(r**genus)) <= Fraction(error, 2**bits), (run, bits)

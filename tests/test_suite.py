@@ -92,7 +92,7 @@ def test_json_summary_counts():
 
 def test_failed_entries_are_recorded_not_raised():
     def bad():
-        raise IntegralityError("1.5", 0.5, 1536, "residual over tolerance")
+        raise IntegralityError("1.5", 0.5, 1536, "farther from an integer than its bound")
 
     entry = _timed_entry("synthetic", {"x": 1}, 2, bad)
     assert not entry.passed
@@ -109,7 +109,7 @@ def test_engine_failure_fails_its_entries_without_aborting(monkeypatch):
 
     def flaky(r, g, *args):
         if (r, g) == (6, 2):
-            raise IntegralityError("36.5", 0.5, 1536, "residual over tolerance")
+            raise IntegralityError("36.5", 0.5, 1536, "farther from an integer than its bound")
         return real(r, g, *args)
 
     monkeypatch.setattr(suite, "n_so", flaky)

@@ -612,9 +612,11 @@ def test_n_so_big_genus_exceeds_machine_integers():
 def test_n_so_values_beyond_the_working_precision_escalate():
     assert n_so(12, 52).value == 12**52
     assert n_so(30, 60).value == 30**60
+    # 7^40 is 113 bits: the second pass runs at the least 64 << k with
+    # K |sum| 2^-bits <= 1/4, K = 2 * 9 * 39 + 4 + 8
     res = n_so(7, 40, precision=64)
     assert res.value == 7**40
-    assert res.precision_bits == 256
+    assert res.precision_bits == 128
 
 
 def test_n_sp_rank_one_is_sl2():
