@@ -241,17 +241,18 @@ def certify_integer(
             value = (2 * n + d) // (2 * d)  # n / d, rounded half up
             distance, room = abs(n - value * d), (1 << bits) - error
             residual = distance / d  # correctly rounded
-            if 2 * error * abs(n) < d * room:  # r = K |n| / (d room) < 1/2
-                if distance * room <= error * abs(n):
+            reach = error * abs(n)  # r = reach / (d room)
+            if 2 * reach < d * room:
+                if distance * room <= reach:
                     return value, residual, bits
-                failed = f"farther from an integer than its bound, {error * abs(n) / (d * room):.3e}"
+                failed = f"farther from an integer than its bound, {reach / (d * room):.3e}"
                 break
         if second:
             failed = "its bound violated: too large for the precision sized from the first pass"
             break
         log2 = math.log2(error) + float(Context(prec=17).log10(total.copy_abs())) / math.log10(2)
         bits <<= 1
-        while bits < log2 + 2:
+        while bits < log2 + 2:  # K |S~| 2^-bits > 1/4
             bits <<= 1
         if bits > MAX_BITS:
             failed = f"needs {bits} bits, over MAX_BITS = {MAX_BITS}"

@@ -126,7 +126,7 @@ def test_certify_gives_up_after_three_doublings():
             calls.append(bits)
             return number(f"{2**400}.5")
 
-        with pytest.raises(IntegralityError, match="farther from an integer than its bound") as info:
+        with pytest.raises(IntegralityError, match="farther from an integer") as info:
             certify_integer(compute, 64, 8)
         assert calls == [64, 512]
         assert info.value.precision_bits == 512
@@ -168,7 +168,8 @@ def test_the_error_names_the_failed_condition_in_30_digits(number):
         calls.append(bits)
         return number("1e200000")
 
-    with pytest.raises(IntegralityError, match=f"needs 786432 bits, over MAX_BITS = {MAX_BITS}") as info:
+    reason = f"needs 786432 bits, over MAX_BITS = {MAX_BITS}"
+    with pytest.raises(IntegralityError, match=reason) as info:
         certify_integer(compute, 192, 8)
     assert calls == [192]
     assert info.value.raw_value == "1e+200000"

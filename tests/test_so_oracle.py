@@ -251,4 +251,5 @@ def test_each_pass_is_within_its_stated_bound_of_r_to_the_g(monkeypatch, r, genu
         assert run(r, genus, precision).value == r**genus
         assert 1 <= len(passes) <= 2
         for bits, total, error in passes:
-            assert relative_error(total, Fraction(r**genus)) <= Fraction(error, 2**bits), (run, bits)
+            bound = Fraction(error, 2**bits)
+            assert relative_error(total, Fraction(r**genus)) <= bound, (run, bits)
