@@ -22,7 +22,7 @@ from .formula import (
 )
 from .numeric import DEFAULT_PRECISION, IntegralityError
 from .rootsys import GroupType, RootSystem, build_root_system, root_system
-from .so_oracle import USet, enumerate_usets, n_so_oracle, uset_delta_b, uset_delta_d
+from .so_oracle import USet, enumerate_usets, n_so_oracle, uset_delta
 from .suite import (
     SuiteReport,
     run_default_suite,
@@ -69,8 +69,7 @@ __all__ = [
     "torus_order",
     "torus_order_oracle_certified",
     "u_coords",
-    "uset_delta_b",
-    "uset_delta_d",
+    "uset_delta",
     "verlinde_product_quotient",
     "verlinde_quotient",
     "verlinde_sc",

@@ -85,7 +85,7 @@ from array import array
 from decimal import Decimal, localcontext
 from functools import lru_cache
 from itertools import compress
-from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import NamedTuple, Optional, Sequence, Tuple, Union
 
 from .numeric import (
     DEFAULT_PRECISION,
@@ -94,7 +94,6 @@ from .numeric import (
     _sine_table,
     certify_integer,
     check_precision,
-    to_mpf,
 )
 from .rootsys import (
     RootSystem,
@@ -126,9 +125,6 @@ __all__ = [
     "theta_dim",
 ]
 
-if TYPE_CHECKING:
-    import mpmath
-
 
 class Spectrum(NamedTuple):
     """The exact terms of a Verlinde sum: ``(count, orbit size, key)`` for
@@ -139,7 +135,7 @@ class Spectrum(NamedTuple):
     the sorted numerators.  Otherwise it is one int that holds the count of
     each numerator j in its ``width`` bits from bit ``width * j``: the
     layout of a spectrum with more numerators per term than values, R > D/2
-    (see ``_slot_width``)."""
+    (see ``_layout``)."""
 
     denominator: int
     roots: int
@@ -182,15 +178,17 @@ DYNKIN_INDEX = DynkinIndices()
 
 def delta(
     rs: RootSystem, level: int, lam: Vector, precision: int = DEFAULT_PRECISION
-) -> mpmath.mpf:
+) -> Decimal:
     """Delta(lambda): the positive-root product of 4 sin^2 factors.
 
     Strictly positive for every weight in P_l; a weight outside P_l (a
     negative mark, or a level above l) raises ``ValueError``.  The sine
     arguments are computed exactly, from the marks of ``lam``, before any
     floating point enters, as in ``_terms``; the product is that of the
-    float layer (``_products``) at ``precision``, returned as an mpf that
-    holds all of its digits (``numeric.to_mpf``).
+    float layer (``_products``) at ``precision``, keyed as the spectrum
+    keys it, so it equals the engine's Delta of the weight's term.  The
+    Decimal holds P digits (``numeric._context``); arithmetic on it rounds
+    in the caller's decimal context.
     """
     n = marks(rs, lam)
     if not _within_levels(((rs, level),), n):
@@ -198,8 +196,9 @@ def delta(
     check_precision(precision)
     D = 2 * (level + rs.dual_coxeter)
     js = [sum((x + 1) * m for x, m in zip(n, row)) for row in rs.pairing_matrix]
-    spectrum = Spectrum(D, len(js), 0, ((1, 1, tuple(sorted(min(j, D - j) for j in js))),))
-    return to_mpf(_products(spectrum, ((rs, level),), precision)[0])
+    width, key = _layout(len(js), D)
+    spectrum = Spectrum(D, len(js), width, ((1, 1, key(js)),))
+    return _products(spectrum, ((rs, level),), precision)[0]
 
 
 def torus_order(rs: RootSystem, level: int) -> int:
@@ -209,15 +208,22 @@ def torus_order(rs: RootSystem, level: int) -> int:
     return (level + rs.dual_coxeter) ** rs.rank * rs.center_order * rs.nu
 
 
-def _slot_width(roots: int, D: int) -> int:
-    """The ``width`` of a spectrum of R = ``roots`` numerators per term at
-    denominator D: 0 (sorted numerators) where R <= D/2, as a count vector
-    of D/2 + 1 slots would be longer than the list it replaces, else the
-    least of 8, 16 and 32 bits that holds a count of R (R < 2^32: a root
-    system with more roots does not fit in memory)."""
+def _layout(roots: int, D: int):
+    """``(width, key)`` of a spectrum of R = ``roots`` numerators per term at
+    denominator D: ``key(js)`` is a term's key from its numerators js,
+    0 < j < D, reduced to min(j, D - j).
+
+    ``width`` is 0 (sorted numerators) where R <= D/2, as a count vector of
+    D/2 + 1 slots would be longer than the list it replaces, else the least
+    of 8, 16 and 32 bits that holds a count of R (R < 2^32: a root system
+    with more roots does not fit in memory), and the key is the sum of
+    1 << width * j, one C-level sum over a table by j."""
     if roots <= D // 2:
-        return 0
-    return 8 if roots < 1 << 8 else 16 if roots < 1 << 16 else 32
+        reduced = [min(j, D - j) for j in range(D)].__getitem__
+        return 0, lambda js: tuple(sorted(map(reduced, js)))
+    width = 8 if roots < 1 << 8 else 16 if roots < 1 << 16 else 32
+    slots = [1 << width * min(j, D - j) for j in range(D)].__getitem__
+    return width, lambda js: sum(map(slots, js))
 
 
 def _terms(factors, spec: CenterSpec) -> Spectrum:
@@ -229,8 +235,8 @@ def _terms(factors, spec: CenterSpec) -> Spectrum:
     a factor's pairing matrix, scaled by D / (2(l+h)), sits at that factor's
     roots.  Each kept leaf merges into its term at once, keyed by its orbit
     size and its numerators, reduced to min(j, D - j): sorted, or, where
-    the spectrum counts them (``_slot_width``), as the sum of
-    1 << width * j over them, one C-level sum over a table by j.
+    the spectrum counts them, as the sum of 1 << width * j over them
+    (``_layout``).
     A leaf counts the product of the factors' orbit sizes under the trivial
     spec; under a quotient, a Gamma-trivial leaf counts once, with its
     Gamma-orbit size as m: the terms, their order and their counts are
@@ -251,17 +257,7 @@ def _terms(factors, spec: CenterSpec) -> Spectrum:
             column[offset:offset + len(M)] = col if scale == 1 else [scale * x for x in col]
             columns.append(column)
         rho += [scale * sum(row) for row in M]
-    width = _slot_width(roots, D)
-    if width:
-        slots = [1 << width * min(j, D - j) for j in range(D)].__getitem__
-
-        def numerators(js):
-            return sum(map(slots, js))
-    else:
-        reduced = [min(j, D - j) for j in range(D)].__getitem__
-
-        def numerators(js):
-            return tuple(sorted(map(reduced, js)))
+    width, numerators = _layout(roots, D)
     counts = {}
 
     def merge(js, m, weight, parts):

@@ -20,8 +20,7 @@ the lcm of a product's) and j <= D/2, so the sines come in tables: one per
 fixed-point arithmetic (see :func:`_sine_table`) and kept in a bounded LRU.
 The engine reads each factor's own table (see ``formula._products``);
 :func:`four_sin_sq` serves an exact rational argument from the table of its
-reduced denominator.  Nothing here imports mpmath: :func:`to_mpf` does,
-when it is called.
+reduced denominator.
 """
 
 from __future__ import annotations
@@ -30,10 +29,7 @@ import math
 from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, Overflow
 from fractions import Fraction
 from functools import lru_cache
-from typing import TYPE_CHECKING, Callable, NamedTuple, Tuple, Union
-
-if TYPE_CHECKING:
-    import mpmath
+from typing import Callable, NamedTuple, Tuple, Union
 
 DEFAULT_PRECISION = 192
 MIN_PRECISION = 64
@@ -199,16 +195,6 @@ def _sine_table(denominator: int, bits: int) -> Tuple[Decimal, ...]:
         values.append(context.divide(Decimal(im * im >> (w - 2)), scale).normalize(context))
         re, im = (re * c - im * s) >> w, (re * s + im * c) >> w
     return tuple(values)
-
-
-def to_mpf(x: Decimal) -> mpmath.mpf:
-    """``x`` as an mpf of one decimal digit more than ``x`` has, so that it
-    holds all of them.  mpmath is imported here, not with this module."""
-    import mpmath
-
-    n, d = x.as_integer_ratio()
-    with mpmath.workdps(len(x.as_tuple().digits) + 1):
-        return mpmath.mpf(n) / d
 
 
 def certify_integer(

@@ -39,7 +39,7 @@ import math
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from functools import lru_cache
-from typing import TYPE_CHECKING, List, NamedTuple, Tuple
+from typing import List, NamedTuple, Tuple
 
 from .numeric import (
     DEFAULT_PRECISION,
@@ -48,11 +48,7 @@ from .numeric import (
     certify_integer,
     check_precision,
     four_sin_sq,
-    to_mpf,
 )
-
-if TYPE_CHECKING:
-    import mpmath
 
 _DUAL_COXETER = {"B": lambda s: 2 * s - 1, "D": lambda s: 2 * s - 2}
 _MIN_RANK = {"B": 2, "D": 3}
@@ -186,24 +182,13 @@ def _delta(u: USet, bits: int) -> Decimal:
         return math.prod(four_sin_sq(x, bits) for x in args)
 
 
-def uset_delta_d(u: USet, precision: int = DEFAULT_PRECISION) -> mpmath.mpf:
-    """Delta of a family-D sequence: the product over pairs i < j of
-    4 sin^2(pi (u_i - u_j)/k) * 4 sin^2(pi (u_i + u_j)/k)."""
-    if u.family != "D":
-        raise ValueError(f"expected a family-D sequence, got {u.family}")
-    return to_mpf(_delta(u, check_precision(precision)))
-
-
-def uset_delta_b(u: USet, precision: int = DEFAULT_PRECISION) -> mpmath.mpf:
-    """Delta of a family-B sequence: the pairwise product times the extra
-    factor prod_i 4 sin^2(pi u_i / k)."""
-    if u.family != "B":
-        raise ValueError(f"expected a family-B sequence, got {u.family}")
-    return to_mpf(_delta(u, check_precision(precision)))
-
-
-def uset_delta(u: USet, precision: int = DEFAULT_PRECISION) -> mpmath.mpf:
-    return uset_delta_d(u, precision) if u.family == "D" else uset_delta_b(u, precision)
+def uset_delta(u: USet, precision: int = DEFAULT_PRECISION) -> Decimal:
+    """Delta of a sequence at ``precision``: the product over pairs i < j of
+    4 sin^2(pi (u_i - u_j)/k) * 4 sin^2(pi (u_i + u_j)/k), times
+    prod_i 4 sin^2(pi u_i / k) for family B.  The Decimal holds P digits
+    (``numeric._context``); arithmetic on it rounds in the caller's decimal
+    context."""
+    return _delta(u, check_precision(precision))
 
 
 @lru_cache(maxsize=ORACLE_CACHE_SIZE)

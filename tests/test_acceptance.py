@@ -9,8 +9,6 @@ import random
 import time
 from fractions import Fraction
 
-import mpmath
-
 from verlinde.formula import (
     delta,
     n_so,
@@ -25,9 +23,9 @@ from verlinde.so_oracle import USet, enumerate_usets, n_so_oracle, uset_delta
 from verlinde.suite import run_default_suite
 from verlinde.weights import CenterSpec, u_coords
 
-from helpers import enumerate_level_weights, integrality_tolerance, restrict_to_quotient
+from helpers import distance, enumerate_level_weights, integrality_tolerance, restrict_to_quotient
 
-TOL20 = mpmath.mpf("1e-20")
+TOL20 = Fraction(1, 10**20)
 
 LEVEL_TWO_FAMILIES = [("B", s) for s in range(2, 7)] + [("D", s) for s in range(3, 7)]
 
@@ -70,7 +68,7 @@ def test_criterion_2_oracle_equivalence():
         k = 2 + rs.dual_coxeter
         for lam in (weight_from_marks(rs, n) for n in kept):
             u = USet(family, s, k, tuple(u_coords(rs, lam).u))
-            assert abs(uset_delta(u) - delta(rs, 2, lam)) < TOL20
+            assert distance(uset_delta(u), delta(rs, 2, lam)) < TOL20
     verdict(2, "oracle equivalence + pointwise Delta")
 
 
@@ -89,7 +87,7 @@ def test_criterion_3_closed_product_values():
                 ).pop()
                 interior = missing != Fraction(2 * s + 1, 2)
             expected = 4 * r ** (s - 1) if interior else r ** (s - 1)
-            assert abs(uset_delta(u) - expected) < TOL20, (family, s, u.values)
+            assert distance(uset_delta(u), expected) < TOL20, (family, s, u.values)
     verdict(3, "closed product values")
 
 

@@ -32,10 +32,11 @@ from verlinde.rootsys import (
     GroupType,
     build_root_system,
     root_system,
+    weight_from_marks,
 )
 from verlinde.weights import CenterSpec
 
-from helpers import sine_within_its_bound
+from helpers import numerators_of, reference_listing, sine_within_its_bound
 
 
 def clear_caches():
@@ -333,13 +334,34 @@ def test_warm_oracle_results_equal_cold_results():
 
 
 @pytest.mark.parametrize("bits", [64, 192, 640])
+@pytest.mark.parametrize("family,rank,level", [
+    ("A", 2, 3), ("A", 1, 40), ("B", 3, 2), ("C", 3, 4), ("C", 4, 5), ("D", 4, 2),
+])
+def test_delta_is_the_engines_delta_digit_for_digit(family, rank, level, bits):
+    """``delta`` of every level weight is, digit for digit, the Delta that
+    the engine holds for its term, in the sorted (A) and counted (B, C, D)
+    layouts alike."""
+    rs = root_system(family, rank)
+    key = (((rs.group_type, level),), CenterSpec.TRIVIAL)
+    spectrum = formula._spectrum_of(key)
+    held = {numerators_of(spectrum, js): d
+            for (_, _, js), d in zip(spectrum.terms, formula._deltas(key, bits))}
+    D = spectrum.denominator
+    for n, _ in reference_listing(((rs, level),)):
+        js = (sum((x + 1) * m for x, m in zip(n, row)) for row in rs.pairing_matrix)
+        term = tuple(sorted(min(j, D - j) for j in js))
+        got = formula.delta(rs, level, weight_from_marks(rs, n), bits)
+        # the walk keeps one weight per center orbit: the others share its Delta
+        assert got.as_tuple() == held[term].as_tuple()
+
+
+@pytest.mark.parametrize("bits", [64, 192, 640])
 def test_oracle_cache_holds_each_delta_at_its_precision(bits):
     for r in range(5, 13):
         family = "D" if r % 2 == 0 else "B"
         usets = so_oracle.enumerate_usets(family, r // 2, 2)
         want = tuple((size, so_oracle.uset_delta(u, bits)) for u, size in usets)
-        got = so_oracle._level_two_terms(r, bits)
-        assert tuple((size, numeric.to_mpf(d)) for size, d in got) == want
+        assert so_oracle._level_two_terms(r, bits) == want
 
 
 def test_oracle_cache_stays_within_its_bound():

@@ -551,7 +551,8 @@ def test_suite_failure_exits_1(capsys, monkeypatch):
 
 NO_MPMATH = textwrap.dedent("""
     import contextlib, io, sys
-    UNLOADED = ("mpmath", "dataclasses", "inspect", "csv")
+    sys.modules["mpmath"] = None  # any import of mpmath raises ImportError
+    UNLOADED = ("dataclasses", "inspect", "csv")
     def loaded():
         return [name for name in UNLOADED if name in sys.modules]
     from verlinde.cli import build_parser, main
@@ -571,18 +572,20 @@ NO_MPMATH = textwrap.dedent("""
         with contextlib.redirect_stdout(io.StringIO()):
             assert main(argv) == 0, argv
         assert not loaded(), (argv, loaded())
-    from verlinde import delta, root_system
+    from verlinde import delta, enumerate_usets, root_system, uset_delta
     print(type(delta(root_system("A", 2), 3, (0, 0, 0))).__name__)
+    print(type(uset_delta(enumerate_usets("D", 3, 2)[0][0])).__name__)
 """)
 
 
 def test_no_command_loads_mpmath():
-    """Importing the CLI, building its parser and running every command
-    leaves mpmath, dataclasses, inspect and csv unloaded; ``delta`` still
-    returns an mpf, loading mpmath."""
+    """With mpmath unimportable, importing the CLI, building its parser,
+    running every command, ``delta`` and ``uset_delta`` all succeed, and
+    leave dataclasses, inspect and csv unloaded; ``delta`` and
+    ``uset_delta`` return Decimals."""
     src = os.path.dirname(os.path.dirname(verlinde.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     done = subprocess.run([sys.executable, "-c", NO_MPMATH], env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert done.stdout == "mpf\n"
+    assert done.stdout == "Decimal\nDecimal\n"

@@ -4,7 +4,7 @@ The bounds keep every example well under a second, so that the whole file
 stays a small part of the Tier-1 run.
 """
 
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from verlinde.formula import (
@@ -16,6 +16,7 @@ from verlinde.formula import (
     n_sp,
     torus_order,
     torus_order_oracle_certified,
+    verlinde_product_quotient,
     verlinde_sc,
 )
 from verlinde.rootsys import MIN_RANK, GroupType, build_root_system, root_system
@@ -23,8 +24,10 @@ from verlinde.so_oracle import n_so_oracle
 from verlinde.weights import CenterSpec
 
 from helpers import (
+    berlekamp_massey,
     enumerate_level_weights,
     enumerate_product_weights,
+    extend_recurrence,
     float_layer_bounds,
     galois_failures,
     reference_kernel,
@@ -120,6 +123,25 @@ def test_float_layer_is_within_its_stated_bounds(key, genus, bits):
     got = _kernel(spectrum, deltas, T, genus, gamma_order, bits)
     want = reference_kernel(spectrum, reference, T, genus, gamma_order, bits + 64)
     assert relative_error(got, want) <= kernel_bound
+
+
+@SMALL
+@given(key=sum_keys())
+@example(key=(((GroupType("D", 6), 2),), CenterSpec.SO_EVEN))  # SO(12)
+@example(key=(((GroupType("C", 2), 3),), CenterSpec.TRIVIAL))  # Sp(4) at level 3
+@example(key=(((GroupType("A", 2), 6),), CenterSpec.TRIVIAL))  # SU(3) at level 6
+def test_every_genus_follows_the_recurrence_of_the_first(key):
+    """N_g = sum of c_k r_k^(g-1) over the K terms of the spectrum, so (N_g)
+    satisfies a linear recurrence of order at most K: the one fitted on the
+    certified N_1..N_2K, in exact rationals, predicts the certified values
+    at g = 2K+1..2K+8, with no float bound in the comparison."""
+    K = len(_exact(key)[0].terms)
+    assume(K <= 12)
+    factors = tuple((build_root_system(gt), level) for gt, level in key[0])
+    certified = [verlinde_product_quotient(factors, key[1], g).value
+                 for g in range(1, 2 * K + 9)]
+    recurrence = berlekamp_massey(certified[:2 * K])
+    assert extend_recurrence(recurrence, certified[:2 * K], 2 * K + 8) == certified
 
 
 @SMALL

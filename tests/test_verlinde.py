@@ -2,7 +2,6 @@ import math
 from decimal import Decimal
 from fractions import Fraction
 
-import mpmath
 import pytest
 
 import helpers
@@ -27,7 +26,9 @@ from verlinde.rootsys import MIN_RANK, root_system, weight_from_marks
 from verlinde.weights import CenterSpec
 
 from helpers import (
+    as_fraction,
     center_act,
+    distance,
     enumerate_level_weights,
     enumerate_product_weights,
     float_layer_bounds,
@@ -54,7 +55,7 @@ def test_delta_a1_level_four():
     # shifted level 6: arguments (n+1)/6 give 4 sin^2 values 1, 3, 4, 3, 1
     expected = [1, 3, 4, 3, 1]
     for n, want in enumerate(expected):
-        assert abs(delta(A1, 4, a1_weight(n)) - want) < mpmath.mpf("1e-40")
+        assert distance(delta(A1, 4, a1_weight(n)), want) < Fraction(1, 10**40)
 
 
 def test_delta_a1_level_two():
@@ -92,8 +93,8 @@ def test_delta_is_invariant_under_the_center_action():
             kept = restrict_to_quotient(enumerate_level_weights(rs, level), spec, (rs, level))
             for lam in (weight_from_marks(rs, n) for n in kept):
                 image = center_act(spec, lam, (rs, level))
-                assert abs(delta(rs, level, lam) - delta(rs, level, image)) < mpmath.mpf(
-                    "1e-40"
+                assert distance(delta(rs, level, lam), delta(rs, level, image)) < Fraction(
+                    1, 10**40
                 )
 
 
@@ -699,15 +700,13 @@ def test_quotient_value_independent_of_representative_choice():
     orbits = orbit_decompose(kept, spec, (rs, 2))
     T = torus_order(rs, 2)
     genus = 3
-    with mpmath.workprec(192):
-        total = mpmath.mpf(0)
-        for n, size in orbits:
-            rep = weight_from_marks(rs, n)
-            if size == 2:
-                rep = center_act(spec, rep, (rs, 2))
-            total += mpmath.mpf(size) ** (1 - 2 * genus) * (
-                T / delta(rs, 2, rep)
-            ) ** (genus - 1)
-        total *= 2
-        value = int(mpmath.nint(total))
+    total = Fraction(0)
+    for n, size in orbits:
+        rep = weight_from_marks(rs, n)
+        if size == 2:
+            rep = center_act(spec, rep, (rs, 2))
+        total += Fraction(size) ** (1 - 2 * genus) * (
+            T / as_fraction(delta(rs, 2, rep))
+        ) ** (genus - 1)
+    value = round(2 * total)
     assert value == verlinde_quotient(rs, 2, spec, genus).value
