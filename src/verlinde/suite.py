@@ -223,6 +223,8 @@ def run_default_suite(
     reports = (
         run_so_identity(so_r_max, so_g_max, precision),
         run_strange_duality_symmetry(sp_max, sp_max, sp_g_max, precision),
-        run_unitarity(("A", "B", "C", "D"), unitarity_rank_max, unitarity_level_max, precision),
+        # C first: its spectra at levels <= sp_max are still cached from the
+        # duality checks, which A and B would evict
+        run_unitarity(("C", "A", "B", "D"), unitarity_rank_max, unitarity_level_max, precision),
     )
     return _sorted_report([e for report in reports for e in report.entries])

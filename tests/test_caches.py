@@ -6,6 +6,9 @@ Every test starts from empty caches, so that test order does not matter.
 
 import decimal
 import gc
+import json
+import random
+import time
 import tracemalloc
 from contextlib import contextmanager
 from fractions import Fraction
@@ -16,6 +19,7 @@ import pytest
 import verlinde.formula as formula
 import verlinde.numeric as numeric
 import verlinde.so_oracle as so_oracle
+from verlinde.cli import main
 from verlinde.formula import (
     _terms,
     n_so,
@@ -34,6 +38,7 @@ from verlinde.rootsys import (
     root_system,
     weight_from_marks,
 )
+from verlinde.suite import run_default_suite
 from verlinde.weights import CenterSpec
 
 from helpers import numerators_of, reference_listing, sine_within_its_bound
@@ -43,6 +48,7 @@ def clear_caches():
     build_root_system.cache_clear()
     formula._spectrum_of.cache_clear()
     formula._deltas.cache_clear()
+    formula._recurrence.cache_clear()
     numeric._sine_table.cache_clear()
     so_oracle._level_two_terms.cache_clear()
 
@@ -259,6 +265,43 @@ def test_a_call_that_raised_raises_again():
     for _ in range(2):
         with pytest.raises(ValueError, match=">= 64"):
             n_sp(2, 3, 2, precision=32)
+
+
+SO12 = (((GroupType("D", 6), 2),), CenterSpec.SO_EVEN)
+
+
+def test_a_genus_past_the_memos_bound_takes_the_kernel_and_is_refused(capsys):
+    """SO(12) at genus 300000 would need N_1..N_g, about 1.6e11 bits: the
+    memo stops below MAX_BITS, at genus 540, and the kernel refuses the
+    value as before, past MAX_BITS."""
+    start = time.perf_counter()
+    code = main(["compute", "--group", "so", "--r", "12", "--genus", "300000"])
+    elapsed = time.perf_counter() - start
+    record = json.loads(capsys.readouterr().out)
+    assert code == 1 and record["precision_bits"] > 2**19
+    assert elapsed < 10, f"the refusal took {elapsed:.2f} s"
+    memo = formula._recurrence(SO12)
+    assert memo.values == [12**g for g in range(1, 541)]
+    assert memo.bits == sum(v.bit_length() for v in memo.values) <= numeric.MAX_BITS
+
+
+def test_a_record_does_not_depend_on_the_genera_asked_before():
+    cold = n_so(12, 50)
+    clear_caches()
+    genera = list(range(1, 61))
+    random.Random(0).shuffle(genera)
+    for g in genera:
+        assert n_so(12, g).value == 12**g
+    assert n_so(12, 50) == cold
+    assert cold.residual == 0.0 and cold.precision_bits == 192
+
+
+def test_the_default_suite_builds_each_spectrum_once():
+    """The unitarity checks of C run right after the duality checks, while
+    the spectra of C_r at level s are still cached: 115 distinct keys, each
+    built once."""
+    run_default_suite()
+    assert formula._spectrum_of.cache_info().misses == 115
 
 
 def test_type_c_torus_oracle_certifies_once(monkeypatch):

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import verlinde
+import verlinde.formula as formula
 from verlinde.cli import _parse, build_parser, main
 from verlinde.numeric import MAX_PRECISION
 from verlinde.rootsys import root_system, weight_from_marks
@@ -479,15 +480,22 @@ def test_certification_failure_exits_1_with_diagnostics(capsys, monkeypatch):
     assert float(record["residual"]) == 0.5
 
 
-def test_a_value_beyond_the_default_precision_is_sized(capsys):
-    """SO(12) at genus 500 is 1,793 bits: the second pass runs at the least
-    192 << k its bound allows, 3,072 bits, and proves 12^500."""
-    code, out = run_cli(capsys, "compute", "--group", "so", "--r", "12",
-                        "--genus", "500")
+def test_a_value_beyond_the_default_precision_is_sized(monkeypatch, capsys):
+    """SO(12) at genus 500 is 1,793 bits: the kernel's second pass runs at
+    the least 192 << k its bound allows, 3,072 bits, and proves 12^500.  By
+    default the value comes from the recurrence, exact at 192 bits."""
+    argv = ("compute", "--group", "so", "--r", "12", "--genus", "500")
+    code, out = run_cli(capsys, *argv)
+    assert code == 0
+    default = json.loads(out)
+    monkeypatch.setattr(formula, "RECURRENCE_MAX_TERMS", 0)
+    code, out = run_cli(capsys, *argv)
     assert code == 0
     record = json.loads(out)
     assert record["value"] == str(12**500)
     assert record["precision_bits"] == 3072
+    assert default["value"] == record["value"]
+    assert float(default["residual"]) == 0.0 and default["precision_bits"] == 192
 
 
 def test_a_value_without_headroom_exits_1_in_30_digits(capsys):

@@ -4,9 +4,11 @@ The bounds keep every example well under a second, so that the whole file
 stays a small part of the Tier-1 run.
 """
 
+import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import verlinde.formula as formula
 from verlinde.formula import (
     _exact,
     _kernel,
@@ -24,10 +26,8 @@ from verlinde.so_oracle import n_so_oracle
 from verlinde.weights import CenterSpec
 
 from helpers import (
-    berlekamp_massey,
     enumerate_level_weights,
     enumerate_product_weights,
-    extend_recurrence,
     float_layer_bounds,
     galois_failures,
     reference_kernel,
@@ -132,16 +132,20 @@ def test_float_layer_is_within_its_stated_bounds(key, genus, bits):
 @example(key=(((GroupType("A", 2), 6),), CenterSpec.TRIVIAL))  # SU(3) at level 6
 def test_every_genus_follows_the_recurrence_of_the_first(key):
     """N_g = sum of c_k r_k^(g-1) over the K terms of the spectrum, so (N_g)
-    satisfies a linear recurrence of order at most K: the one fitted on the
-    certified N_1..N_2K, in exact rationals, predicts the certified values
-    at g = 2K+1..2K+8, with no float bound in the comparison."""
+    satisfies a linear recurrence of order at most K: the values at
+    g = 2K+1..2K+8, which the engine takes from the recurrence fitted on the
+    certified N_1..N_2K, in exact rationals, are the kernel's certified
+    values, with no float bound in the comparison."""
     K = len(_exact(key)[0].terms)
     assume(K <= 12)
     factors = tuple((build_root_system(gt), level) for gt, level in key[0])
-    certified = [verlinde_product_quotient(factors, key[1], g).value
-                 for g in range(1, 2 * K + 9)]
-    recurrence = berlekamp_massey(certified[:2 * K])
-    assert extend_recurrence(recurrence, certified[:2 * K], 2 * K + 8) == certified
+    genera = range(2 * K + 1, 2 * K + 9)
+    recurrent = [verlinde_product_quotient(factors, key[1], g) for g in genera]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(formula, "RECURRENCE_MAX_TERMS", 0)
+        certified = [verlinde_product_quotient(factors, key[1], g).value for g in genera]
+    assert [res.value for res in recurrent] == certified
+    assert all(res.residual == 0.0 for res in recurrent)
 
 
 @SMALL

@@ -217,12 +217,23 @@ def test_the_oracle_sum_is_within_its_stated_bound(monkeypatch, r):
             assert relative_error(sums[0], exact) <= bound, (bits, genus)
 
 
+# The cases of the next test whose n_so takes the recurrence by default.
+FROM_THE_RECURRENCE = {(7, 40), (12, 60), (12, 500), (30, 60)}
+
+
 @pytest.mark.parametrize("r,genus,precision", [
     (5, 1000, 192), (7, 40, 64), (9, 3, 192), (12, 60, 192), (12, 500, 192), (30, 60, 192),
 ])
 def test_each_pass_is_within_its_stated_bound_of_r_to_the_g(monkeypatch, r, genus, precision):
-    """Every sum that certification reads, of the engine and of the oracle,
-    in one pass or two, is within its stated K 2^-bits of r^g, relative."""
+    """Every sum that certification reads, of the engine's kernel and of the
+    oracle, in one pass or two, is within its stated K 2^-bits of r^g,
+    relative.  The engine's default route gives the same value, exact where
+    it comes from the recurrence."""
+    default = n_so(r, genus, precision)
+    assert default.value == r**genus
+    if (r, genus) in FROM_THE_RECURRENCE:
+        assert default.residual == 0.0
+    monkeypatch.setattr(formula, "RECURRENCE_MAX_TERMS", 0)
     passes = []
 
     def recorded(compute, precision, error):

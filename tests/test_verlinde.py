@@ -8,6 +8,7 @@ import helpers
 import verlinde.formula as formula
 from verlinde.formula import (
     DYNKIN_INDEX,
+    _berlekamp_massey,
     _exact,
     _kernel,
     _products,
@@ -22,7 +23,8 @@ from verlinde.formula import (
     verlinde_quotient,
     verlinde_sc,
 )
-from verlinde.rootsys import MIN_RANK, root_system, weight_from_marks
+from verlinde.numeric import IntegralityError
+from verlinde.rootsys import MIN_RANK, GroupType, root_system, weight_from_marks
 from verlinde.weights import CenterSpec
 
 from helpers import (
@@ -324,16 +326,19 @@ def test_the_deltas_of_counted_numerators_do_not_depend_on_the_slot_width(width)
     assert _products(recounted, factors, 192) == _products(spectrum, factors, 192)
 
 
-@pytest.mark.parametrize("call", [
-    lambda: n_so(12, 12),  # 1.1e-44 from the Decimal sum itself
-    lambda: n_so(12, 60),  # escalates to 384 bits
-    lambda: n_so(7, 5),
-    lambda: n_so(4, 10),
-    lambda: n_sp(2, 3, 30, 320),
+@pytest.mark.parametrize("call,recurrent", [
+    (lambda: n_so(12, 12), True),  # 1.1e-44 from the Decimal sum itself
+    (lambda: n_so(12, 60), True),  # escalates to 384 bits
+    (lambda: n_so(7, 5), False),
+    (lambda: n_so(4, 10), True),
+    (lambda: n_sp(2, 3, 30, 320), True),
 ], ids=["so12-g12", "so12-g60", "so7-g5", "so4-g10", "sp4-l3-g30"])
-def test_the_residual_is_the_distance_of_the_kernel_sum(monkeypatch, call):
+def test_the_residual_is_the_distance_of_the_kernel_sum(monkeypatch, call, recurrent):
     """The kernel hands certification its Decimal, and the residual is the
-    float of that Decimal's exact distance from the value."""
+    float of that Decimal's exact distance from the value.  Where the
+    default route takes the recurrence, it gives the same value, exact."""
+    default = call()
+    monkeypatch.setattr(formula, "RECURRENCE_MAX_TERMS", 0)
     sums = []
 
     def recorded(*args):
@@ -344,6 +349,8 @@ def test_the_residual_is_the_distance_of_the_kernel_sum(monkeypatch, call):
     res = call()
     assert isinstance(sums[-1], Decimal)
     assert res.residual == float(abs(Fraction(sums[-1]) - res.value))
+    assert default.value == res.value
+    assert default.residual == 0.0 if recurrent else default == res
 
 
 # --- torus orders ------------------------------------------------------------
@@ -610,7 +617,11 @@ def test_n_so_big_genus_exceeds_machine_integers():
     assert n_so(11, 25).value == 11**25
 
 
-def test_n_so_values_beyond_the_working_precision_escalate():
+def test_n_so_values_beyond_the_working_precision_escalate(monkeypatch):
+    """The kernel escalates; the default route takes the recurrence, and
+    gives the same values, exact."""
+    defaults = [n_so(12, 52), n_so(30, 60), n_so(7, 40, precision=64)]
+    monkeypatch.setattr(formula, "RECURRENCE_MAX_TERMS", 0)
     assert n_so(12, 52).value == 12**52
     assert n_so(30, 60).value == 30**60
     # 7^40 is 113 bits: the second pass runs at the least 64 << k with
@@ -618,6 +629,29 @@ def test_n_so_values_beyond_the_working_precision_escalate():
     res = n_so(7, 40, precision=64)
     assert res.value == 7**40
     assert res.precision_bits == 128
+    assert [d.value for d in defaults] == [12**52, 30**60, 7**40]
+    assert all(d.residual == 0.0 for d in defaults)
+
+
+def test_berlekamp_massey_finds_the_shortest_recurrence():
+    assert _berlekamp_massey([1, 1, 2, 3, 5, 8]) == [1, 1]
+    assert _berlekamp_massey([2**n + 3**n for n in range(1, 5)]) == [5, -6]
+    assert _berlekamp_massey([1, Fraction(1, 2), Fraction(1, 4)]) == [Fraction(1, 2)]
+    assert _berlekamp_massey([0, 0, 0]) == []
+
+
+def test_a_step_of_the_recurrence_with_a_remainder_raises():
+    """Each step divides by q exactly; a remainder can only be a fault.  A
+    q above the step's sum leaves the whole sum as the remainder."""
+    formula._recurrence.cache_clear()
+    try:
+        memo = formula._recurrence((((GroupType("C", 2), 3),), CenterSpec.TRIVIAL))
+        assert len(memo.values) == 10  # K = 5
+        memo.q = 10**100
+        with pytest.raises(IntegralityError, match="N_11 of the recurrence"):
+            n_sp(2, 3, 11)
+    finally:
+        formula._recurrence.cache_clear()
 
 
 def test_n_sp_rank_one_is_sl2():
