@@ -631,6 +631,7 @@ def test_n_so_values_beyond_the_working_precision_escalate(monkeypatch):
     assert res.precision_bits == 128
     assert [d.value for d in defaults] == [12**52, 30**60, 7**40]
     assert all(d.residual == 0.0 for d in defaults)
+    assert [d.precision_bits for d in defaults] == [192, 192, 64]  # the caller's
 
 
 def test_berlekamp_massey_finds_the_shortest_recurrence():
