@@ -60,21 +60,21 @@ Specification*) within eps <= 2^-(bits+1), relative: at least as accurate as
 an mpf operation at ``bits``.  ``_products`` and ``_kernel`` state their
 error bounds, and certification proves the integer from the latter's K.
 
-Only the exponent depends on the genus, so the rest is built once per
-process and reused by every later call, each piece by a pure function
-memoized with :func:`functools.lru_cache`:
-
-* the spectrum, keyed by the (GroupType, level) of each factor and the
-  center subgroup (``_spectrum_of``);
-* the Delta of each spectrum term, keyed by that key and the working
-  precision (``_deltas``), from the sine tables of its factors, one per
-  (denominator, working precision) (``_products``).
+Only the exponent depends on the genus, so the rest is built once per key
+and process, in one entry of a bounded :func:`functools.lru_cache`
+(``_sum_of``), keyed by the (GroupType, level) of each factor and the center
+subgroup.  An entry (:class:`_Sum`) holds the factors' root systems, the
+spectrum, T, |Gamma| and the term count; the Delta of each term at the last
+two working precisions asked (one certification reads at most two), from
+the sine tables of its factors, one per (denominator, working precision)
+(``_products``); and the memo of the recurrence below.  All of them are
+built for their key and evicted with it.
 
 ``_kernel``, the one floating-point loop, then only raises T / Delta to the
 power g - 1, multiplies and adds, with m^(1-2g) computed once per distinct
-orbit size; the result is certified once per Verlinde number.
-The torus-order oracle and the Verlinde pass of a simply connected group at
-one precision share one Delta tuple.
+orbit size; the result is certified once per Verlinde number
+(``_certified``).  The torus-order oracle and the Verlinde pass of a simply
+connected group at one precision share one Delta tuple.
 
 Past the first 2K genera of a spectrum of K <= ``RECURRENCE_MAX_TERMS``
 terms, no sum is evaluated.  N_g is a sum of K geometric sequences in g,
@@ -82,12 +82,15 @@ with ratios T / (m^2 Delta), so (N_g) satisfies a linear recurrence of
 order L <= K with rational coefficients (Coste and Gannon, Phys. Lett. B
 323, 1994), which Berlekamp-Massey finds exactly from N_1..N_2K (Massey,
 IEEE Trans. Inf. Theory 15, 1969).  Those 2K values are certified by the
-kernel at ``DEFAULT_PRECISION``, once per key, and every later value is one
-exact integer step, q N_n = sum of a_i N_(n-i), kept in a memo per key
-(``_recurrence``) of at most ``MAX_BITS`` bits of values.  A genus whose
-sequence would pass that takes the kernel, as does every genus g <= 2K and
-every key of more terms.  A value from the recurrence is exact: its record
-has residual 0.0 and the caller's precision as ``precision_bits``.
+kernel at ``DEFAULT_PRECISION`` when the entry is first asked for a later
+genus, and every later value is one exact integer step, q N_n = sum of a_i
+N_(n-i), kept in the entry's memo of at most ``MAX_BITS`` bits of values.
+The memo is seeded and extended under the entry's lock, so threads that ask
+for values of one key at once get the values one thread would.  A genus
+whose sequence would pass ``MAX_BITS`` takes the kernel, as does every
+genus g <= 2K and every key of more terms.  A value from the recurrence is
+exact: its record has residual 0.0 and the caller's precision as
+``precision_bits``.
 """
 
 from __future__ import annotations
@@ -95,6 +98,7 @@ from __future__ import annotations
 import math
 import operator
 import sys
+import threading
 from array import array
 from decimal import MAX_EMAX, Context, Decimal, localcontext
 from fractions import Fraction
@@ -160,20 +164,17 @@ class Spectrum(NamedTuple):
     terms: Tuple[Tuple[int, int, Union[int, Tuple[int, ...]]], ...]
 
 
-# Spectra kept per process (see ``_spectrum_of``).  Calls that repeat a key
-# come close together (a sweep over genera, the suite's genus loops and
-# level-rank pairs), and one entry holds up to |P_l| terms, so a few dozen
+# Keys whose sums are kept per process (see ``_sum_of``).  Calls that repeat
+# a key come close together (a sweep over genera, the suite's genus loops and
+# level-rank pairs), and one spectrum holds up to |P_l| terms, so a few dozen
 # entries serve them while capping memory.  A term takes about 125 bytes
 # when it counts numerators below D = 64, and 8 bytes more per numerator
 # when they are sorted (tracemalloc, Python 3.11): 0.9 MiB for the 7,866
 # terms of A10 at level 10, 11 MiB for the 92,349 of C10 at level 10, and
 # 2.8 MiB for the 22,650 of A1 x A1 at levels 299 and 300.
 SPECTRUM_CACHE_SIZE = 32
-# Delta tuples, one per (key, working precision): a sweep with the precision
-# sized to each value uses up to nine precisions per key.
-DELTA_CACHE_SIZE = 4 * SPECTRUM_CACHE_SIZE
 # Spectra of at most this many terms take each genus g > 2K from the
-# recurrence of N_1..N_2K (see ``_recurrence``).  Seeding costs 2K certified
+# recurrence of N_1..N_2K (see ``_recurrent_value``).  Seeding costs 2K certified
 # sums: with its spectrum built, SO(60) (K = 16) at genus 33 takes 2.8 ms,
 # against 1.5 ms for one of its sums (Python 3.11 on a shared 2-vCPU VM).
 RECURRENCE_MAX_TERMS = 16
@@ -290,33 +291,38 @@ def _terms(factors, spec: CenterSpec) -> Spectrum:
     return Spectrum(D, roots, width, tuple((c, m, js) for (m, js), c in counts.items()))
 
 
-def _exact(key) -> Tuple[Spectrum, int]:
-    """``(spectrum, T)`` for ``key``: the genus-independent part of a
-    Verlinde sum.
+class _Sum:
+    """The genus-independent part of the Verlinde sum of ``key``,
+    ``(factors, spec)``: the ``(GroupType, level)`` of each factor and the
+    center subgroup.
 
-    ``key`` is ``(factors, spec)``: the ``(GroupType, level)`` of each
-    factor and the center subgroup.  T is the product of the factors'
-    closed-form torus orders.
+    It holds the factors as ``(RootSystem, level)``, the spectrum, T (the
+    product of the factors' closed-form torus orders), |Gamma|, the count of
+    weights or orbits summed, and ``deltas(bits)``: the Delta of each term at
+    ``bits``, kept for the last two precisions, as one certification reads
+    at most two.  The memo of the recurrence (see ``_recurrent_value``), q,
+    the integers a_i of q N_n = sum of a_i N_(n-i) and the values N_1..N_n
+    so far, of ``memo_bits`` bits in all, is ``None`` until first asked for,
+    and is only read and written under ``lock``.
     """
-    spectrum = _spectrum_of(key)
-    T = math.prod(torus_order(build_root_system(gt), lvl) for gt, lvl in key[0])
-    return spectrum, T
+
+    def __init__(self, key):
+        factors = tuple((build_root_system(gt), lvl) for gt, lvl in key[0])
+        spectrum = _terms(factors, key[1])
+        self.factors, self.spectrum = factors, spectrum
+        self.T = math.prod(torus_order(rs, lvl) for rs, lvl in factors)
+        self.gamma_order = 1 if key[1] is CenterSpec.TRIVIAL else 2
+        self.term_count = sum(count for count, _, _ in spectrum.terms)
+        self.deltas = lru_cache(maxsize=2)(lambda bits: _products(spectrum, factors, bits))
+        self.lock = threading.Lock()
+        self.q = self.coefficients = self.memo = None
+        self.memo_bits = 0
 
 
 @lru_cache(maxsize=SPECTRUM_CACHE_SIZE)
-def _spectrum_of(key) -> Spectrum:
-    """The spectrum of ``key`` (see :func:`_exact`), built once per key and
-    process."""
-    factors, spec = key
-    return _terms(tuple((build_root_system(gt), lvl) for gt, lvl in factors), spec)
-
-
-@lru_cache(maxsize=DELTA_CACHE_SIZE)
-def _deltas(key, bits: int) -> Tuple[Decimal, ...]:
-    """Delta at ``bits`` for each term of the spectrum of ``key``; built
-    once per (key, bits) and process."""
-    factors = tuple((build_root_system(gt), lvl) for gt, lvl in key[0])
-    return _products(_spectrum_of(key), factors, bits)
+def _sum_of(key) -> _Sum:
+    """The :class:`_Sum` of ``key``, built once per key and process."""
+    return _Sum(key)
 
 
 def _products(spectrum: Spectrum, factors, bits: int) -> Tuple[Decimal, ...]:
@@ -417,12 +423,8 @@ def torus_order_oracle_certified(
     certified integer and the rounding residual of the sum, from
     ``precision`` bits.  A cross-check of :func:`torus_order`."""
     check_precision(precision)  # a refused request enumerates nothing
-    key = (((rs.group_type, level),), CenterSpec.TRIVIAL)
-    spectrum = _spectrum_of(key)
-    value, residual, _ = certify_integer(
-        lambda bits: _kernel(spectrum, _deltas(key, bits), 1, 0, 1, bits),
-        precision, _error(spectrum, 0),
-    )
+    entry = _sum_of((((rs.group_type, level),), CenterSpec.TRIVIAL))
+    value, residual, _ = _certified(entry, 0, precision, 1)
     return value, residual
 
 
@@ -436,34 +438,32 @@ def _verlinde(factors, spec, genus, precision, label, level) -> VerlindeResult:
     of ``(RootSystem, level)``, modulo ``spec``: from the recurrence of its
     spectrum where that serves the genus, else from the kernel."""
     check_precision(precision)  # a refused request enumerates nothing
-    key = (tuple((rs.group_type, lvl) for rs, lvl in factors), spec)
-    spectrum, T = _exact(key)
-    K = len(spectrum.terms)
+    entry = _sum_of((tuple((rs.group_type, lvl) for rs, lvl in factors), spec))
+    K = len(entry.spectrum.terms)
     value = None
     if K <= RECURRENCE_MAX_TERMS and genus > 2 * K:
-        value = _recurrent_value(key, genus)
+        value = _recurrent_value(entry, genus)
     if value is None:
-        value, residual, bits = _certified(key, spectrum, T, genus, precision)
+        value, residual, bits = _certified(entry, genus, precision, entry.T)
     else:
         residual, bits = 0.0, precision
     return VerlindeResult(
         value=value,
         residual=residual,
         precision_bits=bits,
-        term_count=sum(count for count, _, _ in spectrum.terms),
+        term_count=entry.term_count,
         group_label=label,
         level=level,
         genus=genus,
     )
 
 
-def _certified(key, spectrum: Spectrum, T: int, genus: int, precision: int):
-    """``(N, residual, bits)`` of the kernel's sum for ``key`` at ``genus``,
-    certified from ``precision`` bits."""
-    gamma_order = 1 if key[1] is CenterSpec.TRIVIAL else 2
+def _certified(entry: _Sum, genus: int, precision: int, T: int):
+    """``(N, residual, bits)`` of the kernel's sum of ``entry`` at ``genus``
+    with torus order ``T``, certified from ``precision`` bits."""
     return certify_integer(
-        lambda b: _kernel(spectrum, _deltas(key, b), T, genus, gamma_order, b),
-        precision, _error(spectrum, genus),
+        lambda b: _kernel(entry.spectrum, entry.deltas(b), T, genus, entry.gamma_order, b),
+        precision, _error(entry.spectrum, genus),
     )
 
 
@@ -491,52 +491,39 @@ def _berlekamp_massey(sequence) -> List[Fraction]:
     return [-c for c in C[1:L + 1]]
 
 
-class _Sequence:
-    """The memo of one key: q and the integers a_i of q N_n = sum of
-    a_i N_(n-i), and the values N_1..N_n so far, of ``bits`` bits in all."""
+def _recurrent_value(entry: _Sum, genus: int) -> Optional[int]:
+    """N_genus from the memo of ``entry``, extended as far as ``genus``
+    asks, or ``None`` where N_1..N_genus would hold more than ``MAX_BITS``
+    bits.
 
-    __slots__ = ("q", "coefficients", "values", "bits")
-
-    def __init__(self, q: int, coefficients: List[int], values: List[int]):
-        self.q, self.coefficients, self.values = q, coefficients, values
-        self.bits = sum(v.bit_length() for v in values)
-
-
-@lru_cache(maxsize=SPECTRUM_CACHE_SIZE)
-def _recurrence(key) -> _Sequence:
-    """The memo of ``key``, a spectrum of K terms, seeded with N_1..N_2K,
-    each certified by the kernel from ``DEFAULT_PRECISION``, and the
-    recurrence that Berlekamp-Massey fits on them, over a common
-    denominator q.  For K <= ``RECURRENCE_MAX_TERMS`` the seed is a few
-    thousand bits at most."""
-    spectrum, T = _exact(key)
-    seed = [_certified(key, spectrum, T, g, DEFAULT_PRECISION)[0]
-            for g in range(1, 2 * len(spectrum.terms) + 1)]
-    fitted = _berlekamp_massey(seed)
-    q = math.lcm(*(a.denominator for a in fitted))
-    return _Sequence(q, [int(a * q) for a in fitted], seed)
-
-
-def _recurrent_value(key, genus: int) -> Optional[int]:
-    """N_genus from the memo of ``key``, extended as far as ``genus`` asks,
-    or ``None`` where N_1..N_genus would hold more than ``MAX_BITS`` bits.
-    Each step is an exact division by q: a remainder can only be a fault,
+    The first call seeds the memo with N_1..N_2K, each certified by the
+    kernel from ``DEFAULT_PRECISION``, and the recurrence that
+    Berlekamp-Massey fits on them, over a common denominator q; for K <=
+    ``RECURRENCE_MAX_TERMS`` the seed is a few thousand bits at most.  Each
+    later step is an exact division by q: a remainder can only be a fault,
     and raises :class:`IntegralityError`."""
-    memo = _recurrence(key)
-    values = memo.values
-    while len(values) < genus:
-        total = sum(map(operator.mul, memo.coefficients, reversed(values)))
-        value, remainder = divmod(total, memo.q)
-        if remainder:
-            raw = Context(prec=30, Emax=MAX_EMAX).divide(total, memo.q)
-            raise IntegralityError(f"{raw:g}", remainder / memo.q, DEFAULT_PRECISION,
-                                   f"N_{len(values) + 1} of the recurrence is not an integer")
-        bits = memo.bits + value.bit_length()
-        if bits > MAX_BITS:
-            return None
-        values.append(value)
-        memo.bits = bits
-    return values[genus - 1]
+    with entry.lock:
+        if entry.memo is None:
+            seed = [_certified(entry, g, DEFAULT_PRECISION, entry.T)[0]
+                    for g in range(1, 2 * len(entry.spectrum.terms) + 1)]
+            fitted = _berlekamp_massey(seed)
+            q = entry.q = math.lcm(*(a.denominator for a in fitted))
+            entry.coefficients = [int(a * q) for a in fitted]
+            entry.memo, entry.memo_bits = seed, sum(v.bit_length() for v in seed)
+        values, q = entry.memo, entry.q
+        while len(values) < genus:
+            total = sum(map(operator.mul, entry.coefficients, reversed(values)))
+            value, remainder = divmod(total, q)
+            if remainder:
+                raw = Context(prec=30, Emax=MAX_EMAX).divide(total, q)
+                raise IntegralityError(f"{raw:g}", remainder / q, DEFAULT_PRECISION,
+                                       f"N_{len(values) + 1} of the recurrence is not an integer")
+            bits = entry.memo_bits + value.bit_length()
+            if bits > MAX_BITS:
+                return None
+            values.append(value)
+            entry.memo_bits = bits
+        return values[genus - 1]
 
 
 def verlinde_sc(

@@ -54,13 +54,19 @@ PI_CACHE_SIZE = 16
 
 class IntegralityError(ArithmeticError):
     """A sum that violates its stated bound at ``precision_bits``, or whose
-    value needs ``precision_bits`` > MAX_BITS (or overflows at them)."""
+    value needs ``precision_bits`` > MAX_BITS (or overflows at them).  It
+    pickles by its four arguments, so a refusal in a worker process reaches
+    its caller as itself."""
 
     def __init__(self, raw_value: str, residual: float, precision_bits: int, reason: str):
         self.raw_value = raw_value
         self.residual = residual
         self.precision_bits = precision_bits
+        self.reason = reason
         super().__init__(f"{raw_value}: {reason} ({precision_bits} bits, residual {residual:.3e})")
+
+    def __reduce__(self):
+        return type(self), (self.raw_value, self.residual, self.precision_bits, self.reason)
 
 
 class VerlindeResult(NamedTuple):

@@ -1,5 +1,6 @@
-"""The per-process caches: root systems, spectra, Delta, the sine table,
-and the SO oracle's own cache.
+"""The per-process caches: root systems, the sums (spectrum, Delta and the
+recurrence's memo, one entry per key), the sine table, and the SO oracle's
+own cache.
 
 Every test starts from empty caches, so that test order does not matter.
 """
@@ -8,8 +9,11 @@ import decimal
 import gc
 import json
 import random
+import sys
+import threading
 import time
 import tracemalloc
+import weakref
 from contextlib import contextmanager
 from fractions import Fraction
 
@@ -46,9 +50,7 @@ from helpers import numerators_of, reference_listing, sine_within_its_bound
 
 def clear_caches():
     build_root_system.cache_clear()
-    formula._spectrum_of.cache_clear()
-    formula._deltas.cache_clear()
-    formula._recurrence.cache_clear()
+    formula._sum_of.cache_clear()
     numeric._sine_table.cache_clear()
     so_oracle._level_two_terms.cache_clear()
 
@@ -96,7 +98,7 @@ def test_a_further_genus_reuses_the_spectrum_and_deltas(monkeypatch):
 
 def test_torus_pass_and_verlinde_pass_share_one_sine_per_numerator(monkeypatch):
     spectrum = _terms(((root_system("C", 6), 6),), CenterSpec.TRIVIAL)
-    formula._spectrum_of.cache_clear()
+    formula._sum_of.cache_clear()
     tables = counter(monkeypatch, "_sine_table")
     res = n_sp(6, 6, 2)
     assert res.precision_bits == 192
@@ -113,9 +115,10 @@ def test_a_simply_laced_spectrum_reads_the_table_of_half_its_denominator(
         monkeypatch, family, rank, level, table):
     """A and D read the table of D / 2 = l + h, B and C that of D."""
     key = (((GroupType(family, rank), level),), CenterSpec.TRIVIAL)
-    D = formula._spectrum_of(key).denominator
+    entry = formula._sum_of(key)
+    D = entry.spectrum.denominator
     tables = counter(monkeypatch, "_sine_table")
-    formula._deltas(key, 192)
+    entry.deltas(192)
     assert tables == [(table, 192)]
     assert D == (2 * table if family in "AD" else table)
 
@@ -128,7 +131,7 @@ def test_a_product_reads_each_factors_table(monkeypatch):
     res = verlinde_product_quotient(((a1, 299), (a1, 300)), CenterSpec.TRIVIAL, 2)
     assert res.value == 20864513350100
     key = (((a1.group_type, 299), (a1.group_type, 300)), CenterSpec.TRIVIAL)
-    assert formula._spectrum_of(key).denominator == 181804
+    assert formula._sum_of(key).spectrum.denominator == 181804
     assert tables == [(301, 192), (302, 192)]
 
 
@@ -148,7 +151,7 @@ def test_exact_pass_memory_follows_the_spectrum():
     build_root_system(gt)
     tracemalloc.start()
     try:
-        spectrum = formula._spectrum_of((((gt, 8),), CenterSpec.TRIVIAL))
+        spectrum = formula._sum_of((((gt, 8),), CenterSpec.TRIVIAL)).spectrum
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -238,13 +241,16 @@ def test_caches_stay_within_their_bounds():
     a1 = root_system("A", 1)
     levels = range(formula.SPECTRUM_CACHE_SIZE + 8)
     precisions = (64, 128, 192, 256)
-    assert len(levels) * len(precisions) > formula.DELTA_CACHE_SIZE
     for level in levels:
         for p in precisions:
             assert verlinde_sc(a1, level, 1, p).value == level + 1
             assert torus_order_oracle_certified(a1, level, p)[0] == torus_order(a1, level)
-    assert formula._spectrum_of.cache_info().currsize == formula.SPECTRUM_CACHE_SIZE
-    assert formula._deltas.cache_info().currsize == formula.DELTA_CACHE_SIZE
+    info = formula._sum_of.cache_info()
+    assert info.currsize == formula.SPECTRUM_CACHE_SIZE
+    kept = [formula._sum_of((((a1.group_type, level),), CenterSpec.TRIVIAL))
+            for level in levels[-formula.SPECTRUM_CACHE_SIZE:]]
+    assert formula._sum_of.cache_info().misses == info.misses  # all of them kept
+    assert all(entry.deltas.cache_info().currsize == 2 for entry in kept)
     assert verlinde_sc(a1, 0, 2).value == 1  # evicted, and built again
     types = [GroupType(f, r) for f, lo in MIN_RANK.items() for r in range(lo, 13)]
     assert len(types) > ROOT_SYSTEM_CACHE_SIZE
@@ -259,8 +265,7 @@ def test_a_call_that_raised_raises_again():
             n_sp(2, -1, 3)
         with pytest.raises(ValueError, match="does not apply"):
             verlinde_quotient(root_system("D", 4), 2, CenterSpec.SO_ODD, 2)
-    assert formula._spectrum_of.cache_info().currsize == 0
-    assert formula._deltas.cache_info().currsize == 0
+    assert formula._sum_of.cache_info().currsize == 0
     n_sp(2, 3, 2)
     for _ in range(2):
         with pytest.raises(ValueError, match=">= 64"):
@@ -280,9 +285,53 @@ def test_a_genus_past_the_memos_bound_takes_the_kernel_and_is_refused(capsys):
     record = json.loads(capsys.readouterr().out)
     assert code == 1 and record["precision_bits"] > 2**19
     assert elapsed < 10, f"the refusal took {elapsed:.2f} s"
-    memo = formula._recurrence(SO12)
-    assert memo.values == [12**g for g in range(1, 541)]
-    assert memo.bits == sum(v.bit_length() for v in memo.values) <= numeric.MAX_BITS
+    entry = formula._sum_of(SO12)
+    assert entry.memo == [12**g for g in range(1, 541)]
+    assert entry.memo_bits == sum(v.bit_length() for v in entry.memo) <= numeric.MAX_BITS
+
+
+def test_threads_that_extend_one_memo_get_the_values_of_one_thread():
+    """Four threads ask for N_300..N_303 of SO(12) at once, on a memo seeded
+    with N_1..N_9, while the interpreter switches threads every 0.1 ms: each
+    gets 12^g, and the memo holds 12^1..12^303, each value once."""
+    genera = range(300, 304)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-4)
+    try:
+        for _ in range(30):
+            formula._sum_of.cache_clear()
+            assert n_so(12, 9).value == 12**9  # seeds the memo
+            barrier = threading.Barrier(len(genera))
+            got = {}
+
+            def ask(g):
+                barrier.wait(timeout=30)
+                got[g] = n_so(12, g).value
+
+            threads = [threading.Thread(target=ask, args=(g,), daemon=True) for g in genera]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+            assert not any(t.is_alive() for t in threads)
+            assert got == {g: 12**g for g in genera}
+            assert formula._sum_of(SO12).memo == [12**g for g in range(1, 304)]
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_an_evicted_key_holds_no_delta_or_memo():
+    """A key's Delta tuples and memo live in its entry only: once the entry
+    is evicted, nothing holds them."""
+    assert n_so(12, 20).value == 12**20
+    entry = formula._sum_of(SO12)
+    assert len(entry.memo) == 20 and entry.deltas.cache_info().currsize == 1
+    held = weakref.ref(entry), weakref.ref(entry.deltas)
+    del entry
+    a1 = root_system("A", 1)
+    for level in range(formula.SPECTRUM_CACHE_SIZE):
+        assert verlinde_sc(a1, level, 2).value > 0
+    assert [ref() for ref in held] == [None, None]
 
 
 def test_a_record_does_not_depend_on_the_genera_asked_before():
@@ -301,7 +350,7 @@ def test_the_default_suite_builds_each_spectrum_once():
     the spectra of C_r at level s are still cached: 115 distinct keys, each
     built once."""
     run_default_suite()
-    assert formula._spectrum_of.cache_info().misses == 115
+    assert formula._sum_of.cache_info().misses == 115
 
 
 def test_type_c_torus_oracle_certifies_once(monkeypatch):
@@ -386,9 +435,10 @@ def test_delta_is_the_engines_delta_digit_for_digit(family, rank, level, bits):
     layouts alike."""
     rs = root_system(family, rank)
     key = (((rs.group_type, level),), CenterSpec.TRIVIAL)
-    spectrum = formula._spectrum_of(key)
+    entry = formula._sum_of(key)
+    spectrum = entry.spectrum
     held = {numerators_of(spectrum, js): d
-            for (_, _, js), d in zip(spectrum.terms, formula._deltas(key, bits))}
+            for (_, _, js), d in zip(spectrum.terms, entry.deltas(bits))}
     D = spectrum.denominator
     for n, _ in reference_listing(((rs, level),)):
         js = (sum((x + 1) * m for x, m in zip(n, row)) for row in rs.pairing_matrix)

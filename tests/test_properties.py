@@ -10,10 +10,11 @@ from hypothesis import strategies as st
 
 import verlinde.formula as formula
 from verlinde.formula import (
-    _exact,
     _kernel,
     _products,
+    _sum_of,
     _terms,
+    delta,
     n_so,
     n_sp,
     torus_order,
@@ -21,7 +22,7 @@ from verlinde.formula import (
     verlinde_product_quotient,
     verlinde_sc,
 )
-from verlinde.rootsys import MIN_RANK, GroupType, build_root_system, root_system
+from verlinde.rootsys import MIN_RANK, GroupType, build_root_system, root_system, weight_from_marks
 from verlinde.so_oracle import n_so_oracle
 from verlinde.weights import CenterSpec
 
@@ -113,7 +114,8 @@ def sum_keys(draw):
 @SMALL
 @given(key=sum_keys(), genus=st.integers(0, 60), bits=st.sampled_from((64, 192, 640)))
 def test_float_layer_is_within_its_stated_bounds(key, genus, bits):
-    spectrum, T = _exact(key)
+    entry = _sum_of(key)
+    spectrum, T = entry.spectrum, entry.T
     gamma_order = 1 if key[1] is CenterSpec.TRIVIAL else 2
     delta_bound, kernel_bound = float_layer_bounds(spectrum, genus, bits)
     factors = tuple((build_root_system(gt), lvl) for gt, lvl in key[0])
@@ -123,6 +125,27 @@ def test_float_layer_is_within_its_stated_bounds(key, genus, bits):
     got = _kernel(spectrum, deltas, T, genus, gamma_order, bits)
     want = reference_kernel(spectrum, reference, T, genus, gamma_order, bits + 64)
     assert relative_error(got, want) <= kernel_bound
+
+
+@SMALL
+@given(key=sum_keys(), bits=st.sampled_from((64, 192, 640)))
+def test_the_zero_weight_has_the_least_delta(key, bits):
+    """Delta_lambda / T = S_(0 lambda)^2, and the quantum dimension
+    S_(0 lambda) / S_00 is at least 1, so the term that holds lambda = 0,
+    whose numerators are rho's (the row sums of each factor's pairing
+    matrix), has the least Delta of its spectrum.  For one factor that Delta
+    is ``delta`` of the zero weight, digit for digit."""
+    entry = _sum_of(key)
+    D = entry.spectrum.denominator
+    rho = tuple(sorted(min(j, D - j) for rs, level in entry.factors for j in (
+        D // (2 * (level + rs.dual_coxeter)) * sum(row) for row in rs.pairing_matrix)))
+    deltas = entry.deltas(bits)
+    zero = [d for (_, _, js), d in zip(sorted_terms(entry.spectrum)[1], deltas) if js == rho]
+    assert zero and all(d == min(deltas) for d in zero)
+    if len(entry.factors) == 1:
+        (rs, level), = entry.factors
+        at_zero = delta(rs, level, weight_from_marks(rs, (0,) * rs.rank), bits)
+        assert at_zero.as_tuple() == zero[0].as_tuple()
 
 
 @SMALL
@@ -136,7 +159,7 @@ def test_every_genus_follows_the_recurrence_of_the_first(key):
     g = 2K+1..2K+8, which the engine takes from the recurrence fitted on the
     certified N_1..N_2K, in exact rationals, are the kernel's certified
     values, with no float bound in the comparison."""
-    K = len(_exact(key)[0].terms)
+    K = len(_sum_of(key).spectrum.terms)
     assume(K <= 12)
     factors = tuple((build_root_system(gt), level) for gt, level in key[0])
     genera = range(2 * K + 1, 2 * K + 9)
@@ -154,8 +177,7 @@ def test_the_galois_symmetry_carries_each_spectrum_onto_itself(key):
     """For every unit a mod D, j -> a j mod D, reduced to min(x, D - x),
     carries the spectrum of the exact pass onto itself, keys and counts
     included: an exact invariant that shares no rule with the walk."""
-    spectrum, _ = _exact(key)
-    assert galois_failures(spectrum) == []
+    assert galois_failures(_sum_of(key).spectrum) == []
 
 
 def test_the_galois_check_sees_a_changed_count_or_numerator():

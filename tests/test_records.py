@@ -1,12 +1,14 @@
 """The package's records are NamedTuples: their pickling, validation,
 hashing and tuple behaviour."""
 
+import math
 import pickle
 from fractions import Fraction
 
 import pytest
 
 from verlinde.formula import n_so
+from verlinde.numeric import IntegralityError
 from verlinde.rootsys import GroupType
 from verlinde.so_oracle import USet
 
@@ -24,6 +26,20 @@ PROTOCOLS = range(2, pickle.HIGHEST_PROTOCOL + 1)
 def test_pickle_round_trip(record, protocol):
     copy = pickle.loads(pickle.dumps(record, protocol))
     assert copy == record and type(copy) is type(record)
+
+
+@pytest.mark.parametrize("protocol", PROTOCOLS)
+@pytest.mark.parametrize("fields", [
+    ("1.50000000000000000000000000000", 0.5, 192, "farther from an integer than its bound, 1.0e-50"),
+    ("Infinity", math.inf, 2**20, "past the decimal exponent range, so over MAX_BITS"),
+], ids=["residual", "overflow"])
+def test_a_refusal_survives_pickling(fields, protocol):
+    """A refusal raised in a worker process reaches its caller through
+    pickle: with its diagnostics and message, not as a broken pool."""
+    err = IntegralityError(*fields)
+    copy = pickle.loads(pickle.dumps(err, protocol))
+    assert type(copy) is IntegralityError and str(copy) == str(err)
+    assert (copy.raw_value, copy.residual, copy.precision_bits) == fields[:3]
 
 
 @pytest.mark.parametrize("protocol", PROTOCOLS)

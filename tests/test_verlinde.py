@@ -9,9 +9,9 @@ import verlinde.formula as formula
 from verlinde.formula import (
     DYNKIN_INDEX,
     _berlekamp_massey,
-    _exact,
     _kernel,
     _products,
+    _sum_of,
     _terms,
     delta,
     n_so,
@@ -265,7 +265,8 @@ def test_kernel_equals_the_operator_form_reference(family, rank, level, spec):
     operator form at bits + 64 over the reference Deltas, relative."""
     factors = _factors(family, rank, level)
     key = (tuple((rs.group_type, lvl) for rs, lvl in factors), spec)
-    spectrum, T = _exact(key)  # the spectrum and T that the engine sums
+    entry = _sum_of(key)
+    spectrum, T = entry.spectrum, entry.T  # the spectrum and T that the engine sums
     assert spectrum == _terms(factors, spec)
     gamma_order = 1 if spec is CenterSpec.TRIVIAL else 2
     for bits in (64, 192, 640):
@@ -644,15 +645,16 @@ def test_berlekamp_massey_finds_the_shortest_recurrence():
 def test_a_step_of_the_recurrence_with_a_remainder_raises():
     """Each step divides by q exactly; a remainder can only be a fault.  A
     q above the step's sum leaves the whole sum as the remainder."""
-    formula._recurrence.cache_clear()
+    _sum_of.cache_clear()
     try:
-        memo = formula._recurrence((((GroupType("C", 2), 3),), CenterSpec.TRIVIAL))
-        assert len(memo.values) == 10  # K = 5
-        memo.q = 10**100
+        entry = _sum_of((((GroupType("C", 2), 3),), CenterSpec.TRIVIAL))
+        assert formula._recurrent_value(entry, 10) == n_sp(2, 3, 10).value  # seeds the memo
+        assert len(entry.memo) == 10  # K = 5
+        entry.q = 10**100
         with pytest.raises(IntegralityError, match="N_11 of the recurrence"):
             n_sp(2, 3, 11)
     finally:
-        formula._recurrence.cache_clear()
+        _sum_of.cache_clear()
 
 
 def test_n_sp_rank_one_is_sl2():
