@@ -81,16 +81,17 @@ terms, no sum is evaluated.  N_g is a sum of K geometric sequences in g,
 with ratios T / (m^2 Delta), so (N_g) satisfies a linear recurrence of
 order L <= K with rational coefficients (Coste and Gannon, Phys. Lett. B
 323, 1994), which Berlekamp-Massey finds exactly from N_1..N_2K (Massey,
-IEEE Trans. Inf. Theory 15, 1969).  Those 2K values are certified by the
-kernel at ``DEFAULT_PRECISION`` when the entry is first asked for a later
-genus, and every later value is one exact integer step, q N_n = sum of a_i
-N_(n-i), kept in the entry's memo of at most ``MAX_BITS`` bits of values.
-The memo is seeded and extended under the entry's lock, so threads that ask
-for values of one key at once get the values one thread would.  A genus
-whose sequence would pass ``MAX_BITS`` takes the kernel, as does every
-genus g <= 2K and every key of more terms.  A value from the recurrence is
-exact: its record has residual 0.0 and the caller's precision as
-``precision_bits``.
+IEEE Trans. Inf. Theory 15, 1969), fraction-free, in ints.  Each of those
+2K values is certified by the kernel from ``DEFAULT_PRECISION`` once per
+entry, by the first of the record of its genus at that precision and the
+seed of the memo, and the other reads it.  Every later value is one exact
+integer step, q N_n = sum of a_i N_(n-i), kept in the entry's memo of at
+most ``MAX_BITS`` bits of values.  The memo is seeded and extended under
+the entry's lock, so threads that ask for values of one key at once get the
+values one thread would.  A genus whose sequence would pass ``MAX_BITS``
+takes the kernel, as does a genus g <= 2K at another precision and every
+key of more terms.  A value from the recurrence is exact: its record has
+residual 0.0 and the caller's precision as ``precision_bits``.
 """
 
 from __future__ import annotations
@@ -101,7 +102,6 @@ import sys
 import threading
 from array import array
 from decimal import MAX_EMAX, Context, Decimal, localcontext
-from fractions import Fraction
 from functools import lru_cache
 from itertools import compress
 from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
@@ -175,8 +175,9 @@ class Spectrum(NamedTuple):
 SPECTRUM_CACHE_SIZE = 32
 # Spectra of at most this many terms take each genus g > 2K from the
 # recurrence of N_1..N_2K (see ``_recurrent_value``).  Seeding costs 2K certified
-# sums: with its spectrum built, SO(60) (K = 16) at genus 33 takes 2.8 ms,
-# against 1.5 ms for one of its sums (Python 3.11 on a shared 2-vCPU VM).
+# sums and the fit: with its spectrum built, SO(60) (K = 16) at genus 33 takes
+# 2.3 ms, 0.04 ms of it the fit, against 0.8 ms for its one sum at genus 33,
+# which takes a second pass (Python 3.11 on a shared 2-vCPU VM).
 RECURRENCE_MAX_TERMS = 16
 # The array typecode of a counts key's slots, by ``Spectrum.width``.
 _SLOT_TYPES = {8: "B", 16: "H", 32: "I"}
@@ -300,7 +301,8 @@ class _Sum:
     product of the factors' closed-form torus orders), |Gamma|, the count of
     weights or orbits summed, and ``deltas(bits)``: the Delta of each term at
     ``bits``, kept for the last two precisions, as one certification reads
-    at most two.  The memo of the recurrence (see ``_recurrent_value``), q,
+    at most two.  ``seed`` holds the certified sums of genera g <= 2K (see
+    ``_seed_sum``).  The memo of the recurrence (see ``_recurrent_value``), q,
     the integers a_i of q N_n = sum of a_i N_(n-i) and the values N_1..N_n
     so far, of ``memo_bits`` bits in all, is ``None`` until first asked for,
     and is only read and written under ``lock``.
@@ -317,6 +319,7 @@ class _Sum:
         self.lock = threading.Lock()
         self.q = self.coefficients = self.memo = None
         self.memo_bits = 0
+        self.seed = {}
 
 
 @lru_cache(maxsize=SPECTRUM_CACHE_SIZE)
@@ -440,13 +443,14 @@ def _verlinde(factors, spec, genus, precision, label, level) -> VerlindeResult:
     check_precision(precision)  # a refused request enumerates nothing
     entry = _sum_of((tuple((rs.group_type, lvl) for rs, lvl in factors), spec))
     K = len(entry.spectrum.terms)
-    value = None
-    if K <= RECURRENCE_MAX_TERMS and genus > 2 * K:
-        value = _recurrent_value(entry, genus)
-    if value is None:
-        value, residual, bits = _certified(entry, genus, precision, entry.T)
-    else:
+    small = K <= RECURRENCE_MAX_TERMS
+    value = _recurrent_value(entry, genus) if small and genus > 2 * K else None
+    if value is not None:
         residual, bits = 0.0, precision
+    elif small and genus <= 2 * K and precision == DEFAULT_PRECISION:
+        value, residual, bits = _seed_sum(entry, genus)
+    else:
+        value, residual, bits = _certified(entry, genus, precision, entry.T)
     return VerlindeResult(
         value=value,
         residual=residual,
@@ -467,28 +471,46 @@ def _certified(entry: _Sum, genus: int, precision: int, T: int):
     )
 
 
-def _berlekamp_massey(sequence) -> List[Fraction]:
-    """The shortest linear recurrence of ``sequence`` over Q (Massey, IEEE
-    Trans. Inf. Theory 15, 1969): Fractions a_1..a_L with
-    s_n = a_1 s_(n-1) + ... + a_L s_(n-L) for every n >= L in it.  A
-    sequence of linear complexity L is determined by its first 2L terms."""
-    s = [Fraction(x) for x in sequence]
-    C, B = [Fraction(1)], [Fraction(1)]  # connection polynomials, now and at the last change
-    L, shift, last = 0, 1, Fraction(1)
-    for n in range(len(s)):
-        discrepancy = sum(C[i] * s[n - i] for i in range(L + 1))
+def _seed_sum(entry: _Sum, genus: int):
+    """``(N, residual, bits)`` of ``entry`` at a genus g <= 2K, certified
+    from ``DEFAULT_PRECISION`` once per entry: the record of g and the seed
+    of the recurrence read the same triple.  Two threads that race both
+    certify it, to the same triple."""
+    triple = entry.seed.get(genus)
+    if triple is None:
+        triple = entry.seed[genus] = _certified(entry, genus, DEFAULT_PRECISION, entry.T)
+    return triple
+
+
+def _berlekamp_massey(sequence) -> Tuple[int, List[int]]:
+    """The shortest linear recurrence of the int ``sequence`` over Q
+    (Massey, IEEE Trans. Inf. Theory 15, 1969), fraction-free: ``(q, a)``
+    with q s_n = a_1 s_(n-1) + ... + a_L s_(n-L) for every n >= L in it,
+    q > 0 and gcd(q, a_1, ..., a_L) = 1.  A sequence of linear complexity L
+    is determined by its first 2L terms.
+
+    Each update C <- last C - d x^shift B of the connection polynomial C
+    is Massey's C - (d / last) x^shift B times last, and C is divided by its
+    content after it, so C is the rational fit's connection polynomial
+    (C_0 = 1) times q, the lcm of its denominators: q = C_0, a_i = -C_i."""
+    C, B = [1], [1]  # connection polynomials, now and at the last change
+    L, shift, last = 0, 1, 1
+    for n in range(len(sequence)):
+        discrepancy = sum(C[i] * sequence[n - i] for i in range(L + 1))
         if discrepancy == 0:
             shift += 1
             continue
         previous = C
-        C = C + [Fraction(0)] * (len(B) + shift - len(C))
+        C = [last * c for c in C] + [0] * (len(B) + shift - len(C))
         for i, b in enumerate(B):
-            C[i + shift] -= discrepancy / last * b
+            C[i + shift] -= discrepancy * b
+        content = math.gcd(*C) if C[0] > 0 else -math.gcd(*C)
+        C = [c // content for c in C]
         if 2 * L <= n:
             L, B, last, shift = n + 1 - L, previous, discrepancy, 1
         else:
             shift += 1
-    return [-c for c in C[1:L + 1]]
+    return C[0], [-c for c in C[1:L + 1]]
 
 
 def _recurrent_value(entry: _Sum, genus: int) -> Optional[int]:
@@ -496,19 +518,16 @@ def _recurrent_value(entry: _Sum, genus: int) -> Optional[int]:
     asks, or ``None`` where N_1..N_genus would hold more than ``MAX_BITS``
     bits.
 
-    The first call seeds the memo with N_1..N_2K, each certified by the
-    kernel from ``DEFAULT_PRECISION``, and the recurrence that
-    Berlekamp-Massey fits on them, over a common denominator q; for K <=
-    ``RECURRENCE_MAX_TERMS`` the seed is a few thousand bits at most.  Each
-    later step is an exact division by q: a remainder can only be a fault,
-    and raises :class:`IntegralityError`."""
+    The first call seeds the memo with N_1..N_2K, each the certified sum of
+    ``_seed_sum``, and the recurrence that Berlekamp-Massey fits on them,
+    over the least denominator q; for K <= ``RECURRENCE_MAX_TERMS`` the seed
+    is a few thousand bits at most.  Each later step is an exact division
+    by q: a remainder can only be a fault, and raises
+    :class:`IntegralityError`."""
     with entry.lock:
         if entry.memo is None:
-            seed = [_certified(entry, g, DEFAULT_PRECISION, entry.T)[0]
-                    for g in range(1, 2 * len(entry.spectrum.terms) + 1)]
-            fitted = _berlekamp_massey(seed)
-            q = entry.q = math.lcm(*(a.denominator for a in fitted))
-            entry.coefficients = [int(a * q) for a in fitted]
+            seed = [_seed_sum(entry, g)[0] for g in range(1, 2 * len(entry.spectrum.terms) + 1)]
+            entry.q, entry.coefficients = _berlekamp_massey(seed)
             entry.memo, entry.memo_bits = seed, sum(v.bit_length() for v in seed)
         values, q = entry.memo, entry.q
         while len(values) < genus:

@@ -171,6 +171,33 @@ def reflection_closure(simple_roots):
     return roots
 
 
+# --- the Fraction reference for the recurrence fit ----------------------------
+
+
+def berlekamp_massey(sequence):
+    """The shortest linear recurrence of ``sequence`` over Q (Massey, IEEE
+    Trans. Inf. Theory 15, 1969), in Fractions: a_1..a_L with
+    s_n = a_1 s_(n-1) + ... + a_L s_(n-L) for every n >= L in it.  The
+    reference for the engine's fraction-free fit."""
+    s = [Fraction(x) for x in sequence]
+    C, B = [Fraction(1)], [Fraction(1)]  # connection polynomials, now and at the last change
+    L, shift, last = 0, 1, Fraction(1)
+    for n in range(len(s)):
+        discrepancy = sum(C[i] * s[n - i] for i in range(L + 1))
+        if discrepancy == 0:
+            shift += 1
+            continue
+        previous = C
+        C = C + [Fraction(0)] * (len(B) + shift - len(C))
+        for i, b in enumerate(B):
+            C[i + shift] -= discrepancy / last * b
+        if 2 * L <= n:
+            L, B, last, shift = n + 1 - L, previous, discrepancy, 1
+        else:
+            shift += 1
+    return [-c for c in C[1:L + 1]]
+
+
 # --- the set-based reference for the walk ------------------------------------
 #
 # Plain functions over flat mark tuples (the marks of each factor in turn) of

@@ -345,6 +345,52 @@ def test_a_record_does_not_depend_on_the_genera_asked_before():
     assert cold.residual == 0.0 and cold.precision_bits == 192
 
 
+# Spectra of K <= RECURRENCE_MAX_TERMS terms, with the 2K sums that seed
+# their recurrence.
+SMALL_SPECTRA = [
+    pytest.param(lambda g: n_so(12, g), 8, id="SO(12)"),
+    pytest.param(lambda g: n_sp(2, 3, g), 10, id="Sp(4)-level-3"),
+    pytest.param(lambda g: verlinde_sc(root_system("A", 2), 6, g), 14, id="SU(3)-level-6"),
+]
+
+
+@pytest.mark.parametrize("ask,sums", SMALL_SPECTRA)
+def test_each_sum_of_a_small_spectrum_is_certified_once(monkeypatch, ask, sums):
+    """Genera 1..60 in any order certify each of N_1..N_2K once: the record
+    of a genus g <= 2K and the seed of the recurrence read one sum, and every
+    later genus takes the recurrence."""
+    certifications = counter(monkeypatch, "certify_integer")
+    genera = list(range(1, 61))
+    random.Random(1).shuffle(genera)
+    for g in genera:
+        ask(g)
+    assert len(certifications) == sums
+
+
+@pytest.mark.parametrize("ask,sums", SMALL_SPECTRA)
+def test_a_record_does_not_depend_on_when_the_seed_ran(monkeypatch, ask, sums):
+    """A record at g <= 2K asked cold, or after a genus past 2K has seeded
+    the memo, is the kernel's certified sum at 192 bits."""
+    genera = range(1, sums + 1)
+    cold = [outcome(ask(g)) for g in genera]
+    clear_caches()
+    ask(sums + 1)
+    seeded = [outcome(ask(g)) for g in genera]
+    monkeypatch.setattr(formula, "RECURRENCE_MAX_TERMS", 0)
+    clear_caches()
+    kernel = [outcome(ask(g)) for g in genera]
+    assert seeded == cold == kernel
+    assert all(bits == 192 for _, _, bits, _ in cold)
+
+
+def test_the_default_suite_certifies_each_sum_once(monkeypatch):
+    """The suite's values at g <= 2K of its small spectra share their sums
+    with the seeds of the recurrence."""
+    certifications = counter(monkeypatch, "certify_integer")
+    run_default_suite()
+    assert len(certifications) == 214
+
+
 def test_the_default_suite_builds_each_spectrum_once():
     """The unitarity checks of C run right after the duality checks, while
     the spectra of C_r at level s are still cached: 115 distinct keys, each

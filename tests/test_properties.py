@@ -4,12 +4,15 @@ The bounds keep every example well under a second, so that the whole file
 stays a small part of the Tier-1 run.
 """
 
+import math
+
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import verlinde.formula as formula
 from verlinde.formula import (
+    _berlekamp_massey,
     _kernel,
     _products,
     _sum_of,
@@ -27,6 +30,7 @@ from verlinde.so_oracle import n_so_oracle
 from verlinde.weights import CenterSpec
 
 from helpers import (
+    berlekamp_massey,
     enumerate_level_weights,
     enumerate_product_weights,
     float_layer_bounds,
@@ -169,6 +173,34 @@ def test_every_genus_follows_the_recurrence_of_the_first(key):
         certified = [verlinde_product_quotient(factors, key[1], g).value for g in genera]
     assert [res.value for res in recurrent] == certified
     assert all(res.residual == 0.0 for res in recurrent)
+
+
+@st.composite
+def int_sequences(draw):
+    """Int sequences of length 0..24: free ones, rich in zeros, or sums of up
+    to 6 geometric sequences c r^i d^(N-1-i) of integer ratios r (rational
+    r / d when d > 1), after up to 3 leading zeros."""
+    n = draw(st.integers(0, 24))
+    if draw(st.booleans()):
+        values = st.one_of(st.just(0), st.integers(-(10**6), 10**6))
+        return draw(st.lists(values, min_size=n, max_size=n))
+    terms = draw(st.lists(st.tuples(st.integers(-20, 20), st.integers(-6, 6)), max_size=6))
+    d = draw(st.integers(1, 4))
+    lead = draw(st.integers(0, min(3, n)))
+    N = n - lead
+    return [0] * lead + [sum(c * r**i * d ** (N - 1 - i) for c, r in terms) for i in range(N)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(sequence=int_sequences())
+def test_the_integer_fit_is_the_fraction_fit_over_its_denominators(sequence):
+    """The fraction-free fit gives q > 0 and a of content 1, which are the
+    Fraction fit's a_i times q, the lcm of their denominators."""
+    q, a = _berlekamp_massey(sequence)
+    fitted = berlekamp_massey(sequence)
+    assert q == math.lcm(*(x.denominator for x in fitted)) > 0
+    assert a == [int(x * q) for x in fitted]
+    assert math.gcd(q, *a) == 1
 
 
 @SMALL

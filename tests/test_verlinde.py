@@ -636,10 +636,11 @@ def test_n_so_values_beyond_the_working_precision_escalate(monkeypatch):
 
 
 def test_berlekamp_massey_finds_the_shortest_recurrence():
-    assert _berlekamp_massey([1, 1, 2, 3, 5, 8]) == [1, 1]
-    assert _berlekamp_massey([2**n + 3**n for n in range(1, 5)]) == [5, -6]
-    assert _berlekamp_massey([1, Fraction(1, 2), Fraction(1, 4)]) == [Fraction(1, 2)]
-    assert _berlekamp_massey([0, 0, 0]) == []
+    """``(q, a)`` with q s_n = a_1 s_(n-1) + ... + a_L s_(n-L)."""
+    assert _berlekamp_massey([1, 1, 2, 3, 5, 8]) == (1, [1, 1])
+    assert _berlekamp_massey([2**n + 3**n for n in range(1, 5)]) == (1, [5, -6])
+    assert _berlekamp_massey([4, 2, 1]) == (2, [1])
+    assert _berlekamp_massey([0, 0, 0]) == (1, [])
 
 
 def test_a_step_of_the_recurrence_with_a_remainder_raises():
