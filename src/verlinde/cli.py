@@ -124,12 +124,13 @@ def _cmd_weights(args) -> int:
     if args.format == "json":
         print(json.dumps({"group": str(rs.group_type), "level": args.level,
                           "rows": rows}, sort_keys=True))
-    else:
+    else:  # a list cell as [3/2, 1/2], not its repr
         headers = list(rows[0].keys()) if rows else ["marks", "coords"]
+        cell = lambda v: f"[{', '.join(map(str, v))}]" if isinstance(v, list) else str(v)
         print("| " + " | ".join(headers) + " |")
         print("|" + "---|" * len(headers))
         for row in rows:
-            print("| " + " | ".join(str(row[h]) for h in headers) + " |")
+            print("| " + " | ".join(cell(row[h]) for h in headers) + " |")
     return 0
 
 

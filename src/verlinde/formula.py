@@ -60,6 +60,12 @@ Specification*) within eps <= 2^-(bits+1), relative: at least as accurate as
 an mpf operation at ``bits``.  ``_products`` and ``_kernel`` state their
 error bounds, and certification proves the integer from the latter's K.
 
+Each public sum, ``verlinde_sc``, ``verlinde_quotient`` and
+``verlinde_product_quotient`` (so ``n_so`` and ``n_sp`` too), is one call
+to ``_verlinde``, which alone refuses a genus, then a precision, before any
+enumeration, names the group (``_label``) and records one factor's level
+as an int, a product's as a tuple.
+
 Only the exponent depends on the genus, so the rest is built once per key
 and process, in one entry of a bounded :func:`functools.lru_cache`
 (``_sum_of``), keyed by the (GroupType, level) of each factor and the center
@@ -125,6 +131,7 @@ from .rootsys import (
 )
 from .weights import (
     _LEAST_MEMBERS,
+    _SO_QUOTIENT,
     CenterSpec,
     _mark_bounds,
     _walk,
@@ -322,10 +329,8 @@ class _Sum:
         self.seed = {}
 
 
-@lru_cache(maxsize=SPECTRUM_CACHE_SIZE)
-def _sum_of(key) -> _Sum:
-    """The :class:`_Sum` of ``key``, built once per key and process."""
-    return _Sum(key)
+# The :class:`_Sum` of each key, built once per key and process.
+_sum_of = lru_cache(maxsize=SPECTRUM_CACHE_SIZE)(_Sum)
 
 
 def _products(spectrum: Spectrum, factors, bits: int) -> Tuple[Decimal, ...]:
@@ -436,10 +441,11 @@ def _check_genus(genus: int) -> None:
         raise ValueError(f"genus must be >= 1, got {genus}")
 
 
-def _verlinde(factors, spec, genus, precision, label, level) -> VerlindeResult:
+def _verlinde(factors, spec, genus, precision, label) -> VerlindeResult:
     """The certified Verlinde number of the weights of ``factors``, a tuple
     of ``(RootSystem, level)``, modulo ``spec``: from the recurrence of its
     spectrum where that serves the genus, else from the kernel."""
+    _check_genus(genus)
     check_precision(precision)  # a refused request enumerates nothing
     entry = _sum_of((tuple((rs.group_type, lvl) for rs, lvl in factors), spec))
     K = len(entry.spectrum.terms)
@@ -456,10 +462,24 @@ def _verlinde(factors, spec, genus, precision, label, level) -> VerlindeResult:
         residual=residual,
         precision_bits=bits,
         term_count=entry.term_count,
-        group_label=label,
-        level=level,
+        group_label=_label(factors, spec) if label is None else label,
+        level=factors[0][1] if len(factors) == 1 else tuple(lvl for _, lvl in factors),
         genus=genus,
     )
+
+
+def _label(factors, spec: CenterSpec) -> str:
+    """The default name of the group of ``factors`` modulo ``spec``."""
+    if spec is CenterSpec.SO4_DIAGONAL:
+        return "SO(4)"
+    if len(factors) > 1:
+        return " x ".join(str(rs.group_type) for rs, _ in factors)
+    rs = factors[0][0]
+    if spec is CenterSpec.TRIVIAL:
+        return f"{rs.group_type} (simply connected)"
+    if spec is CenterSpec.SO_EVEN:
+        return f"SO({2 * rs.rank})"
+    return f"SO({2 * rs.rank + 1})"  # SO_ODD, and SO3 of A1
 
 
 def _certified(entry: _Sum, genus: int, precision: int, T: int):
@@ -553,7 +573,7 @@ def verlinde_sc(
     label: Optional[str] = None,
 ) -> VerlindeResult:
     """Verlinde number of the simply connected group with root system ``rs``."""
-    return verlinde_quotient(rs, level, CenterSpec.TRIVIAL, genus, precision, label)
+    return _verlinde(((rs, level),), CenterSpec.TRIVIAL, genus, precision, label)
 
 
 def verlinde_quotient(
@@ -570,21 +590,7 @@ def verlinde_quotient(
     the Gamma-trivial level weights and multiplies by |Gamma|.  The choice
     of orbit representative is immaterial: Delta is Gamma-invariant.
     """
-    _check_genus(genus)
-    return _verlinde(
-        ((rs, level),), spec, genus, precision,
-        label or _quotient_label(rs, spec), level,
-    )
-
-
-def _quotient_label(rs: RootSystem, spec: CenterSpec) -> str:
-    if spec is CenterSpec.SO_EVEN:
-        return f"SO({2 * rs.rank})"
-    if spec is CenterSpec.SO_ODD:
-        return f"SO({2 * rs.rank + 1})"
-    if spec is CenterSpec.SO3:
-        return "SO(3)"
-    return f"{rs.group_type} (simply connected)"
+    return _verlinde(((rs, level),), spec, genus, precision, label)
 
 
 def verlinde_product_quotient(
@@ -599,44 +605,29 @@ def verlinde_product_quotient(
     The torus-to-Delta ratio of a weight tuple is the product of the
     per-factor ratios.  ``spec`` is any center subgroup that acts on the
     factors: for two, the diagonal order-2 center of SL(2) x SL(2) (the
-    SO(4) case).
+    SO(4) case).  One factor gives the record of its own quotient.
     """
-    _check_genus(genus)
-    factors = tuple(factors)
-    if len(factors) == 1:  # the one-factor product is the group's own quotient
-        (rs, level), = factors
-        return verlinde_quotient(rs, level, spec, genus, precision, label)
-    if label is None:
-        label = "SO(4)" if spec is CenterSpec.SO4_DIAGONAL else " x ".join(
-            str(rs.group_type) for rs, _ in factors
-        )
-    return _verlinde(
-        factors, spec, genus, precision, label, tuple(lvl for _, lvl in factors),
-    )
+    return _verlinde(tuple(factors), spec, genus, precision, label)
 
 
 def n_so(r: int, genus: int, precision: int = DEFAULT_PRECISION) -> VerlindeResult:
     """Dimension of the theta functions for SO(r): the determinant-bundle
     Verlinde number, at the level set by the standard representation's
-    Dynkin index (4 for SO(3), (2,2) for SO(4), 2 for r >= 5)."""
+    Dynkin index (4 for SO(3), (2,2) for SO(4), 2 for r >= 5), modulo the
+    center subgroup whose quotient is SO(r) (``weights._SO_QUOTIENT``)."""
     if r < 3:
         raise ValueError(f"n_so requires r >= 3, got {r}")
-    _check_genus(genus)
     label = f"SO({r})"
     if r == 4:
-        a1 = root_system("A", 1)
-        factors = [(a1, DYNKIN_INDEX.so4[0]), (a1, DYNKIN_INDEX.so4[1])]
+        factors = [(root_system("A", 1), level) for level in DYNKIN_INDEX.so4]
         return verlinde_product_quotient(
-            factors, CenterSpec.SO4_DIAGONAL, genus, precision, label=label
-        )
-    level = DYNKIN_INDEX.so_standard_r_ge_5
+            factors, CenterSpec.SO4_DIAGONAL, genus, precision, label=label)
     if r == 3:
-        rs, level, spec = root_system("A", 1), DYNKIN_INDEX.so3, CenterSpec.SO3
-    elif r % 2 == 0:
-        rs, spec = root_system("D", r // 2), CenterSpec.SO_EVEN
+        family, rank, level = "A", 1, DYNKIN_INDEX.so3
     else:
-        rs, spec = root_system("B", (r - 1) // 2), CenterSpec.SO_ODD
-    return verlinde_quotient(rs, level, spec, genus, precision, label=label)
+        family, rank, level = "B" if r % 2 else "D", r // 2, DYNKIN_INDEX.so_standard_r_ge_5
+    return verlinde_quotient(
+        root_system(family, rank), level, _SO_QUOTIENT[family], genus, precision, label=label)
 
 
 def n_sp(
@@ -646,9 +637,7 @@ def n_sp(
     with the closed-form type-C torus order (nu = 2^(r-1))."""
     if r < 1:
         raise ValueError(f"n_sp requires r >= 1, got {r}")
-    return verlinde_sc(
-        root_system("C", r), level, genus, precision, label=f"Sp({2 * r})"
-    )
+    return verlinde_sc(root_system("C", r), level, genus, precision, label=f"Sp({2 * r})")
 
 
 def theta_dim(r: int, genus: int) -> int:

@@ -115,9 +115,13 @@ class RootSystem(NamedTuple):
         return str(self.group_type)
 
 
-def _build(group_type: GroupType) -> RootSystem:
-    """The root data of one type, read off the plates of Bourbaki (Lie Groups
-    and Lie Algebras, ch. VI, plates I-IV), with integer roots.
+@lru_cache(maxsize=ROOT_SYSTEM_CACHE_SIZE)
+def build_root_system(group_type: GroupType) -> RootSystem:
+    """The exact root data of one type, read off the plates of Bourbaki (Lie
+    Groups and Lie Algebras, ch. VI, plates I-IV), with integer roots.
+
+    Built once per type and process: a ``RootSystem`` is immutable, so every
+    caller shares one instance, with its pairing matrix and comarks.
 
     The families differ only in the tables below.  The fundamental weights
     are first built as integer vectors scaled by ``d``: prefix vectors
@@ -219,16 +223,6 @@ def _twice_pairings(
             twice = tuple(map(floordiv, twice, dens))
         rows.append(twice)
     return tuple(rows)
-
-
-@lru_cache(maxsize=ROOT_SYSTEM_CACHE_SIZE)
-def build_root_system(group_type: GroupType) -> RootSystem:
-    """The exact root data for one classical type and rank.
-
-    Built once per type and process: a ``RootSystem`` is immutable, so every
-    caller shares one instance, with its pairing matrix and comarks.
-    """
-    return _build(group_type)
 
 
 def root_system(family: str, rank: int) -> RootSystem:

@@ -388,6 +388,31 @@ def test_weights_deterministic(capsys):
     assert first == second
 
 
+@pytest.mark.parametrize("argv", [
+    ["--type", "B", "--rank", "2", "--level", "1"],
+    ["--type", "A", "--rank", "2", "--level", "3"],
+    ["--type", "D", "--rank", "4", "--level", "2", "--quotient", "so"],
+])
+def test_weights_markdown_cells_are_the_json_values(capsys, argv):
+    """The default Markdown table prints a list cell as [3/2, 1/2], not as
+    a Python repr: no quote, and each cell reads back as its json value."""
+    _, table = run_cli(capsys, "weights", *argv)
+    _, listing = run_cli(capsys, "weights", *argv, "--format", "json")
+    assert "'" not in table
+    header, _, *lines = table.splitlines()
+    headers = header.strip("| ").split(" | ")
+    rows = json.loads(listing)["rows"]
+    assert sorted(headers) == sorted(rows[0])
+    assert len(lines) == len(rows)
+    for line, row in zip(lines, rows):
+        for cell, value in zip(line[2:-2].split(" | "), map(row.get, headers)):
+            if isinstance(value, list):
+                assert cell[0] + cell[-1] == "[]"
+                assert cell[1:-1].split(", ") == list(map(str, value))
+            else:
+                assert cell == str(value)
+
+
 def _weights_cases():
     """A1-A5, B2-B5, C1-C5 and D3-D6 at levels 0-6, each also with
     ``--quotient so`` where the SO quotient is admitted: B, D, and A1 at an

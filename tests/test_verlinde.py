@@ -1,4 +1,5 @@
 import math
+import re
 from decimal import Decimal
 from fractions import Fraction
 
@@ -23,7 +24,7 @@ from verlinde.formula import (
     verlinde_quotient,
     verlinde_sc,
 )
-from verlinde.numeric import IntegralityError
+from verlinde.numeric import DEFAULT_PRECISION, MAX_PRECISION, IntegralityError
 from verlinde.rootsys import MIN_RANK, GroupType, root_system, weight_from_marks
 from verlinde.weights import CenterSpec
 
@@ -552,13 +553,50 @@ def test_product_levels_recorded_as_tuple():
 
 
 def test_one_factor_product_is_the_quotient():
-    b3 = root_system("B", 3)
-    for rs, level, spec in ((A1, 4, CenterSpec.SO3), (A1, 3, CenterSpec.TRIVIAL),
-                            (b3, 2, CenterSpec.SO_ODD)):
+    """Every entry point gives one group the same record, label and level
+    included: the one-factor product, the quotient and, for the trivial
+    spec, the simply connected call."""
+    cases = [("A", 1, 4, CenterSpec.SO3, "SO(3)"), ("B", 3, 2, CenterSpec.SO_ODD, "SO(7)"),
+             ("D", 4, 2, CenterSpec.SO_EVEN, "SO(8)"),
+             ("A", 1, 3, CenterSpec.TRIVIAL, "A1 (simply connected)")]
+    cases += [(family, rank, 3, CenterSpec.TRIVIAL, f"{family}{rank} (simply connected)")
+              for family, rank in (("A", 2), ("B", 2), ("C", 3), ("D", 4))]
+    for family, rank, level, spec, label in cases:
+        rs = root_system(family, rank)
         res = verlinde_product_quotient(((rs, level),), spec, 2)
         assert res == verlinde_quotient(rs, level, spec, 2)
-        assert res.level == level
-    assert verlinde_product_quotient(((A1, 4),), CenterSpec.SO3, 2).group_label == "SO(3)"
+        if spec is CenterSpec.TRIVIAL:
+            assert res == verlinde_sc(rs, level, 2)
+        assert (res.group_label, res.level, type(res.level)) == (label, level, int)
+
+
+B2 = root_system("B", 2)
+SUM_CALLS = {
+    **{f"n_so-{r}": lambda g, p, r=r: n_so(r, g, p) for r in (3, 4, 5, 6)},
+    "n_sp": lambda g, p: n_sp(2, 3, g, p),
+    "verlinde_sc": lambda g, p: verlinde_sc(A1, 2, g, p),
+    "verlinde_quotient": lambda g, p: verlinde_quotient(B2, 2, CenterSpec.SO_ODD, g, p),
+    "product-1": lambda g, p: verlinde_product_quotient(((A1, 4),), CenterSpec.SO3, g, p),
+    "product-2": lambda g, p: verlinde_product_quotient(
+        ((A1, 2), (A1, 2)), CenterSpec.SO4_DIAGONAL, g, p),
+}
+
+
+@pytest.mark.parametrize("call", SUM_CALLS.values(), ids=SUM_CALLS.keys())
+def test_every_sum_refuses_genus_then_precision_before_any_enumeration(call):
+    """A bad genus is refused first, then a bad precision, and neither
+    builds nor reads an entry of ``_sum_of``."""
+    info = _sum_of.cache_info()
+    for genus, precision, message in (
+        (0, DEFAULT_PRECISION, "genus must be >= 1, got 0"),
+        (2, 63, "precision must be >= 64 bits, got 63"),
+        (2, MAX_PRECISION + 1,
+         f"precision must be <= {MAX_PRECISION} bits, got {MAX_PRECISION + 1}"),
+        (0, 63, "genus must be >= 1, got 0"),
+    ):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            call(genus, precision)
+    assert _sum_of.cache_info() == info
 
 
 def test_product_rejects_bad_factors():
@@ -590,9 +628,10 @@ def test_n_so_uses_level_four_for_so3():
 
 
 def test_n_so_labels_and_levels():
-    res = n_so(7, 2)
-    assert res.group_label == "SO(7)"
-    assert res.level == 2
+    for r in range(3, 9):
+        res = n_so(r, 2)
+        assert res.group_label == f"SO({r})"
+        assert res.level == {3: 4, 4: (2, 2)}.get(r, 2)
 
 
 def test_n_so_rejects_small_r():
