@@ -436,17 +436,19 @@ def torus_order_oracle_certified(
     return value, residual
 
 
-def _check_genus(genus: int) -> None:
+def _check_request(genus: int, precision: int = DEFAULT_PRECISION) -> None:
+    """Refuse a genus below 1, then a precision out of range: a refused
+    request builds no root data and enumerates nothing."""
     if genus < 1:
         raise ValueError(f"genus must be >= 1, got {genus}")
+    check_precision(precision)
 
 
 def _verlinde(factors, spec, genus, precision, label) -> VerlindeResult:
     """The certified Verlinde number of the weights of ``factors``, a tuple
     of ``(RootSystem, level)``, modulo ``spec``: from the recurrence of its
     spectrum where that serves the genus, else from the kernel."""
-    _check_genus(genus)
-    check_precision(precision)  # a refused request enumerates nothing
+    _check_request(genus, precision)
     entry = _sum_of((tuple((rs.group_type, lvl) for rs, lvl in factors), spec))
     K = len(entry.spectrum.terms)
     small = K <= RECURRENCE_MAX_TERMS
@@ -617,6 +619,7 @@ def n_so(r: int, genus: int, precision: int = DEFAULT_PRECISION) -> VerlindeResu
     center subgroup whose quotient is SO(r) (``weights._SO_QUOTIENT``)."""
     if r < 3:
         raise ValueError(f"n_so requires r >= 3, got {r}")
+    _check_request(genus, precision)
     label = f"SO({r})"
     if r == 4:
         factors = [(root_system("A", 1), level) for level in DYNKIN_INDEX.so4]
@@ -637,6 +640,7 @@ def n_sp(
     with the closed-form type-C torus order (nu = 2^(r-1))."""
     if r < 1:
         raise ValueError(f"n_sp requires r >= 1, got {r}")
+    _check_request(genus, precision)
     return verlinde_sc(root_system("C", r), level, genus, precision, label=f"Sp({2 * r})")
 
 
@@ -644,5 +648,5 @@ def theta_dim(r: int, genus: int) -> int:
     """Dimension r^g of the level-r theta linear system on the Jacobian side."""
     if r < 1:
         raise ValueError(f"theta_dim requires r >= 1, got {r}")
-    _check_genus(genus)
+    _check_request(genus)
     return r**genus

@@ -18,9 +18,10 @@ Every sum is a product of factors 4 sin^2(pi j / D), with D = 2(l+h) (or
 the lcm of a product's) and j <= D/2, so the sines come in tables: one per
 (D, bits), all of 4 sin^2(pi j / D) for j = 0..D/2, built by integer
 fixed-point arithmetic (see :func:`_sine_table`) and kept in a bounded LRU.
-The engine reads each factor's own table (see ``formula._products``);
-:func:`four_sin_sq` serves an exact rational argument from the table of its
-reduced denominator.
+The engine reads each factor's own table (see ``formula._products``), and
+the SO oracle the one table of D = 2k for each (r, bits) (see
+``so_oracle``).  :func:`four_sin_sq` serves an exact rational argument from
+the table of its reduced denominator; no sum of the package calls it.
 """
 
 from __future__ import annotations
@@ -98,7 +99,9 @@ def four_sin_sq(x: Fraction, bits: int) -> Decimal:
     4 sin^2(pi x) = 4 sin^2(pi (1 - x)); an integer argument would give a
     zero factor and is rejected.  The value is that of
     ``_sine_table(D, bits)`` at the folded numerator, D being the
-    denominator of x in lowest terms.
+    denominator of x in lowest terms.  Neither the engine nor the SO oracle
+    calls it: they index their tables by integer numerators.  It serves the
+    tests and ``perfbench/tracer.py``, which wraps it as its sine layer.
     """
     D = x.denominator
     j = x.numerator % D

@@ -3,15 +3,17 @@
 The level weights trivial on the center are coordinatized as strictly
 decreasing sequences u_1 > ... > u_s (integers for SO(2s), half-integers
 for SO(2s+1)) bounded by the shifted level k, and the torus-to-Delta
-ratios come from pairwise sine products over the sequence.  Enumeration
-and products are done directly on these sequences, sharing nothing with
-the root-system engine beyond the numeric helpers: the decimal context of
-the float layer, certification, and the sine tables behind
-``four_sin_sq``.  A table holds only values of 4 sin^2(pi j / D), keyed by
-D and the precision, which either path would compute identically on its
-own; the arguments, their enumeration, the products and the sum stay
-separate, so agreement between the two paths is still a meaningful
-cross-check.
+ratios come from pairwise sine products over the sequence.  One recursion
+enumerates them in doubled coordinates v = 2u, integers of one parity
+(even for D, odd for B), so every sine argument is an integer numerator n
+over 2k: v_i - v_j and v_i + v_j, and v_i for B.  It indexes one table,
+``numeric._sine_table(2k, bits)``, at min(n, 2k - n).  The oracle shares
+nothing with the root-system engine beyond the numeric helpers: the decimal
+context of the float layer, certification, and the sine tables.  A table
+holds only values of 4 sin^2(pi j / D), keyed by D and the precision,
+which either path would compute identically on its own; the arguments,
+their enumeration, the products and the sum stay separate, so agreement
+between the two paths is still a meaningful cross-check.
 
 The products and the sum are decimal arithmetic in the context of ``bits``
 (``numeric._context``), each operation within eps <= 2^-(bits+1),
@@ -45,9 +47,9 @@ from .numeric import (
     DEFAULT_PRECISION,
     VerlindeResult,
     _context,
+    _sine_table,
     certify_integer,
     check_precision,
-    four_sin_sq,
 )
 
 _DUAL_COXETER = {"B": lambda s: 2 * s - 1, "D": lambda s: 2 * s - 2}
@@ -83,7 +85,9 @@ class USet(_USetFields):
         u = values
         if any(a <= b for a, b in zip(u, u[1:])):
             raise ValueError(f"values must be strictly decreasing: {u}")
-        if s >= 2 and u[0] + u[1] >= k:
+        if s < _MIN_RANK[family]:
+            raise ValueError(f"family {family} requires rank >= {_MIN_RANK[family]}")
+        if u[0] + u[1] >= k:
             raise ValueError(f"u_1 + u_2 must be < {k}: {u}")
         if family == "D":
             if any(x.denominator != 1 for x in u):
@@ -102,12 +106,43 @@ class USet(_USetFields):
         return cls(*iterable)
 
 
-def enumerate_usets(family: str, rank: int, level: int) -> List[Tuple[USet, int]]:
-    """One representative per center orbit, with its orbit size.
+def _sequences(family: str, s: int, k: int) -> List[Tuple[Tuple[int, ...], int]]:
+    """``(v, orbit size)`` of each representative in doubled coordinates
+    v = 2u, in decreasing order: integers v_1 > ... > v_s, even for D and
+    odd for B, with v_1 + v_2 < 2k and v_s >= 0 (D) or >= 1 (B).
 
-    The involution sends u_1 to k - u_1 (and, for family D, u_s to -u_s),
-    so representatives are normalized by u_s >= 0 with u_1 <= k/2 when
-    u_s = 0 (family D), or by u_1 <= k/2 (family B).  Fixed points are the
+    The involution sends v_1 to 2k - v_1 (and, for family D, v_s to -v_s),
+    so where v_s = 0 or the family is B, representatives keep v_1 <= k and
+    v_1 = k is a fixed point."""
+    odd = family == "B"
+    out = []
+
+    def extend(v: Tuple[int, ...]) -> None:
+        if len(v) == s:
+            boundary = odd or v[-1] == 0
+            if not (boundary and v[0] > k):
+                out.append((v, 1 if boundary and v[0] == k else 2))
+            return
+        if not v:
+            hi = k if odd else 2 * k - 2
+        elif len(v) == 1:
+            hi = min(v[0] - 2, 2 * k - 1 - v[0])
+        else:
+            hi = v[-1] - 2
+        lo = 2 * (s - len(v) - 1) + odd  # room for the remaining smaller entries
+        for x in range(hi - (hi - odd) % 2, lo - 1, -2):
+            extend(v + (x,))
+
+    extend(())
+    return out
+
+
+def enumerate_usets(family: str, rank: int, level: int) -> List[Tuple[USet, int]]:
+    """One representative per center orbit, with its orbit size, in
+    decreasing order: the sequences of :func:`_sequences`, halved.
+
+    Representatives are normalized by u_s >= 0 with u_1 <= k/2 when u_s = 0
+    (family D), or by u_1 <= k/2 (family B).  Fixed points are the
     sequences with u_1 = k/2 and, for D, u_s = 0.
     """
     if family not in _MIN_RANK:
@@ -116,70 +151,22 @@ def enumerate_usets(family: str, rank: int, level: int) -> List[Tuple[USet, int]
         raise ValueError(f"family {family} requires rank >= {_MIN_RANK[family]}")
     if level < 0:
         raise ValueError(f"level must be >= 0, got {level}")
-    s = rank
-    k = level + _DUAL_COXETER[family](s)
-    half_k = Fraction(k, 2)
-    out: List[Tuple[USet, int]] = []
-
-    if family == "D":
-        # integer sequences u_1 > ... > u_s >= 0 with u_1 + u_2 < k,
-        # keeping u_1 <= k/2 whenever u_s = 0
-        def extend(values: List[int]) -> None:
-            if len(values) == s:
-                if values[-1] == 0 and values[0] > half_k:
-                    return
-                fixed = values[0] == half_k and values[-1] == 0
-                u = USet(family, s, k, tuple(Fraction(v) for v in values))
-                out.append((u, 1 if fixed else 2))
-                return
-            lo = s - len(values) - 1  # room for the remaining strictly smaller entries
-            hi = values[-1] - 1 if values else k - 1
-            if len(values) == 1:
-                hi = min(hi, k - 1 - values[0])
-            for v in range(hi, lo - 1, -1):
-                extend(values + [v])
-
-        extend([])
-    else:
-        # half-odd-integer sequences u_1 > ... > u_s > 0 with u_1 + u_2 < k
-        # and u_1 <= k/2; enumerate the doubled (odd integer) values
-        def extend(doubled: List[int]) -> None:
-            if len(doubled) == s:
-                fixed = doubled[0] == k
-                u = USet(family, s, k, tuple(Fraction(v, 2) for v in doubled))
-                out.append((u, 1 if fixed else 2))
-                return
-            lo = 2 * (s - len(doubled)) - 1
-            hi = doubled[-1] - 2 if doubled else k
-            if len(doubled) == 1:
-                hi = min(hi, 2 * k - 2 - doubled[0])
-            start = hi if hi % 2 == 1 else hi - 1
-            for v in range(start, lo - 1, -2):
-                extend(doubled + [v])
-
-        extend([])
-
-    out.sort(key=lambda pair: pair[0].values, reverse=True)
-    return out
+    k = level + _DUAL_COXETER[family](rank)
+    return [(USet(family, rank, k, tuple(Fraction(x, 2) for x in v)), size)
+            for v, size in _sequences(family, rank, k)]
 
 
-def _pair_product(u: USet) -> List[Fraction]:
-    args = []
-    for i in range(u.s):
-        for j in range(i + 1, u.s):
-            args.append(Fraction(u.values[i] - u.values[j], u.k))
-            args.append(Fraction(u.values[i] + u.values[j], u.k))
-    return args
-
-
-def _delta(u: USet, bits: int) -> Decimal:
-    """The product of 4 sin^2 over the sine arguments of ``u``, in the
-    decimal context of ``bits``."""
-    args = _pair_product(u)
-    if u.family == "B":
-        args += [Fraction(x, u.k) for x in u.values]
+def _delta(family: str, k: int, v: Tuple[int, ...], bits: int) -> Decimal:
+    """The product of 4 sin^2(pi n / 2k) over the numerators n of the
+    doubled sequence ``v``: v_i - v_j and v_i + v_j for i < j, then v_i for
+    family B, all in (0, 2k), in the decimal context of ``bits``."""
+    D = 2 * k
+    table = _sine_table(D, bits)
+    numerators = [n for i, a in enumerate(v) for b in v[i + 1:] for n in (a - b, a + b)]
+    if family == "B":
+        numerators += v
     with localcontext(_context(bits)):
-        return math.prod(four_sin_sq(x, bits) for x in args)
+        return math.prod(table[min(n, D - n)] for n in numerators)
 
 
 def uset_delta(u: USet, precision: int = DEFAULT_PRECISION) -> Decimal:
@@ -188,7 +175,8 @@ def uset_delta(u: USet, precision: int = DEFAULT_PRECISION) -> Decimal:
     prod_i 4 sin^2(pi u_i / k) for family B.  The Decimal holds P digits
     (``numeric._context``); arithmetic on it rounds in the caller's decimal
     context."""
-    return _delta(u, check_precision(precision))
+    v = tuple(int(2 * x) for x in u.values)
+    return _delta(u.family, u.k, v, check_precision(precision))
 
 
 @lru_cache(maxsize=ORACLE_CACHE_SIZE)
@@ -196,7 +184,7 @@ def _level_two_terms(r: int, bits: int) -> Tuple[Tuple[int, Decimal], ...]:
     """``(orbit size, Delta at bits)`` of each sequence representative of
     SO(r) at level 2: everything in the oracle's sum but the genus."""
     family = "D" if r % 2 == 0 else "B"
-    return tuple((size, _delta(u, bits)) for u, size in enumerate_usets(family, r // 2, 2))
+    return tuple((size, _delta(family, r, v, bits)) for v, size in _sequences(family, r // 2, r))
 
 
 def n_so_oracle(r: int, genus: int, precision: int = DEFAULT_PRECISION) -> VerlindeResult:

@@ -451,12 +451,25 @@ def test_an_integer_argument_raises_and_is_not_stored():
 
 def test_a_further_genus_of_the_oracle_reuses_its_deltas(monkeypatch):
     first = so_oracle.n_so_oracle(9, 2)
-    sines = counter(monkeypatch, "four_sin_sq", so_oracle)
+    sines = counter(monkeypatch, "_sine_table", so_oracle)
     enumerations = counter(monkeypatch, "enumerate_usets", so_oracle)
     later = so_oracle.n_so_oracle(9, 5)
     assert (first.value, later.value) == (81, 9**5)
     assert later.term_count == first.term_count
     assert sines == [] and enumerations == []
+
+
+@pytest.mark.parametrize("r,genus", [(5, 3), (8, 2), (12, 5), (12, 600), (101, 2)])
+def test_the_oracle_reads_only_the_sine_table_of_2r(monkeypatch, r, genus):
+    """Every sine of SO(r) is a numerator over 2r: one table per pass's
+    precision, of 2 r / 2 + 1 values."""
+    tables = counter(monkeypatch, "_sine_table", so_oracle)
+    result = so_oracle.n_so_oracle(r, genus)
+    assert result.value == r**genus
+    read = set(tables)
+    assert {D for D, _ in read} == {2 * r}
+    assert result.precision_bits in {bits for _, bits in read}
+    assert numeric._sine_table.cache_info().currsize == len(read)
 
 
 def test_warm_oracle_results_equal_cold_results():

@@ -47,6 +47,10 @@ def test_a_refusal_survives_pickling(fields, protocol):
     (GroupType, ("D", 2), "type D requires rank >= 3, got 2"),
     (GroupType, ("E", 6), "unknown family 'E'"),
     (USet, ("D", 2, 6, (Fraction(1), Fraction(2))), "strictly decreasing"),
+    (USet, ("D", 1, 4, (Fraction(1),)), "family D requires rank >= 3"),
+    (USet, ("D", 0, 4, ()), "family D requires rank >= 3"),
+    (USet, ("B", 1, 4, (Fraction(1, 2),)), "family B requires rank >= 2"),
+    (USet, ("B", 0, 4, ()), "family B requires rank >= 2"),
 ])
 def test_unpickling_an_invalid_record_raises(cls, fields, message, protocol):
     """Unpickling builds through ``__new__``, which checks the fields: a

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -6,7 +7,7 @@ import pytest
 import verlinde.formula as formula
 import verlinde.so_oracle as so_oracle
 from verlinde.formula import delta, n_so
-from verlinde.numeric import certify_integer, four_sin_sq
+from verlinde.numeric import _sine_table, certify_integer
 from verlinde.rootsys import root_system, weight_from_marks
 from verlinde.so_oracle import (
     USet,
@@ -14,7 +15,7 @@ from verlinde.so_oracle import (
     n_so_oracle,
     uset_delta,
 )
-from verlinde.weights import CenterSpec, u_coords
+from verlinde.weights import CenterSpec, orbit_decompose, u_coords
 
 from helpers import (
     center_act,
@@ -39,6 +40,10 @@ def test_uset_validation():
         USet("D", 3, 4, (Fraction(3), Fraction(2), Fraction(1)))
     with pytest.raises(ValueError, match="family must be B or D"):
         USet("A", 2, 4, (Fraction(2), Fraction(1)))
+    for family, s, values in [("D", 2, (Fraction(2), Fraction(1))), ("D", 1, (Fraction(1),)),
+                              ("D", 0, ()), ("B", 1, (Fraction(1, 2),)), ("B", 0, ())]:
+        with pytest.raises(ValueError, match=f"family {family} requires rank"):
+            USet(family, s, 4, values)
 
 
 @pytest.mark.parametrize("s", [3, 4, 5, 6])
@@ -172,6 +177,17 @@ def test_oracle_agrees_with_engine(r, g):
     assert n_so_oracle(r, g).value == n_so(r, g).value
 
 
+@pytest.mark.parametrize("family,ranks", [("B", range(2, 7)), ("D", range(3, 7))])
+def test_orbit_sizes_are_those_of_the_weight_path(family, ranks):
+    """As a multiset, the orbit sizes of the sequences are those of the
+    level weights under the SO quotient, at levels 0..6."""
+    for s in ranks:
+        for level in range(7):
+            sequences = Counter(size for _, size in enumerate_usets(family, s, level))
+            weights = Counter(size for _, size in orbit_decompose(root_system(family, s), level))
+            assert sequences == weights, (s, level)
+
+
 def test_oracle_rejects_small_r():
     with pytest.raises(ValueError, match="r >= 5"):
         n_so_oracle(4, 2)
@@ -203,11 +219,15 @@ def test_the_oracle_sum_is_within_its_stated_bound(monkeypatch, r):
     for bits in (64, 192):
         deltas = []
         for u, _ in usets:
-            args = so_oracle._pair_product(u)
+            # each sine's argument as a numerator over D = 2k: u_i -+ u_j, and u_i for B
+            D, v = 2 * u.k, [int(2 * x) for x in u.values]
+            numerators = [a + sign * b for i, a in enumerate(v) for b in v[i + 1:]
+                          for sign in (-1, 1)]
             if family == "B":
-                args += [x / u.k for x in u.values]
-            assert len(args) == M
-            deltas.append(math.prod(Fraction(four_sin_sq(x, bits)) for x in args))
+                numerators += v
+            assert len(numerators) == M
+            table = _sine_table(D, bits)
+            deltas.append(math.prod(Fraction(table[min(n, D - n)]) for n in numerators))
         for genus in (1, 2, 7):
             sums.clear()
             n_so_oracle(r, genus, bits)

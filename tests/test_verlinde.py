@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 import helpers
+import verlinde.cli as cli
 import verlinde.formula as formula
 from verlinde.formula import (
     DYNKIN_INDEX,
@@ -25,7 +26,7 @@ from verlinde.formula import (
     verlinde_sc,
 )
 from verlinde.numeric import DEFAULT_PRECISION, MAX_PRECISION, IntegralityError
-from verlinde.rootsys import MIN_RANK, GroupType, root_system, weight_from_marks
+from verlinde.rootsys import MIN_RANK, GroupType, build_root_system, root_system, weight_from_marks
 from verlinde.weights import CenterSpec
 
 from helpers import (
@@ -597,6 +598,29 @@ def test_every_sum_refuses_genus_then_precision_before_any_enumeration(call):
         with pytest.raises(ValueError, match=re.escape(message)):
             call(genus, precision)
     assert _sum_of.cache_info() == info
+
+
+BUILDING_CALLS = {
+    "n_so-301": lambda g, p: n_so(301, g, p),
+    "n_sp-120": lambda g, p: n_sp(120, 2, g, p),
+    "compute-sc-A10": lambda g, p: cli._cmd_compute(cli._parse(
+        f"compute --group sc --type A --rank 10 --level 50 --genus {g} --precision {p}".split())),
+}
+
+
+@pytest.mark.parametrize("call", BUILDING_CALLS.values(), ids=BUILDING_CALLS.keys())
+def test_a_refused_genus_or_precision_builds_no_root_data(call):
+    """The callers that build root data from a rank refuse a bad genus or
+    precision first: a large group costs nothing to refuse."""
+    info = build_root_system.cache_info()
+    for genus, precision, message in (
+        (0, DEFAULT_PRECISION, "genus must be >= 1, got 0"),
+        (2, 63, "precision must be >= 64 bits, got 63"),
+        (2, MAX_PRECISION + 1, f"precision must be <= {MAX_PRECISION} bits"),
+    ):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            call(genus, precision)
+    assert build_root_system.cache_info() == info
 
 
 def test_product_rejects_bad_factors():
