@@ -39,19 +39,23 @@ spectrum of distinct (orbit size, multiset of numerators) with a count each.
 A multiset is keyed by its sorted numerators or, where each term has more
 numerators than there are values, R > D/2, by the count of each value,
 packed into one int (:class:`Spectrum`): Sp(12) at level 6 has R = 36 and
-D/2 = 13.  Its Delta then costs one multiply per distinct numerator, not
-one per numerator (``_products``).
+D/2 = 13.  Its Delta then costs one multiply per value, not one per numerator
+(``_products``).
 
 The exact pass is the one recursion over the mark tuples in lexicographic
 order, ``weights._walk``, which also lists the weights of the ``weights``
 command.  Each node adds its pairing column once to its parent's
-numerators, starting from rho (the pairing rows' sums), so a weight costs
-one vector add, not one dot product per root.  Under every spec the walk
-visits only the least member of each center orbit, on which Delta is
-constant (for type A the necklaces, about |P_l| / (s+1) weights), and
-merges it into the spectrum at once; P_l is never stored.  A simply
-connected group counts it with its orbit size, a quotient once, with its
-Gamma-orbit size as m.
+numerators, starting from rho (the pairing rows' sums).  The R numerators
+travel as one int, one unsigned field of f bits per root, f the least of
+8, 16 and 32 with D - 1 < 2^f: every pairing is >= 0, so no field of any
+node exceeds a numerator of a weight of P_l, at most D - 1, and no add
+carries.  So a weight costs one int add, not a vector add or one dot
+product per root, and each kept leaf unpacks its fields once.  Under every
+spec the walk visits only the least member of each center orbit, on which
+Delta is constant (for type A the necklaces, about |P_l| / (s+1)
+weights), and merges it into the spectrum at once; P_l is never stored.
+A simply connected group counts it with its orbit size, a quotient once,
+with its Gamma-orbit size as m.
 
 The float layer (``_products``, ``_kernel`` and :func:`delta`) is decimal
 arithmetic in the context of ``numeric._context`` at ``bits`` working bits,
@@ -104,12 +108,12 @@ from __future__ import annotations
 
 import math
 import operator
+import struct
 import sys
 import threading
 from array import array
 from decimal import MAX_EMAX, Context, Decimal, localcontext
 from functools import lru_cache
-from itertools import compress
 from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .numeric import (
@@ -186,8 +190,9 @@ SPECTRUM_CACHE_SIZE = 32
 # 2.3 ms, 0.04 ms of it the fit, against 0.8 ms for its one sum at genus 33,
 # which takes a second pass (Python 3.11 on a shared 2-vCPU VM).
 RECURRENCE_MAX_TERMS = 16
-# The array typecode of a counts key's slots, by ``Spectrum.width``.
-_SLOT_TYPES = {8: "B", 16: "H", 32: "I"}
+# The array typecode of an unsigned field of each width: the slots of a counts
+# key (``Spectrum.width``) and the numerators that the exact pass packs.
+_FIELD_TYPES = {8: "B", 16: "H", 32: "I"}
 
 
 class DynkinIndices(NamedTuple):
@@ -262,12 +267,19 @@ def _terms(factors, spec: CenterSpec) -> Spectrum:
     Gamma-trivial weights of ``factors``, pairs ``(rs, level)``.
 
     The walk (``weights._walk``) visits only the least members of the center
-    orbits of each factor and carries each weight's numerators: column i of
-    a factor's pairing matrix, scaled by D / (2(l+h)), sits at that factor's
-    roots.  Each kept leaf merges into its term at once, keyed by its orbit
-    size and its numerators, reduced to min(j, D - j): sorted, or, where
-    the spectrum counts them, as the sum of 1 << width * j over them
-    (``_layout``).
+    orbits of each factor and carries each weight's R numerators packed into
+    one int, one unsigned field of f bits per root: f is the least of 8, 16
+    and 32 with D - 1 < 2^f.  Every pairing is >= 0, so each field of each
+    node is at most a numerator of a weight of P_l, which is at most D - 1,
+    and no add carries into the next field.  Column i of a factor's pairing
+    matrix, scaled by D / (2(l+h)), is packed in C by one ``struct`` call
+    (native, as ``array`` reads it) and shifted to that factor's fields;
+    rho, whose numerators are the pairing rows' sums, is the sum of the
+    columns.  Each kept leaf unpacks its int (``int.to_bytes``, read as
+    bytes or as an array of f-bit fields) and merges into its term at once,
+    keyed by its orbit size and its numerators, reduced to min(j, D - j):
+    sorted, or, where the spectrum counts them, as the sum of
+    1 << width * j over them (``_layout``).
     A leaf counts the product of the factors' orbit sizes under the trivial
     spec; under a quotient, a Gamma-trivial leaf counts once, with its
     Gamma-orbit size as m: the terms, their order and their counts are
@@ -277,25 +289,27 @@ def _terms(factors, spec: CenterSpec) -> Spectrum:
     shifted = [2 * (lvl + rs.dual_coxeter) for rs, lvl in factors]
     D = math.lcm(*shifted)
     roots = sum(len(rs.pairing_matrix) for rs, _ in factors)
+    field = 8 if D - 1 < 1 << 8 else 16 if D - 1 < 1 << 16 else 32
+    code, size, order = _FIELD_TYPES[field], field // 8, sys.byteorder
     columns = []
-    rho = []
+    offset = 0  # the fields before this factor's
     for (rs, _), d in zip(factors, shifted):
         M = rs.pairing_matrix
-        offset = len(rho)
         scale = D // d
-        for col in zip(*M):
-            column = [0] * roots
-            column[offset:offset + len(M)] = col if scale == 1 else [scale * x for x in col]
-            columns.append(column)
-        rho += [scale * sum(row) for row in M]
+        pack = struct.Struct(f"{len(M)}{code}").pack  # native, as the array that unpacks
+        columns += [int.from_bytes(pack(*(col if scale == 1 else map(scale.__mul__, col))),
+                                   order) << field * offset for col in zip(*M)]
+        offset += len(M)
     width, numerators = _layout(roots, D)
     counts = {}
+    length = size * roots
 
     def merge(js, m, weight, parts):
-        key = (m, numerators(js))
+        js = js.to_bytes(length, order)
+        key = (m, numerators(js if size == 1 else array(code, js)))
         counts[key] = counts.get(key, 0) + weight
 
-    _walk(factors, spec, merge, _LEAST_MEMBERS, columns, rho)
+    _walk(factors, spec, merge, _LEAST_MEMBERS, columns, sum(columns))
     return Spectrum(D, roots, width, tuple((c, m, js) for (m, js), c in counts.items()))
 
 
@@ -348,13 +362,15 @@ def _products(spectrum: Spectrum, factors, bits: int) -> Tuple[Decimal, ...]:
     per numerator of a term.
 
     Sorted numerators are multiplied out by ``math.prod``, R - 1 roundings.
-    A term that counts its numerators (the count e_j of each of its k
-    distinct numerators j, summing to R) is the ``math.prod`` of k powers
-    s_j^e_j, k - 1 roundings: one multiply per distinct numerator.  The
-    powers come from one table per spectrum, s_j^e for e up to the largest
-    count of j, each by one more multiply, so s_j^e_j carries e_j - 1
-    roundings, R - k over the term.  Decimal's ``**`` is not used: it is
-    within 2 eps per power only (see ``_kernel``).  In both layouts each
+    A term that counts its numerators (the count e_j of each value j,
+    summing to R over its k distinct numerators) is the ``math.prod`` of
+    s_j^e_j over every slot j = 0..D/2, one multiply per value, with no
+    filter per term.  The powers come from one table per spectrum, s_j^e
+    for e up to the largest count of j, each by one more multiply, and
+    s_j^0 is an exact 1: a product by it rounds nothing, so each Delta
+    takes k - 1 roundings, and s_j^e_j carries e_j - 1, R - k over the
+    term.  Decimal's ``**`` is not used: it is within 2 eps per power only
+    (see ``_kernel``).  In both layouts each
     Delta is within 2R eps <= R 2^-bits of the exact product of the tables'
     unrounded values, and within R eps of the exact product of their rounded
     ones, relative: R - 1 to first order, and one eps for the second-order
@@ -370,19 +386,19 @@ def _products(spectrum: Spectrum, factors, bits: int) -> Tuple[Decimal, ...]:
         if not width:
             return tuple(math.prod(map(sines.__getitem__, js)) for _, _, js in spectrum.terms)
         size = width // 8 * len(sines)
-        counts = [array(_SLOT_TYPES[width], key.to_bytes(size, "little"))
+        counts = [array(_FIELD_TYPES[width], key.to_bytes(size, "little"))
                   for _, _, key in spectrum.terms]
         if sys.byteorder == "big":  # the keys' bytes are little-endian
             for c in counts:
                 c.byteswap()
-        powers = []  # powers[j][e] = s_j^e, e from 1 to the largest count of j
+        one = Decimal(1)
+        powers = []  # powers[j][e] = s_j^e, e from 0 to the largest count of j
         for s, top in zip(sines, map(max, zip(*counts))):
-            power = [None, s]
+            power = [one, s]
             for _ in range(top - 1):
                 power.append(power[-1] * s)
             powers.append(power)
-        return tuple(math.prod(map(list.__getitem__, compress(powers, c), filter(None, c)))
-                     for c in counts)
+        return tuple(math.prod(map(list.__getitem__, powers, c)) for c in counts)
 
 
 def _kernel(

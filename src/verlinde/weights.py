@@ -28,7 +28,6 @@ from enum import Enum
 from fractions import Fraction
 from functools import partial
 from itertools import chain
-from operator import add
 from typing import List, NamedTuple, Sequence, Tuple
 
 from .rootsys import RootSystem, Vector, marks
@@ -216,26 +215,26 @@ _SO_QUOTIENT = {"A": CenterSpec.SO3, "B": CenterSpec.SO_ODD, "D": CenterSpec.SO_
 
 
 def _walk(factors: Sequence[Factor], spec: CenterSpec, leaf, rules=_LEAST_MEMBERS,
-          columns=None, start=()) -> None:
+          columns=None, start=0) -> None:
     """The one recursion over the flat mark tuples of ``factors``, pairs
     ``(rs, level)``, in lexicographic order.
 
     Each factor walks by its family's rule in ``rules``: by
     ``_LEAST_MEMBERS`` the walk visits only the least member of each center
     orbit of every factor, by ``_EVERY_WEIGHT`` all of P_l.  It carries one
-    vector, ``start`` plus n_i times ``columns[i]`` over the flat marks
-    (the exact pass gives the pairing columns, so that a node costs one
-    vector add; without columns the vector is empty).  Each kept leaf calls
-    ``leaf(vector, m, weight, parts)``, ``parts`` being the lists of each
-    factor's marks, which the walk goes on changing.  Under the trivial spec
-    m is 1 and the weight is the product of the factors' orbit sizes; under
-    a quotient only Gamma-trivial leaves are kept, each with weight 1 and
-    its Gamma-orbit size as m.
+    int, ``start`` plus n_i times ``columns[i]`` over the flat marks, so
+    that a node costs one int add (the exact pass packs the pairing columns
+    into fields of one int each; without columns the int is 0).  Each kept
+    leaf calls ``leaf(js, m, weight, parts)``, js being that int and
+    ``parts`` the lists of each factor's marks, which the walk goes on
+    changing.  Under the trivial spec m is 1 and the weight is the product
+    of the factors' orbit sizes; under a quotient only Gamma-trivial leaves
+    are kept, each with weight 1 and its Gamma-orbit size as m.
     """
     comarks, budgets = _mark_bounds(factors)
     trivial = _trivial_on_center(spec, factors)
     if columns is None:
-        columns = [()] * len(comarks)
+        columns = [0] * len(comarks)
     parts = []  # each factor's marks
     plan = []  # by depth: (the factor's marks, mark, step, cost per unit, column)
     closes = {}  # depth after a factor's last mark -> that factor's close
@@ -269,9 +268,9 @@ def _walk(factors: Sequence[Factor], spec: CenterSpec, leaf, rules=_LEAST_MEMBER
         low, at_low, above = step(b, j, p)
         for n in range(low, remaining // cost + 1):
             if n > low:
-                js = list(map(add, js, column))
+                js += column
             elif n:
-                js = [x + n * c for x, c in zip(js, column)]
+                js += n * column
             b[j] = n
             walk(i + 1, remaining - n * cost, js, above if n > low else at_low, weight)
 

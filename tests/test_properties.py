@@ -79,6 +79,19 @@ def test_sp_level_rank_symmetry(r, s, genus):
 
 
 @SMALL
+@given(pair=st.integers(2, 6).flatmap(lambda n: st.tuples(st.just(n), st.integers(n, 7))),
+       genus=st.integers(1, 8))
+def test_su_level_rank_duality(pair, genus):
+    """k^g N_g(SU(n), k) = n^g N_g(SU(k), n) (rank-level duality; Beauville,
+    Narasimhan and Ramanan, J. reine angew. Math. 398, 1989): the two sides
+    walk different type-A spectra, with different D and root data."""
+    n, k = pair
+    left = verlinde_sc(root_system("A", n - 1), k, genus).value
+    right = verlinde_sc(root_system("A", k - 1), n, genus).value
+    assert k**genus * left == n**genus * right
+
+
+@SMALL
 @given(r=st.integers(5, 14), genus=st.integers(1, 8))
 def test_engine_equals_oracle(r, genus):
     assert n_so(r, genus).value == n_so_oracle(r, genus).value == r**genus

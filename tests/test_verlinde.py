@@ -329,6 +329,44 @@ def test_the_deltas_of_counted_numerators_do_not_depend_on_the_slot_width(width)
     assert _products(recounted, factors, 192) == _products(spectrum, factors, 192)
 
 
+_FIELD_WIDTHS = [
+    ((("A", 1, 126),), 256),  # P_l has numerators up to 254: 8-bit fields
+    ((("A", 1, 127),), 258),  # up to 256: 16-bit
+    ((("A", 1, 32767),), 65538),  # up to 65,536: 32-bit
+    ((("B", 2, 125),), 256),  # the walk reaches 254: 8-bit
+    ((("B", 2, 126),), 258),  # it reaches 256: 16-bit
+    ((("B", 2, 1), ("A", 1, 41)), 344),  # lcm(8, 86); B2 reaches 6 * 43 = 258: 16-bit
+    ((("B", 2, 1), ("A", 1, 10921)), 87384),  # lcm(8, 21846); 6 * 10923 = 65,538: 32-bit
+]
+
+
+@pytest.mark.parametrize("factors,D", _FIELD_WIDTHS, ids=[
+    "x".join(f"{f}{r}-{lvl}" for f, r, lvl in factors) for factors, _ in _FIELD_WIDTHS])
+def test_the_packed_numerators_fit_their_fields_on_either_side_of_a_width(factors, D):
+    """The walk packs each weight's numerators into fields of the least of
+    8, 16 and 32 bits that holds D - 1.  On each side of the 8- and 16-bit
+    edges, and for products whose lcm passes 256 and 2^16, the spectrum is
+    the per-weight reference: no field overflows into the next.
+
+    A1 visits only n <= l / 2, the least member of each center orbit, so
+    its walk stays near D / 2.  B2 visits the weight with n_0 = n_1 = 0,
+    whose numerator at theta is D - 2 (scaled by D / 8 in the products), so
+    a rule one step too narrow fails on its cases."""
+    factors = tuple((root_system(f, r), level) for f, r, level in factors)
+    spectrum = _terms(factors, CenterSpec.TRIVIAL)
+    assert spectrum.denominator == D
+    assert sorted_terms(spectrum) == reference_terms(factors, CenterSpec.TRIVIAL)
+
+
+@pytest.mark.parametrize("r", [130, 131])
+@pytest.mark.parametrize("genus", [1, 2])
+def test_so_past_the_8_bit_fields_is_r_to_the_genus(r, genus):
+    """SO(130) and SO(131) at level 2 have D = 260 and 262, so their
+    numerators take 16-bit fields, and R > D/2 counted numerators."""
+    res = n_so(r, genus)
+    assert res.value == r**genus
+
+
 @pytest.mark.parametrize("call,recurrent", [
     (lambda: n_so(12, 12), True),  # 1.1e-44 from the Decimal sum itself
     (lambda: n_so(12, 60), True),  # escalates to 384 bits
