@@ -32,21 +32,12 @@ from .so_oracle import n_so_oracle
 from .suite import run_default_suite
 from .weights import enumerate_level_weights, orbit_decompose
 
-RECORD_FIELDS = (
-    "group_label",
-    "level",
-    "genus",
-    "value",
-    "residual",
-    "precision_bits",
-    "term_count",
-)
-
 # The arguments that each ``compute --group`` takes; it refuses the others.
 _GROUP_ARGS = {"so": ("r",), "sp": ("r", "level"), "sc": ("type", "rank", "level")}
 
 
 def output_record(res: VerlindeResult) -> dict:
+    """The record of ``res``: its key order is the csv and md column order."""
     level = list(res.level) if isinstance(res.level, tuple) else res.level
     return {
         "group_label": res.group_label,
@@ -67,7 +58,7 @@ def _emit_record(record: dict, fmt: str) -> None:
         import io
 
         buf = io.StringIO()
-        writer = csv.DictWriter(buf, fieldnames=RECORD_FIELDS)
+        writer = csv.DictWriter(buf, fieldnames=list(record))
         writer.writeheader()
         row = dict(record)
         if isinstance(row["level"], list):
@@ -75,9 +66,9 @@ def _emit_record(record: dict, fmt: str) -> None:
         writer.writerow(row)
         print(buf.getvalue(), end="")
     else:  # md
-        print("| " + " | ".join(RECORD_FIELDS) + " |")
-        print("|" + "---|" * len(RECORD_FIELDS))
-        print("| " + " | ".join(str(record[f]) for f in RECORD_FIELDS) + " |")
+        print("| " + " | ".join(record) + " |")
+        print("|" + "---|" * len(record))
+        print("| " + " | ".join(map(str, record.values())) + " |")
 
 
 def _cmd_compute(args) -> int:
@@ -126,7 +117,7 @@ def _cmd_weights(args) -> int:
         print(json.dumps({"group": str(rs.group_type), "level": args.level,
                           "rows": rows}, sort_keys=True))
     else:  # a list cell as [3/2, 1/2], not its repr
-        headers = list(rows[0].keys()) if rows else ["marks", "coords"]
+        headers = list(rows[0])  # every listing holds the zero weight
         cell = lambda v: f"[{', '.join(map(str, v))}]" if isinstance(v, list) else str(v)
         print("| " + " | ".join(headers) + " |")
         print("|" + "---|" * len(headers))

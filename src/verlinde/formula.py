@@ -46,14 +46,15 @@ The exact pass is the one recursion over the mark tuples in lexicographic
 order, ``weights._walk``, which also lists the weights of the ``weights``
 command.  Each node adds its pairing column once to its parent's
 numerators, starting from rho (the pairing rows' sums).  The R numerators
-travel as one int, one unsigned field of f bits per root, f the least of
-8, 16 and 32 with D - 1 < 2^f: every pairing is >= 0, so no field of any
-node exceeds a numerator of a weight of P_l, at most D - 1, and no add
-carries.  So a weight costs one int add, not a vector add or one dot
-product per root, and each kept leaf unpacks its fields once.  Under every
-spec the walk visits only the least member of each center orbit, on which
-Delta is constant (for type A the necklaces, about |P_l| / (s+1)
-weights), and merges it into the spectrum at once; P_l is never stored.
+travel as one int, one unsigned field of f bits per root, f the least
+width that holds D - 1 (``_field_width``): every pairing is >= 0, so no
+field of any node exceeds a numerator of a weight of P_l, at most D - 1,
+and no add carries.  So a weight costs one int add, not a vector add or
+one dot product per root, and each kept leaf unpacks its fields once.
+Under every spec the walk visits only the least member of each center
+orbit, on which Delta is constant (for type A the necklaces, about
+|P_l| / (s+1) weights), and merges it into the spectrum at once; P_l is
+never stored.
 A simply connected group counts it with its orbit size, a quotient once,
 with its Gamma-orbit size as m.
 
@@ -133,14 +134,7 @@ from .rootsys import (
     marks,
     root_system,
 )
-from .weights import (
-    _LEAST_MEMBERS,
-    _SO_QUOTIENT,
-    CenterSpec,
-    _mark_bounds,
-    _walk,
-    _within_levels,
-)
+from .weights import _SO_QUOTIENT, CenterSpec, _mark_bounds, _walk
 
 __all__ = [
     "DynkinIndices",
@@ -195,6 +189,12 @@ RECURRENCE_MAX_TERMS = 16
 _FIELD_TYPES = {8: "B", 16: "H", 32: "I"}
 
 
+def _field_width(n: int) -> int:
+    """The least width of ``_FIELD_TYPES``, 8, 16 or 32 bits, whose unsigned
+    field holds n: a count of R numerators, or a numerator below D."""
+    return 8 if n < 1 << 8 else 16 if n < 1 << 16 else 32
+
+
 class DynkinIndices(NamedTuple):
     """Dynkin indices of the standard representations, used to pick levels.
 
@@ -218,7 +218,8 @@ def delta(
     """Delta(lambda): the positive-root product of 4 sin^2 factors.
 
     Strictly positive for every weight in P_l; a weight outside P_l (a
-    negative mark, or a level above l) raises ``ValueError``.  The sine
+    negative mark, or a level sum comark_i n_i above l, the bound of the
+    walk's ``weights._mark_bounds``) raises ``ValueError``.  The sine
     arguments are computed exactly, from the marks of ``lam``, before any
     floating point enters, as in ``_terms``; the product is that of the
     float layer (``_products``) at ``precision``, keyed as the spectrum
@@ -227,7 +228,7 @@ def delta(
     in the caller's decimal context.
     """
     n = marks(rs, lam)
-    if not _within_levels(((rs, level),), n):
+    if min(n) < 0 or sum(map(operator.mul, rs.comarks, n)) > level:
         raise ValueError(f"{lam} is not a level-{level} weight")
     check_precision(precision)
     D = 2 * (level + rs.dual_coxeter)
@@ -250,14 +251,13 @@ def _layout(roots: int, D: int):
     0 < j < D, reduced to min(j, D - j).
 
     ``width`` is 0 (sorted numerators) where R <= D/2, as a count vector of
-    D/2 + 1 slots would be longer than the list it replaces, else the least
-    of 8, 16 and 32 bits that holds a count of R (R < 2^32: a root system
-    with more roots does not fit in memory), and the key is the sum of
+    D/2 + 1 slots would be longer than the list it replaces, else the
+    ``_field_width`` of a count of R, and the key is the sum of
     1 << width * j, one C-level sum over a table by j."""
     if roots <= D // 2:
         reduced = [min(j, D - j) for j in range(D)].__getitem__
         return 0, lambda js: tuple(sorted(map(reduced, js)))
-    width = 8 if roots < 1 << 8 else 16 if roots < 1 << 16 else 32
+    width = _field_width(roots)
     slots = [1 << width * min(j, D - j) for j in range(D)].__getitem__
     return width, lambda js: sum(map(slots, js))
 
@@ -268,14 +268,14 @@ def _terms(factors, spec: CenterSpec) -> Spectrum:
 
     The walk (``weights._walk``) visits only the least members of the center
     orbits of each factor and carries each weight's R numerators packed into
-    one int, one unsigned field of f bits per root: f is the least of 8, 16
-    and 32 with D - 1 < 2^f.  Every pairing is >= 0, so each field of each
-    node is at most a numerator of a weight of P_l, which is at most D - 1,
-    and no add carries into the next field.  Column i of a factor's pairing
+    one int, one unsigned field of f bits per root, f the ``_field_width``
+    of D - 1.  Every pairing is >= 0, so each field of each node is at most
+    a numerator of a weight of P_l, which is at most D - 1, and no add
+    carries into the next field.  Column i of a factor's pairing
     matrix, scaled by D / (2(l+h)), is packed in C by one ``struct`` call
-    (native, as ``array`` reads it) and shifted to that factor's fields;
-    rho, whose numerators are the pairing rows' sums, is the sum of the
-    columns.  Each kept leaf unpacks its int (``int.to_bytes``, read as
+    (native, as ``array`` reads it) and shifted to that factor's fields; the
+    walk starts from their sum, rho, whose numerators are the pairing rows'
+    sums.  Each kept leaf unpacks its int (``int.to_bytes``, read as
     bytes or as an array of f-bit fields) and merges into its term at once,
     keyed by its orbit size and its numerators, reduced to min(j, D - j):
     sorted, or, where the spectrum counts them, as the sum of
@@ -289,7 +289,7 @@ def _terms(factors, spec: CenterSpec) -> Spectrum:
     shifted = [2 * (lvl + rs.dual_coxeter) for rs, lvl in factors]
     D = math.lcm(*shifted)
     roots = sum(len(rs.pairing_matrix) for rs, _ in factors)
-    field = 8 if D - 1 < 1 << 8 else 16 if D - 1 < 1 << 16 else 32
+    field = _field_width(D - 1)
     code, size, order = _FIELD_TYPES[field], field // 8, sys.byteorder
     columns = []
     offset = 0  # the fields before this factor's
@@ -309,7 +309,7 @@ def _terms(factors, spec: CenterSpec) -> Spectrum:
         key = (m, numerators(js if size == 1 else array(code, js)))
         counts[key] = counts.get(key, 0) + weight
 
-    _walk(factors, spec, merge, _LEAST_MEMBERS, columns, sum(columns))
+    _walk(factors, spec, merge, columns=columns)
     return Spectrum(D, roots, width, tuple((c, m, js) for (m, js), c in counts.items()))
 
 
@@ -448,7 +448,7 @@ def torus_order_oracle_certified(
     ``precision`` bits.  A cross-check of :func:`torus_order`."""
     check_precision(precision)  # a refused request enumerates nothing
     entry = _sum_of((((rs.group_type, level),), CenterSpec.TRIVIAL))
-    value, residual, _ = _certified(entry, 0, precision, 1)
+    value, residual, _ = _certified(entry, 0, precision)
     return value, residual
 
 
@@ -474,7 +474,7 @@ def _verlinde(factors, spec, genus, precision, label) -> VerlindeResult:
     elif small and genus <= 2 * K and precision == DEFAULT_PRECISION:
         value, residual, bits = _seed_sum(entry, genus)
     else:
-        value, residual, bits = _certified(entry, genus, precision, entry.T)
+        value, residual, bits = _certified(entry, genus, precision)
     return VerlindeResult(
         value=value,
         residual=residual,
@@ -500,9 +500,12 @@ def _label(factors, spec: CenterSpec) -> str:
     return f"SO({2 * rs.rank + 1})"  # SO_ODD, and SO3 of A1
 
 
-def _certified(entry: _Sum, genus: int, precision: int, T: int):
-    """``(N, residual, bits)`` of the kernel's sum of ``entry`` at ``genus``
-    with torus order ``T``, certified from ``precision`` bits."""
+def _certified(entry: _Sum, genus: int, precision: int):
+    """``(N, residual, bits)`` of the kernel's sum of ``entry`` at ``genus``,
+    certified from ``precision`` bits: with the entry's torus order T, or
+    with T = 1 at g = 0, the torus-order oracle's sum of Delta (every
+    Verlinde number has g >= 1)."""
+    T = entry.T if genus else 1
     return certify_integer(
         lambda b: _kernel(entry.spectrum, entry.deltas(b), T, genus, entry.gamma_order, b),
         precision, _error(entry.spectrum, genus),
@@ -516,7 +519,7 @@ def _seed_sum(entry: _Sum, genus: int):
     certify it, to the same triple."""
     triple = entry.seed.get(genus)
     if triple is None:
-        triple = entry.seed[genus] = _certified(entry, genus, DEFAULT_PRECISION, entry.T)
+        triple = entry.seed[genus] = _certified(entry, genus, DEFAULT_PRECISION)
     return triple
 
 
@@ -636,17 +639,15 @@ def n_so(r: int, genus: int, precision: int = DEFAULT_PRECISION) -> VerlindeResu
     if r < 3:
         raise ValueError(f"n_so requires r >= 3, got {r}")
     _check_request(genus, precision)
-    label = f"SO({r})"
     if r == 4:
         factors = [(root_system("A", 1), level) for level in DYNKIN_INDEX.so4]
-        return verlinde_product_quotient(
-            factors, CenterSpec.SO4_DIAGONAL, genus, precision, label=label)
+        return verlinde_product_quotient(factors, CenterSpec.SO4_DIAGONAL, genus, precision)
     if r == 3:
         family, rank, level = "A", 1, DYNKIN_INDEX.so3
     else:
         family, rank, level = "B" if r % 2 else "D", r // 2, DYNKIN_INDEX.so_standard_r_ge_5
     return verlinde_quotient(
-        root_system(family, rank), level, _SO_QUOTIENT[family], genus, precision, label=label)
+        root_system(family, rank), level, _SO_QUOTIENT[family], genus, precision)
 
 
 def n_sp(

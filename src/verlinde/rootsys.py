@@ -189,25 +189,23 @@ def build_root_system(group_type: GroupType) -> RootSystem:
         dual_coxeter=h,
         center_order=f,
         nu=nu,
-        pairing_matrix=_twice_pairings(group_type, positive, scaled, 2, den),
-        comarks=tuple(
-            c // 2 for c in _twice_pairings(group_type, (theta,), scaled, 2, den)[0]
-        ),
+        pairing_matrix=_twice_pairings(group_type, positive, scaled, den),
+        comarks=tuple(c // 2 for c in _twice_pairings(group_type, (theta,), scaled, den)[0]),
     )
 
 
 def _twice_pairings(
-    group_type: GroupType, vectors, scaled, num: int, den: int
+    group_type: GroupType, vectors, scaled, den: int
 ) -> Tuple[Tuple[int, ...], ...]:
-    """``2 (v | w) = num (v . d w) / den`` for each integer vector v (rows)
+    """``2 (v | w) = 2 (v . d w) / den`` for each integer vector v (rows)
     and each fundamental weight w, given as its integer multiple ``d w``.
 
-    A row is summed from the weight columns, scaled once by num / g with g
-    = gcd(num, den), over the nonzero coordinates of v, which are at most
+    A row is summed from the weight columns, scaled once by 2 / g with g
+    = gcd(2, den), over the nonzero coordinates of v, which are at most
     two for a root, and divided by den / g when that is above 1.
     """
-    g = gcd(num, den)
-    columns = tuple(tuple(num // g * y for y in column) for column in zip(*scaled))
+    g = gcd(2, den)
+    columns = tuple(tuple(2 // g * y for y in column) for column in zip(*scaled))
     dens = (den // g,) * len(scaled)
     rows = []
     for v in vectors:

@@ -89,11 +89,13 @@ def _sorted_report(entries: List[SuiteEntry]) -> SuiteReport:
 
 
 def _outcome(compute) -> Tuple[str, float, bool]:
-    """(value string, residual, certified) of ``compute() -> (value, residual)``.
+    """(value string, residual, certified) of ``compute()``, whose first two
+    fields are the value and the residual: a ``VerlindeResult``, or the
+    torus-order oracle's pair.
 
     An integrality failure is an outcome like any other, not an error."""
     try:
-        value, residual = compute()
+        value, residual = compute()[:2]
         return str(Decimal(value)), residual, True
     except IntegralityError as err:
         return f"uncertified({err.raw_value})", err.residual, False
@@ -121,10 +123,6 @@ def _timed_entry(check_name, parameters, expected_value, compute) -> SuiteEntry:
     )
 
 
-def _value(res) -> Tuple[int, float]:
-    return res.value, res.residual
-
-
 def run_so_identity(
     r_max: int, g_max: int, precision: int = DEFAULT_PRECISION
 ) -> SuiteReport:
@@ -139,7 +137,7 @@ def run_so_identity(
                 "so-identity",
                 {"r": r, "genus": g},
                 theta_dim(r, g),
-                lambda r=r, g=g: _value(n_so(r, g, precision)),
+                lambda r=r, g=g: n_so(r, g, precision),
             )
             entries.append(identity)
             if r >= 5:  # the oracle must reproduce the engine value just computed
@@ -148,7 +146,7 @@ def run_so_identity(
                         "so-oracle-equivalence",
                         {"r": r, "genus": g},
                         identity.computed,
-                        lambda r=r, g=g: _value(n_so_oracle(r, g, precision)),
+                        lambda r=r, g=g: n_so_oracle(r, g, precision),
                     )
                 )
     return _sorted_report(entries)
@@ -165,15 +163,13 @@ def run_strange_duality_symmetry(
         for s in range(r, s_max + 1):
             for g in range(1, g_max + 1):
                 # on the diagonal the partner is the computed number itself
-                partner = None if r == s else _outcome(
-                    lambda: _value(n_sp(s, r, g, precision))
-                )[0]
+                partner = None if r == s else _outcome(lambda: n_sp(s, r, g, precision))[0]
                 entries.append(
                     _timed_entry(
                         "sp-duality-symmetry",
                         {"r": r, "s": s, "genus": g},
                         partner,
-                        lambda r=r, s=s, g=g: _value(n_sp(r, s, g, precision)),
+                        lambda r=r, s=s, g=g: n_sp(r, s, g, precision),
                     )
                 )
     return _sorted_report(entries)

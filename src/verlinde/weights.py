@@ -3,11 +3,11 @@
 A weight set belongs to a product of simply connected factors, each with
 its own level; a simple group is the one-factor case.  A weight is one flat
 tuple of marks (coefficients in the fundamental-weight basis), the factors'
-marks in turn, with (lambda | theta) <= l in every factor.  The one
-recursion over them, ``_walk``, takes its bounds from ``_mark_bounds`` and
-stores no weight set; it serves the exact pass (``formula._terms``) and the
-listings of the ``weights`` command, :func:`enumerate_level_weights` and
-:func:`orbit_decompose`.
+marks in turn, with (lambda | theta) = sum comark_i n_i <= l in every
+factor.  The one recursion over them, ``_walk``, takes its bounds from
+``_mark_bounds``, starts from rho and stores no weight set; it serves the
+exact pass (``formula._terms``) and the listings of the ``weights``
+command, :func:`enumerate_level_weights` and :func:`orbit_decompose`.
 
 One table, ``_ACTS_ON``, states which factors each order-2 center subgroup
 acts on, and ``_trivial_on_center`` tests whether a weight's character is
@@ -62,14 +62,6 @@ class UCoordinates(NamedTuple):
 
     u: Tuple[Fraction, ...]
     t: Tuple[int, ...]
-
-
-def _parts(factors: Sequence[Factor], n: Marks):
-    """Each factor as ``(rs, level, part)``, with its part of the flat marks ``n``."""
-    start = 0
-    for rs, level in factors:
-        yield rs, level, n[start:start + rs.rank]
-        start += rs.rank
 
 
 def _mark_bounds(factors: Sequence[Factor]):
@@ -134,17 +126,6 @@ def _trivial_on_center(spec: CenterSpec, factors: Sequence[Factor]):
         positions += [start + i % rs.rank for i in charged[rs.family]]
         start += rs.rank
     return lambda n: sum(n[i] for i in positions) % 2 == 0
-
-
-def _affine_mark(rs: RootSystem, level: int, n: Marks) -> int:
-    """n_0 = l - sum comark_i n_i; a weight lies at level l iff n_0 >= 0."""
-    return level - sum(c * x for c, x in zip(rs.comarks, n))
-
-
-def _within_levels(factors: Sequence[Factor], n: Marks) -> bool:
-    """Whether the flat marks n are those of a weight within the levels of
-    ``factors``: no mark, and no factor's affine mark, is negative."""
-    return min(n) >= 0 and all(_affine_mark(*p) >= 0 for p in _parts(factors, n))
 
 
 # The rules by which the walk (``_walk``) visits a factor: in
@@ -215,21 +196,22 @@ _SO_QUOTIENT = {"A": CenterSpec.SO3, "B": CenterSpec.SO_ODD, "D": CenterSpec.SO_
 
 
 def _walk(factors: Sequence[Factor], spec: CenterSpec, leaf, rules=_LEAST_MEMBERS,
-          columns=None, start=0) -> None:
+          columns=None) -> None:
     """The one recursion over the flat mark tuples of ``factors``, pairs
     ``(rs, level)``, in lexicographic order.
 
     Each factor walks by its family's rule in ``rules``: by
     ``_LEAST_MEMBERS`` the walk visits only the least member of each center
     orbit of every factor, by ``_EVERY_WEIGHT`` all of P_l.  It carries one
-    int, ``start`` plus n_i times ``columns[i]`` over the flat marks, so
+    int, the sum of (n_i + 1) times ``columns[i]`` over the flat marks, so
     that a node costs one int add (the exact pass packs the pairing columns
-    into fields of one int each; without columns the int is 0).  Each kept
-    leaf calls ``leaf(js, m, weight, parts)``, js being that int and
-    ``parts`` the lists of each factor's marks, which the walk goes on
-    changing.  Under the trivial spec m is 1 and the weight is the product
-    of the factors' orbit sizes; under a quotient only Gamma-trivial leaves
-    are kept, each with weight 1 and its Gamma-orbit size as m.
+    into fields of one int each, and their sum is rho; without columns the
+    int is 0).  Each kept leaf calls ``leaf(js, m, weight, parts)``, js
+    being that int and ``parts`` the lists of each factor's marks, which the
+    walk goes on changing.  Under the trivial spec m is 1 and the weight is
+    the product of the factors' orbit sizes; under a quotient only
+    Gamma-trivial leaves are kept, each with weight 1 and its Gamma-orbit
+    size as m.
     """
     comarks, budgets = _mark_bounds(factors)
     trivial = _trivial_on_center(spec, factors)
@@ -274,7 +256,7 @@ def _walk(factors: Sequence[Factor], spec: CenterSpec, leaf, rules=_LEAST_MEMBER
             b[j] = n
             walk(i + 1, remaining - n * cost, js, above if n > low else at_low, weight)
 
-    walk(0, 0, start, 1, 1)
+    walk(0, 0, sum(columns), 1, 1)
     del walk  # the closure refers to itself; free it and its state now
 
 

@@ -9,14 +9,7 @@ import mpmath
 
 from verlinde.numeric import _sine_table
 from verlinde.rootsys import RootSystem, marks, weight_from_marks
-from verlinde.weights import (
-    CenterSpec,
-    _affine_mark,
-    _mark_bounds,
-    _parts,
-    _trivial_on_center,
-    _within_levels,
-)
+from verlinde.weights import CenterSpec, _trivial_on_center
 
 
 def vec_add(v, w):
@@ -209,8 +202,15 @@ def berlekamp_massey(sequence):
 def enumerate_product_weights(factors):
     """Every flat mark tuple with (lambda | theta) <= l in each factor
     ``(rs, l)``, in lexicographic order: the recursion gives each factor its
-    own level budget at its first mark."""
-    comarks, budgets = _mark_bounds(factors)
+    own level budget at its first mark.  The bounds are read from the comarks
+    here, not from ``weights._mark_bounds``, so the reference shares no level
+    rule with the walk."""
+    comarks, budgets = [], {}  # budgets: a factor's first mark -> its level
+    for rs, level in factors:
+        if level < 0:
+            raise ValueError(f"level must be >= 0, got {level}")
+        budgets[len(comarks)] = level
+        comarks += rs.comarks
     size = len(comarks)
     tuples = []
 
@@ -239,6 +239,25 @@ def _as_factors(factors):
     one factor."""
     factors = tuple(factors)
     return (factors,) if factors and isinstance(factors[0], RootSystem) else factors
+
+
+def _parts(factors, n):
+    """Each factor as ``(rs, level, part)``, with its part of the flat marks ``n``."""
+    start = 0
+    for rs, level in factors:
+        yield rs, level, n[start:start + rs.rank]
+        start += rs.rank
+
+
+def _affine_mark(rs, level, n):
+    """n_0 = l - sum comark_i n_i; a weight lies at level l iff n_0 >= 0."""
+    return level - sum(c * x for c, x in zip(rs.comarks, n))
+
+
+def _within_levels(factors, n):
+    """Whether the flat marks n are those of a weight within the levels of
+    ``factors``: no mark, and no factor's affine mark, is negative."""
+    return min(n) >= 0 and all(_affine_mark(*p) >= 0 for p in _parts(factors, n))
 
 
 def weight_of(factors, n):

@@ -78,6 +78,7 @@ def test_compute_csv(capsys):
     code, out = run_cli(capsys, "compute", "--group", "so", "--r", "4",
                         "--genus", "2", "--format", "csv")
     assert code == 0
+    assert out.splitlines()[0] == "group_label,level,genus,value,residual,precision_bits,term_count"
     rows = list(csv.DictReader(io.StringIO(out)))
     assert len(rows) == 1
     assert rows[0]["value"] == "16"
@@ -88,7 +89,10 @@ def test_compute_md(capsys):
     code, out = run_cli(capsys, "compute", "--group", "so", "--r", "5",
                         "--genus", "2", "--format", "md")
     assert code == 0
-    assert out.startswith("| group_label |")
+    assert out.splitlines()[:2] == [
+        "| group_label | level | genus | value | residual | precision_bits | term_count |",
+        "|---|---|---|---|---|---|---|",
+    ]
     assert "| 25 |" in out
 
 

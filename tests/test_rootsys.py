@@ -151,12 +151,12 @@ def test_pairing_matrix_is_twice_the_inner_product(family, rank):
 
 
 def test_a_pairing_that_is_not_an_integer_is_refused():
-    """2 (v | w) = num (v . d w) / den must be an integer: here v . d w = 1
-    and num / den = 1 / 2, and with coefficient 2 the row is 1."""
+    """2 (v | w) = 2 (v . d w) / den must be an integer: here v . d w = 1
+    and den = 4, so 2 (v | w) = 1/2, and with coefficient 2 the row is 1."""
     a1 = GroupType("A", 1)
     with pytest.raises(AssertionError, match="not an integer in A1"):
-        _twice_pairings(a1, ((1, 0),), ((1, -1),), 1, 2)
-    assert _twice_pairings(a1, ((2, 0),), ((1, -1),), 1, 2) == ((1,),)
+        _twice_pairings(a1, ((1, 0),), ((1, -1),), 4)
+    assert _twice_pairings(a1, ((2, 0),), ((1, -1),), 4) == ((1,),)
 
 
 @pytest.mark.parametrize("family,rank", [("B", 2), ("B", 4), ("D", 3), ("D", 5)])

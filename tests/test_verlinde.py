@@ -69,14 +69,21 @@ def test_delta_a1_level_two():
 def test_delta_rejects_weights_outside_the_alcove():
     """(3,) lies on an alcove wall, where a sine vanishes; no sine vanishes
     at the others ((5,) has the Delta of (1,)), so only the marks show
-    that they lie outside P_l."""
+    that they lie outside P_l.  The level is sum comark_i n_i: B3 (comarks
+    1, 2, 1) puts (0, 1, 1) at level 3 and D4 (comarks 1, 2, 1, 1) puts
+    (0, 1, 0, 1) at 3, though their marks sum to 2; C3 (comarks 1) puts
+    (1, 1, 1) at 3; and no weight lies at a negative level."""
     for family, rank, level, n in [
         ("A", 1, 2, (3,)), ("A", 1, 2, (5,)), ("A", 1, 2, (-2,)),
         ("A", 2, 2, (3, 1)), ("A", 2, 2, (-2, 1)),
+        ("B", 3, 2, (0, 1, 1)), ("D", 4, 2, (0, 1, 0, 1)), ("C", 3, 2, (1, 1, 1)),
+        ("A", 1, -1, (0,)),
     ]:
         rs = root_system(family, rank)
         with pytest.raises(ValueError, match=f"not a level-{level} weight"):
             delta(rs, level, weight_from_marks(rs, n))
+    b3 = root_system("B", 3)
+    assert delta(b3, 2, weight_from_marks(b3, (0, 1, 0))) > 0  # at level 2 exactly
 
 
 def test_delta_positive_on_all_level_weights():
