@@ -25,8 +25,8 @@ from functools import cache
 from operator import add
 from typing import Optional, Sequence
 
-from .formula import _check_request, n_so, n_sp, verlinde_sc
-from .numeric import DEFAULT_PRECISION, IntegralityError, VerlindeResult
+from .formula import n_so, n_sp, verlinde_sc
+from .numeric import DEFAULT_PRECISION, IntegralityError, VerlindeResult, check_request
 from .rootsys import GroupType, build_root_system, scaled_weight
 from .so_oracle import n_so_oracle
 from .suite import run_default_suite
@@ -82,7 +82,7 @@ def _cmd_compute(args) -> int:
     elif args.group == "sp":
         res = n_sp(args.r, args.level, args.genus, args.precision)
     else:  # sc
-        _check_request(args.genus, args.precision)  # before the root data
+        check_request(args.genus, args.precision)  # before the root data
         rs = build_root_system(GroupType(args.type, args.rank))
         res = verlinde_sc(rs, args.level, args.genus, args.precision)
     _emit_record(output_record(res), args.format)

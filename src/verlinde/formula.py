@@ -67,9 +67,9 @@ error bounds, and certification proves the integer from the latter's K.
 
 Each public sum, ``verlinde_sc``, ``verlinde_quotient`` and
 ``verlinde_product_quotient`` (so ``n_so`` and ``n_sp`` too), is one call
-to ``_verlinde``, which alone refuses a genus, then a precision, before any
-enumeration, names the group (``_label``) and records one factor's level
-as an int, a product's as a tuple.
+to ``_verlinde``, which refuses a bad request (``numeric.check_request``)
+before any enumeration, names the group (``_label``; ``n_sp`` renames it)
+and records one factor's level as an int, a product's as a tuple.
 
 Only the exponent depends on the genus, so the rest is built once per key
 and process, in one entry of a bounded :func:`functools.lru_cache`
@@ -126,6 +126,7 @@ from .numeric import (
     _sine_table,
     certify_integer,
     check_precision,
+    check_request,
 )
 from .rootsys import (
     RootSystem,
@@ -240,8 +241,7 @@ def delta(
 
 def torus_order(rs: RootSystem, level: int) -> int:
     """|T_l| = (l+h)^s * f * nu from the closed form, for every family."""
-    if level < 0:
-        raise ValueError(f"level must be >= 0, got {level}")
+    _mark_bounds(((rs, level),))  # refuses a negative level
     return (level + rs.dual_coxeter) ** rs.rank * rs.center_order * rs.nu
 
 
@@ -452,19 +452,11 @@ def torus_order_oracle_certified(
     return value, residual
 
 
-def _check_request(genus: int, precision: int = DEFAULT_PRECISION) -> None:
-    """Refuse a genus below 1, then a precision out of range: a refused
-    request builds no root data and enumerates nothing."""
-    if genus < 1:
-        raise ValueError(f"genus must be >= 1, got {genus}")
-    check_precision(precision)
-
-
-def _verlinde(factors, spec, genus, precision, label) -> VerlindeResult:
+def _verlinde(factors, spec, genus, precision) -> VerlindeResult:
     """The certified Verlinde number of the weights of ``factors``, a tuple
     of ``(RootSystem, level)``, modulo ``spec``: from the recurrence of its
     spectrum where that serves the genus, else from the kernel."""
-    _check_request(genus, precision)
+    check_request(genus, precision)
     entry = _sum_of((tuple((rs.group_type, lvl) for rs, lvl in factors), spec))
     K = len(entry.spectrum.terms)
     small = K <= RECURRENCE_MAX_TERMS
@@ -480,14 +472,14 @@ def _verlinde(factors, spec, genus, precision, label) -> VerlindeResult:
         residual=residual,
         precision_bits=bits,
         term_count=entry.term_count,
-        group_label=_label(factors, spec) if label is None else label,
+        group_label=_label(factors, spec),
         level=factors[0][1] if len(factors) == 1 else tuple(lvl for _, lvl in factors),
         genus=genus,
     )
 
 
 def _label(factors, spec: CenterSpec) -> str:
-    """The default name of the group of ``factors`` modulo ``spec``."""
+    """The name of the group of ``factors`` modulo ``spec``."""
     if spec is CenterSpec.SO4_DIAGONAL:
         return "SO(4)"
     if len(factors) > 1:
@@ -591,10 +583,9 @@ def verlinde_sc(
     level: int,
     genus: int,
     precision: int = DEFAULT_PRECISION,
-    label: Optional[str] = None,
 ) -> VerlindeResult:
     """Verlinde number of the simply connected group with root system ``rs``."""
-    return _verlinde(((rs, level),), CenterSpec.TRIVIAL, genus, precision, label)
+    return _verlinde(((rs, level),), CenterSpec.TRIVIAL, genus, precision)
 
 
 def verlinde_quotient(
@@ -603,7 +594,6 @@ def verlinde_quotient(
     spec: CenterSpec,
     genus: int,
     precision: int = DEFAULT_PRECISION,
-    label: Optional[str] = None,
 ) -> VerlindeResult:
     """Verlinde number of the center quotient G/Gamma.
 
@@ -611,7 +601,7 @@ def verlinde_quotient(
     the Gamma-trivial level weights and multiplies by |Gamma|.  The choice
     of orbit representative is immaterial: Delta is Gamma-invariant.
     """
-    return _verlinde(((rs, level),), spec, genus, precision, label)
+    return _verlinde(((rs, level),), spec, genus, precision)
 
 
 def verlinde_product_quotient(
@@ -619,7 +609,6 @@ def verlinde_product_quotient(
     spec: CenterSpec,
     genus: int,
     precision: int = DEFAULT_PRECISION,
-    label: Optional[str] = None,
 ) -> VerlindeResult:
     """Verlinde number of (G1 x G2 x ...)/Gamma with per-factor levels.
 
@@ -628,7 +617,7 @@ def verlinde_product_quotient(
     factors: for two, the diagonal order-2 center of SL(2) x SL(2) (the
     SO(4) case).  One factor gives the record of its own quotient.
     """
-    return _verlinde(tuple(factors), spec, genus, precision, label)
+    return _verlinde(tuple(factors), spec, genus, precision)
 
 
 def n_so(r: int, genus: int, precision: int = DEFAULT_PRECISION) -> VerlindeResult:
@@ -638,7 +627,7 @@ def n_so(r: int, genus: int, precision: int = DEFAULT_PRECISION) -> VerlindeResu
     center subgroup whose quotient is SO(r) (``weights._SO_QUOTIENT``)."""
     if r < 3:
         raise ValueError(f"n_so requires r >= 3, got {r}")
-    _check_request(genus, precision)
+    check_request(genus, precision)
     if r == 4:
         factors = [(root_system("A", 1), level) for level in DYNKIN_INDEX.so4]
         return verlinde_product_quotient(factors, CenterSpec.SO4_DIAGONAL, genus, precision)
@@ -657,13 +646,14 @@ def n_sp(
     with the closed-form type-C torus order (nu = 2^(r-1))."""
     if r < 1:
         raise ValueError(f"n_sp requires r >= 1, got {r}")
-    _check_request(genus, precision)
-    return verlinde_sc(root_system("C", r), level, genus, precision, label=f"Sp({2 * r})")
+    check_request(genus, precision)
+    return verlinde_sc(root_system("C", r), level, genus, precision)._replace(
+        group_label=f"Sp({2 * r})")
 
 
 def theta_dim(r: int, genus: int) -> int:
     """Dimension r^g of the level-r theta linear system on the Jacobian side."""
     if r < 1:
         raise ValueError(f"theta_dim requires r >= 1, got {r}")
-    _check_request(genus)
+    check_request(genus, DEFAULT_PRECISION)
     return r**genus

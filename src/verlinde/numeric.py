@@ -92,6 +92,13 @@ def check_precision(precision: int) -> int:
     return precision
 
 
+def check_request(genus: int, precision: int) -> None:
+    """Refuse a genus below 1, then a precision out of range."""
+    if genus < 1:
+        raise ValueError(f"genus must be >= 1, got {genus}")
+    check_precision(precision)
+
+
 def four_sin_sq(x: Fraction, bits: int) -> Decimal:
     """4 sin^2(pi x) for exact rational x, from the sine table at ``bits``.
 

@@ -8,12 +8,12 @@ enumerates them in doubled coordinates v = 2u, integers of one parity
 (even for D, odd for B), so every sine argument is an integer numerator n
 over 2k: v_i - v_j and v_i + v_j, and v_i for B.  It indexes one table,
 ``numeric._sine_table(2k, bits)``, at min(n, 2k - n).  The oracle shares
-nothing with the root-system engine beyond the numeric helpers: the decimal
-context of the float layer, certification, and the sine tables.  A table
-holds only values of 4 sin^2(pi j / D), keyed by D and the precision,
-which either path would compute identically on its own; the arguments,
-their enumeration, the products and the sum stay separate, so agreement
-between the two paths is still a meaningful cross-check.
+nothing with the root-system engine beyond the numeric helpers: the request
+rule, the decimal context of the float layer, certification, and the sine
+tables.  A table holds only values of 4 sin^2(pi j / D), keyed by D and the
+precision, which either path would compute identically on its own; the
+arguments, their enumeration, the products and the sum stay separate, so
+agreement between the two paths is still a meaningful cross-check.
 
 The products and the sum are decimal arithmetic in the context of ``bits``
 (``numeric._context``), each operation within eps <= 2^-(bits+1),
@@ -50,6 +50,7 @@ from .numeric import (
     _sine_table,
     certify_integer,
     check_precision,
+    check_request,
 )
 
 _DUAL_COXETER = {"B": lambda s: 2 * s - 1, "D": lambda s: 2 * s - 2}
@@ -195,11 +196,10 @@ def n_so_oracle(r: int, genus: int, precision: int = DEFAULT_PRECISION) -> Verli
     """
     if r < 5:
         raise ValueError(f"the oracle covers r >= 5, got {r}")
-    if genus < 1:
-        raise ValueError(f"genus must be >= 1, got {genus}")
+    check_request(genus, precision)
     s = r // 2
     torus = 4 * r**s
-    terms = len(_level_two_terms(r, check_precision(precision)))
+    terms = len(_level_two_terms(r, precision))
     error = 2 * (s * (s - 1 + r % 2) + 1) * (genus - 1) + terms + 8  # M = s (s - 1 + r % 2)
 
     def compute(bits: int) -> Decimal:

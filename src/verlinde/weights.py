@@ -16,10 +16,10 @@ table, ``_LEAST_MEMBERS``, gives the rule per family by which the walk
 visits one weight per center orbit, under every center spec; by the rules
 of ``_EVERY_WEIGHT`` it visits them all.
 
-Types B and D also carry the coordinate view used throughout: writing
-lambda + rho = sum u_i e_i, the u_i form a strictly decreasing sequence of
-half-integers, and membership in the quotient sublattice becomes an
-integrality condition on the u_i.
+:func:`u_coords` and the ``weights`` command, and nothing else, read types B
+and D in u-coordinates: writing lambda + rho = sum u_i e_i, the u_i form a
+strictly decreasing sequence of half-integers, and membership in the
+quotient sublattice becomes an integrality condition on the u_i.
 """
 
 from __future__ import annotations

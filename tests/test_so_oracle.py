@@ -189,8 +189,9 @@ def test_orbit_sizes_are_those_of_the_weight_path(family, ranks):
 
 
 def test_oracle_rejects_small_r():
-    with pytest.raises(ValueError, match="r >= 5"):
-        n_so_oracle(4, 2)
+    for genus, precision in ((2, 192), (0, 63)):  # r is checked before the request
+        with pytest.raises(ValueError, match="r >= 5"):
+            n_so_oracle(4, genus, precision)
 
 
 def test_oracle_result_metadata():

@@ -27,6 +27,7 @@ from verlinde.formula import (
 )
 from verlinde.numeric import DEFAULT_PRECISION, MAX_PRECISION, IntegralityError
 from verlinde.rootsys import MIN_RANK, GroupType, build_root_system, root_system, weight_from_marks
+from verlinde.so_oracle import _level_two_terms, n_so_oracle
 from verlinde.weights import CenterSpec
 
 from helpers import (
@@ -412,6 +413,8 @@ def test_torus_order_closed_forms():
         assert torus_order(root_system("D", s), 2) == 4 * (2 * s) ** s
     for s in (2, 3, 4, 5, 6):
         assert torus_order(root_system("B", s), 2) == 4 * (2 * s + 1) ** s
+    with pytest.raises(ValueError, match=re.escape("level must be >= 0, got -1")):
+        torus_order(root_system("C", 3), -1)
 
 
 def test_torus_oracle_matches_closed_form():
@@ -625,14 +628,15 @@ SUM_CALLS = {
     "product-1": lambda g, p: verlinde_product_quotient(((A1, 4),), CenterSpec.SO3, g, p),
     "product-2": lambda g, p: verlinde_product_quotient(
         ((A1, 2), (A1, 2)), CenterSpec.SO4_DIAGONAL, g, p),
+    "n_so_oracle": lambda g, p: n_so_oracle(12, g, p),
 }
 
 
 @pytest.mark.parametrize("call", SUM_CALLS.values(), ids=SUM_CALLS.keys())
 def test_every_sum_refuses_genus_then_precision_before_any_enumeration(call):
     """A bad genus is refused first, then a bad precision, and neither
-    builds nor reads an entry of ``_sum_of``."""
-    info = _sum_of.cache_info()
+    builds nor reads an entry of ``_sum_of`` or of the oracle's cache."""
+    info, oracle_info = _sum_of.cache_info(), _level_two_terms.cache_info()
     for genus, precision, message in (
         (0, DEFAULT_PRECISION, "genus must be >= 1, got 0"),
         (2, 63, "precision must be >= 64 bits, got 63"),
@@ -643,6 +647,7 @@ def test_every_sum_refuses_genus_then_precision_before_any_enumeration(call):
         with pytest.raises(ValueError, match=re.escape(message)):
             call(genus, precision)
     assert _sum_of.cache_info() == info
+    assert _level_two_terms.cache_info() == oracle_info
 
 
 BUILDING_CALLS = {
@@ -778,7 +783,11 @@ def test_n_sp_duality_example():
 
 
 def test_n_sp_label():
-    assert n_sp(2, 1, 2).group_label == "Sp(4)"
+    """n_sp is the type-C record renamed Sp(2r); verlinde_sc keeps its name."""
+    for r, level, genus in ((2, 1, 2), (3, 4, 3)):
+        record = verlinde_sc(root_system("C", r), level, genus)
+        assert record.group_label == f"C{r} (simply connected)"
+        assert n_sp(r, level, genus) == record._replace(group_label=f"Sp({2 * r})")
 
 
 def test_n_sp_rejects_bad_rank():
@@ -797,7 +806,7 @@ def test_theta_dim():
     assert theta_dim(7, 5) == 16807
     with pytest.raises(ValueError):
         theta_dim(0, 2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=re.escape("genus must be >= 1, got 0")):
         theta_dim(3, 0)
 
 
